@@ -29,7 +29,7 @@ from .information import (
     qfi_pure,
 )
 from .linalg import haar_unitary, vec_identity_residual
-from .simulate import ExperimentConfig, rmse_stderr, scaling_experiment
+from .simulate import STREAM_VERSION, ExperimentConfig, rmse_stderr, scaling_experiment
 from .states import Generator, PAULI_X, StrategyKind, StrategySpec, ghz_state
 
 MAX_N = 12
@@ -213,12 +213,30 @@ def cmd_scaling(args, parser) -> int:
     for name in args.strategies.split(","):
         name = name.strip()
         try:
-            kinds.append(StrategyKind(name))
+            kind = StrategyKind(name)
         except ValueError:
             parser.error(f"unknown strategy {name!r}")
+        if kind in kinds:
+            parser.error(f"strategy {name!r} is listed more than once")
+        kinds.append(kind)
     if StrategyKind.GENERALIZED_ENTANGLED in kinds:
         parser.error("scaling runs the sequential, classical and entangled strategies")
     seed = _resolve_seed(args, parser)
+    # Open the CSV before computing, so an unwritable --out fails at once.
+    try:
+        out = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        return _csv_error(args.out, exc)
+    with out:
+        return _run_scaling(args, kinds, n_values, seed, out)
+
+
+def _csv_error(path: str, exc: OSError) -> int:
+    print(f"error: cannot write CSV to {path}: {exc}", file=sys.stderr)
+    return 3
+
+
+def _run_scaling(args, kinds, n_values, seed, out) -> int:
     start = time.perf_counter()
     report = Report(
         "scaling",
@@ -228,6 +246,7 @@ def cmd_scaling(args, parser) -> int:
             "nu": args.nu,
             "rounds": args.rounds,
             "seed": seed,
+            "stream_version": STREAM_VERSION,
             "out": args.out,
             "format": args.format,
         },
@@ -267,11 +286,10 @@ def cmd_scaling(args, parser) -> int:
         )
 
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
+        out.write("\n".join(csv_lines) + "\n")
+        out.flush()
     except OSError as exc:
-        print(f"error: cannot write CSV to {args.out}: {exc}", file=sys.stderr)
-        return 3
+        return _csv_error(args.out, exc)
 
     wall = int(round((time.perf_counter() - start) * 1000))
     return _emit(report.finish(wall), args.format)

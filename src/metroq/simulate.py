@@ -1,9 +1,12 @@
 """Seeded Monte Carlo phase-estimation experiments over the estimation strategies.
 
-Repetition streams come from the counter-based Philox generator; per-round
-seeds are derived from the experiment seed through numpy's SeedSequence with
-spawn_key=(N, round_index), so reports are pure functions of their config and
-independent of any execution order.
+Each round draws its success count as one binomial variate from its own
+counter-based Philox stream.  Per-round seeds are derived from the experiment
+seed through numpy's SeedSequence with spawn_key=(strategy index, N,
+round_index), so every strategy samples independently and reports are pure
+functions of their config, independent of any execution order.  STREAM_VERSION
+names this sampling scheme; it changes whenever the same config would draw
+different numbers.
 """
 
 from __future__ import annotations
@@ -16,6 +19,18 @@ import numpy as np
 from .information import crb, operating_phase, time_advantage
 from .linalg import apply_on_factor, as_vector
 from .states import Generator, StrategyKind, StrategySpec, ghz_like, plus_minus_states, u_phi
+
+# Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
+# on streams keyed on (N, round); version 2 is the scheme described above.
+STREAM_VERSION = 2
+
+# Fixed stream index per strategy, so reordering StrategyKind keeps the streams.
+_STREAM_INDEX = {
+    StrategyKind.SEQUENTIAL: 0,
+    StrategyKind.CLASSICAL_PARALLEL: 1,
+    StrategyKind.ENTANGLED_PARALLEL: 2,
+    StrategyKind.GENERALIZED_ENTANGLED: 3,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +153,13 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
 
 
 def run_trials(strategy: StrategySpec, phi_true: float, nu: int, seed: int) -> int:
-    """Draw the strategy's Bernoulli outcomes and return the success count.
+    """Return the success count of one round of the strategy's Bernoulli trials.
 
-    Sequential/entangled repetitions draw nu outcomes at the N-fold fringe;
-    the classical-parallel strategy draws N*nu single-probe outcomes (recorded
-    per probe), consuming the same N*nu box samplings per experiment.
+    Sequential/entangled rounds make nu trials at the N-fold fringe; the
+    classical-parallel strategy makes N*nu single-probe trials, consuming the
+    same N*nu box samplings per experiment.  The count of independent trials
+    with a common success probability p is exactly Binomial(trials, p), so it
+    is drawn as one binomial variate instead of trial by trial.
     Deterministic for a fixed seed (Philox counter-based stream).
     """
     if nu < 1:
@@ -150,11 +167,9 @@ def run_trials(strategy: StrategySpec, phi_true: float, nu: int, seed: int) -> i
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     p = strategy_success_probability(strategy, phi_true)
+    trials = strategy.n_probes * nu if strategy.kind is StrategyKind.CLASSICAL_PARALLEL else nu
     rng = np.random.Generator(np.random.Philox(seed))
-    if strategy.kind is StrategyKind.CLASSICAL_PARALLEL:
-        per_probe = rng.random((strategy.n_probes, nu)) < p
-        return int(per_probe.sum())
-    return int((rng.random(nu) < p).sum())
+    return int(rng.binomial(trials, p))
 
 
 def estimate_phase(k: int, nu: int, n: int) -> float:
@@ -171,9 +186,14 @@ def estimate_phase(k: int, nu: int, n: int) -> float:
     return (2.0 / n) * math.acos(math.sqrt(ratio))
 
 
-def derive_round_seed(seed: int, n: int, round_index: int) -> int:
-    """Per-round child seed: SeedSequence(seed, spawn_key=(n, round_index))."""
-    ss = np.random.SeedSequence(seed, spawn_key=(n, round_index))
+def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -> int:
+    """Per-round child seed of one strategy at N = n.
+
+    SeedSequence(seed, spawn_key=(strategy index, n, round_index)): the
+    strategy is part of the key, so strategies with the same success
+    probability still draw from independent streams.
+    """
+    ss = np.random.SeedSequence(seed, spawn_key=(_STREAM_INDEX[kind], n, round_index))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -205,9 +225,10 @@ def fit_loglog_slope(ns, rmses) -> tuple[float, float]:
 def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
     """Estimate phi over rounds of nu trials for each N and fit the error scaling.
 
-    Each round draws its own Philox stream (see derive_round_seed), estimates
-    the phase by fringe inversion, and contributes to the per-N RMSE about the
-    operating phase.  Rows carry the matching Cramér-Rao bound.
+    Each round draws its success count from its own Philox stream (see
+    run_trials and derive_round_seed), estimates the phase by fringe
+    inversion, and contributes to the per-N RMSE about the operating phase.
+    Rows carry the matching Cramér-Rao bound.
     """
     n_values = sorted(set(cfg.n_values))
     if len(n_values) < 3:
@@ -218,7 +239,7 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
         phi = cfg.phase_for(n)
         errors = np.empty(cfg.rounds)
         for r in range(cfg.rounds):
-            k = run_trials(strat, phi, cfg.nu, derive_round_seed(cfg.seed, n, r))
+            k = run_trials(strat, phi, cfg.nu, derive_round_seed(cfg.seed, strat.kind, n, r))
             if strat.kind is StrategyKind.CLASSICAL_PARALLEL:
                 phi_hat = estimate_phase(k, n * cfg.nu, 1)
             else:

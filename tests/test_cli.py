@@ -108,6 +108,7 @@ def test_scaling_csv_and_slopes(capsys, tmp_path):
     assert -1.15 <= by_name["scaling-entangled"]["fitted_slope"] <= -0.85
     assert -0.65 <= by_name["scaling-classical"]["fitted_slope"] <= -0.35
     assert "slope_stderr" in by_name["scaling-entangled"]
+    assert report["config"]["stream_version"] == 2
 
 
 def test_scaling_rerun_is_byte_identical(capsys, tmp_path):
@@ -117,10 +118,40 @@ def test_scaling_rerun_is_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_scaling_unwritable_path(capsys, tmp_path):
+def test_scaling_unwritable_path(capsys, tmp_path, monkeypatch):
+    # --out is opened before any computing, so the experiment never runs.
+    def must_not_run(cfg):
+        raise AssertionError("scaling_experiment ran before --out was checked")
+
+    monkeypatch.setattr("metroq.cli.scaling_experiment", must_not_run)
     code = main(SCALING_ARGS + ["--out", str(tmp_path / "missing-dir" / "x.csv")])
-    capsys.readouterr()
     assert code == 3
+    assert "cannot write CSV" in capsys.readouterr().err
+
+
+def test_scaling_rejects_repeated_strategies(capsys, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["scaling", "--strategies", "entangled,entangled",
+              "--out", str(tmp_path / "x.csv")])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["scaling", "--strategies", "classical, sequential,classical",
+              "--out", str(tmp_path / "x.csv")])
+    assert err.value.code == 2
+
+
+def test_scaling_strategies_draw_independent_streams(capsys, tmp_path):
+    # Sequential and entangled share p at every N; only the stream tells them apart.
+    out_csv = tmp_path / "scaling.csv"
+    code, _ = run_json(capsys, [
+        "scaling", "--strategies", "sequential,entangled", "--n-values", "1,2,4",
+        "--nu", "200", "--rounds", "20", "--seed", "42", "--out", str(out_csv),
+    ])
+    assert code in (0, 1)
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    rmse = {(row[0], row[1]): row[4] for row in rows}
+    for n in ("1", "2", "4"):
+        assert rmse[("sequential", n)] != rmse[("entangled", n)]
 
 
 def test_scaling_needs_three_sizes(capsys):

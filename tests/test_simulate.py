@@ -203,3 +203,22 @@ def test_config_validates_operating_branch():
         nu=10, seed=0, n_values=(1, 2, 8), rounds=2,
     )
     assert cfg.phase_for(8) == math.pi / 16
+
+
+@pytest.mark.parametrize(
+    "kind, phi", [(StrategyKind.ENTANGLED_PARALLEL, 0.3), (StrategyKind.CLASSICAL_PARALLEL, 1.2)]
+)
+def test_run_trials_count_is_binomial(kind, phi):
+    # Sample mean and variance of the round counts against Binomial(trials, p),
+    # each within 4 standard errors of its sampling distribution.
+    n, nu, seeds = 3, 20, 400
+    spec = StrategySpec(kind, n)
+    p = strategy_success_probability(spec, phi)
+    trials = n * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
+    counts = np.array([run_trials(spec, phi, nu, seed=s) for s in range(seeds)], dtype=float)
+    var = trials * p * (1 - p)
+    mu4 = var * (1 + 3 * (trials - 2) * p * (1 - p))  # fourth central moment
+    mean_se = math.sqrt(var / seeds)
+    var_se = math.sqrt((mu4 - var**2 * (seeds - 3) / (seeds - 1)) / seeds)
+    assert abs(counts.mean() - trials * p) < 4 * mean_se
+    assert abs(counts.var(ddof=1) - var) < 4 * var_se
