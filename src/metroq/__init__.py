@@ -45,7 +45,6 @@ from .information import (
     optimal_frequency_bound,
     phase_bound_dephasing,
     qfi_pure,
-    time_advantage,
 )
 from .linalg import (
     ATOL_IDENTITY,
@@ -55,7 +54,6 @@ from .linalg import (
     partial_trace,
     project_subsystem,
     trace_distance,
-    unvec,
     vec,
     vec_identity_residual,
 )

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,20 +29,35 @@ from .information import (
     optimal_frequency_bound,
     qfi_pure,
 )
-from .linalg import haar_unitary, vec_identity_residual
+from .linalg import haar_unitary, trace_distance, vec_identity_residual
 from .simulate import STREAM_VERSION, ExperimentConfig, rmse_stderr, scaling_experiment
-from .states import Generator, PAULI_X, StrategyKind, StrategySpec, ghz_state
+from .states import Generator, PAULI_X, StrategyKind, StrategySpec, ghz_state, u_phi
 
 MAX_N = 12
 MAX_NU = 100_000
 MAX_ROUNDS = 1_000
 
+# Closed ranges of the numeric flags, by argparse dest.  Every bound is finite
+# and a comparison with NaN is false, so NaN and +-inf fall outside them too.
+FLAG_RANGES = {
+    "n_max": (2, MAX_N),
+    "n": (1, MAX_N),
+    "nu": (1, MAX_NU),
+    "rounds": (1, MAX_ROUNDS),
+    "p": (0.0, 1.0),
+    # keeps t* = 1/(N gamma) and bound* = e gamma / sqrt(nu) far from overflow
+    "gamma": (1e-100, 1e100),
+    # at 0 no check could pass; above 1 a fidelity deficit could never fail
+    "tolerance": (1e-300, 1.0),
+}
+
 SLOPE_BANDS = {
     StrategyKind.SEQUENTIAL: (-1.15, -0.85),
     StrategyKind.ENTANGLED_PARALLEL: (-1.15, -0.85),
-    StrategyKind.GENERALIZED_ENTANGLED: (-1.15, -0.85),
     StrategyKind.CLASSICAL_PARALLEL: (-0.65, -0.35),
 }
+
+QUBIT = Generator.qubit()
 
 CHANNELS = {
     "dephasing": dephasing,
@@ -57,9 +73,7 @@ class Report:
     results: list[dict] = field(default_factory=list)
 
     def add(self, name: str, ok: bool, **extras):
-        rec = {"name": name, "pass": bool(ok)}
-        rec.update(extras)
-        self.results.append(rec)
+        self.results.append({"name": name, "pass": bool(ok), **extras})
 
     def finish(self, wall_time_ms: int) -> dict:
         return {
@@ -77,20 +91,16 @@ def _emit(report: dict, fmt: str) -> int:
     else:
         print(f"# {report['command']}")
         for rec in report["results"]:
-            extras = {k: v for k, v in rec.items() if k not in ("name", "pass")}
-            detail = " ".join(f"{k}={v}" for k, v in extras.items())
+            detail = " ".join(f"{k}={v}" for k, v in rec.items() if k not in ("name", "pass"))
             print(f"{'PASS' if rec['pass'] else 'FAIL'}  {rec['name']}  {detail}".rstrip())
         print(f"OVERALL: {'PASS' if report['pass'] else 'FAIL'}")
     return 0 if report["pass"] else 1
 
 
 def _resolve_seed(args, parser) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("METROQ_SEED")
-        if env is None:
-            return 0
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("METROQ_SEED", "0")
         try:
             seed = int(env)
         except ValueError:
@@ -100,165 +110,207 @@ def _resolve_seed(args, parser) -> int:
     return seed
 
 
-def _parse_int_list(text: str, parser, what: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        parser.error(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        parser.error(f"{what} must not be empty")
-    return values
+def _parse_strategies(text: str, parser) -> list[StrategyKind]:
+    names = [name.strip() for name in text.split(",")]
+    if not set(names) <= {"sequential", "classical", "entangled"}:
+        parser.error(f"--strategies entries must be sequential, classical or entangled: {text!r}")
+    if len(set(names)) < len(names):
+        parser.error(f"--strategies lists a strategy more than once: {text!r}")
+    return [StrategyKind(name) for name in names]
 
 
-def cmd_verify(args, parser) -> int:
-    if not 2 <= args.n_max <= MAX_N:
-        parser.error(f"--n-max must lie in 2..{MAX_N}")
-    seed = _resolve_seed(args, parser)
-    tol = args.tolerance
-    rng = np.random.default_rng(seed)
-    h = Generator.qubit()
-    start = time.perf_counter()
-    report = Report(
-        "verify",
-        {"n_max": args.n_max, "tolerance": tol, "seed": seed, "format": args.format},
+def _validate(args, parser) -> None:
+    """Reject a bad flag with a usage error (exit 2) before any work starts,
+    and replace the seed, --n-values and --strategies by their parsed values."""
+    flags = vars(args)
+    args.seed = _resolve_seed(args, parser)
+    for dest, (lo, hi) in FLAG_RANGES.items():
+        if dest in flags and not lo <= flags[dest] <= hi:
+            parser.error(f"--{dest.replace('_', '-')} must lie in [{lo:g}, {hi:g}]")
+    if "n_values" in flags:
+        text = args.n_values
+        try:
+            args.n_values = [int(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            parser.error(f"--n-values must be a comma-separated integer list, got {text!r}")
+        if not args.n_values or not all(1 <= n <= MAX_N for n in args.n_values):
+            parser.error(f"--n-values entries must lie in 1..{MAX_N}, got {text!r}")
+    if "strategies" in flags:
+        if len(set(args.n_values)) < 3:
+            parser.error("--n-values needs at least 3 distinct entries")
+        args.strategies = _parse_strategies(args.strategies, parser)
+
+
+# The check functions below are shared with the acceptance suite, which calls
+# them with its own seeds and sample counts.  Each takes (rng, n_max, **params)
+# and returns a residual, or a tuple of residuals, that vanishes on success.
+
+def check_vectorization(rng, n_max: int, samples: int) -> float:
+    """Worst kron(a,b) vec(c) - vec(a c b^T) over random complex triples, d = 2..8."""
+    worst = 0.0
+    for _ in range(samples):
+        d = int(rng.integers(2, 9))
+        a, b, c = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for _ in range(3))
+        worst = max(worst, vec_identity_residual(a, b, c))
+    return worst
+
+
+def _conversion_residuals(certs) -> tuple[float, float, float]:
+    """Worst fidelity deficit, branch-probability error and missing-branch count."""
+    fid = prob = missing = 0.0
+    for cert in certs:
+        fid = max(fid, 1.0 - cert.min_fidelity)
+        prob = max(prob, cert.max_prob_error)
+        missing = max(missing, float(abs(len(cert.records) - 2 ** (cert.n_probes - 1))))
+    return fid, prob, missing
+
+
+def check_conversion_n2(rng, n_max: int, samples: int) -> tuple[float, float, float]:
+    """Two-probe conversion at random phase pairs."""
+    return _conversion_residuals(
+        equivalence.convert_n2(QUBIT, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        for _ in range(samples)
     )
 
-    worst = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        mats = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for _ in range(3)
-        ]
-        worst = max(worst, vec_identity_residual(*mats))
-    report.add("vectorization-identity", worst < tol, residual=worst, tolerance=tol)
 
-    worst_fid = 0.0
-    worst_prob = 0.0
-    for _ in range(100):
-        cert = equivalence.convert_n2(h, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-        worst_fid = max(worst_fid, 1.0 - cert.min_fidelity)
-        worst_prob = max(worst_prob, cert.max_prob_error)
-    residual = max(worst_fid, worst_prob)
-    report.add("conversion-n2", residual < tol, residual=residual, tolerance=tol)
-
-    worst_fid = 0.0
-    worst_prob = 0.0
-    for n in range(2, args.n_max + 1):
-        for _ in range(5):
-            cert = equivalence.convert_general_n(
-                h, rng.uniform(0, 2 * math.pi, size=n), rng.uniform(0, 2 * math.pi)
-            )
-            worst_fid = max(worst_fid, 1.0 - cert.min_fidelity)
-            worst_prob = max(worst_prob, cert.max_prob_error)
-    residual = max(worst_fid, worst_prob)
-    report.add("conversion-general-n", residual < tol, residual=residual, tolerance=tol)
-
-    for basis in ("computational", "hadamard"):
-        worst_dev = 0.0
-        for phi in np.linspace(0.0, math.pi, 10):
-            avg, phi_dep = equivalence.counterexample(basis, phi)
-            dev = float(np.max(np.abs(avg - np.eye(2) / 2)))
-            worst_dev = max(worst_dev, dev, phi_dep)
-        report.add(
-            f"counterexample-{basis}", worst_dev < tol, residual=worst_dev, tolerance=tol
+def check_conversion_general_n(rng, n_max: int, per_n: int) -> tuple[float, float, float]:
+    """N-probe conversion at `per_n` random phase vectors for each N in 2..n_max."""
+    return _conversion_residuals(
+        equivalence.convert_general_n(
+            QUBIT, rng.uniform(0, 2 * math.pi, size=n), rng.uniform(0, 2 * math.pi)
         )
+        for n in range(2, n_max + 1)
+        for _ in range(per_n)
+    )
 
-    worst_dev = 0.0
+
+def check_counterexample(rng, n_max: int, basis: str, grid: int) -> tuple[float, float, float]:
+    """Outcome-averaged single-basis counterexample on a phase grid over [0, pi]:
+    worst max-abs entry and trace distance from I/2, and worst phi-dependence."""
+    eye_half = np.eye(2) / 2
+    entry = dist = phi_dep = 0.0
+    for phi in np.linspace(0.0, math.pi, grid):
+        avg, dep = equivalence.counterexample(basis, phi)
+        entry = max(entry, float(np.max(np.abs(avg - eye_half))))
+        dist = max(dist, trace_distance(avg, eye_half))
+        phi_dep = max(phi_dep, dep)
+    return entry, dist, phi_dep
+
+
+def check_unaveraged_fisher(rng, n_max: int) -> float:
+    """Worst deviation of the record-keeping counterexample's Fisher information
+    from the two-probe classical value 2 * cfi_binary(1, phi)."""
+    worst = 0.0
     for phi in (0.3, math.pi / 4, 1.1):
         fisher = equivalence.unaveraged_counterexample_fisher("hadamard", phi)
-        reference = 2.0 * cfi_binary(1, phi)
-        worst_dev = max(worst_dev, abs(fisher - reference))
-    report.add(
-        "counterexample-unaveraged-fisher", worst_dev < max(tol, 1e-9),
-        residual=worst_dev, tolerance=max(tol, 1e-9),
-    )
+        worst = max(worst, abs(fisher - 2.0 * cfi_binary(1, phi)))
+    return worst
 
+
+def check_useful_entanglement(rng, n_max: int, samples: int) -> float:
+    """0.0 when diag(1, e^{i lam}) seeds pass with lam recovered to 1e-9 and
+    `samples` Haar-random seeds and sigma_x fail, else 1.0."""
     ok = True
     for lam in (0.0, 0.8, -1.3):
-        useful, lam_hat = equivalence.useful_entanglement_check(
-            np.diag([1.0, np.exp(1j * lam)]), h
-        )
+        seed_op = np.diag([1.0, np.exp(1j * lam)])
+        useful, lam_hat = equivalence.useful_entanglement_check(seed_op, QUBIT)
         ok = ok and useful and abs(lam_hat - lam) < 1e-9
-    for _ in range(10):
-        useful, _ = equivalence.useful_entanglement_check(haar_unitary(2, rng), h)
-        ok = ok and not useful
-    ok = ok and not equivalence.useful_entanglement_check(PAULI_X, h)[0]
-    report.add("useful-entanglement", ok, residual=0.0 if ok else 1.0, tolerance=tol)
-
-    worst_fid = 0.0
-    cases = [(np.eye(2), PAULI_X, 2)]
-    for _ in range(3):
-        cases.append((haar_unitary(2, rng), haar_unitary(2, rng), min(args.n_max, 6)))
-    for w, v, n in cases:
-        cert = equivalence.generalized_strategy_certificate(w, v, h, rng.uniform(0.1, 1.5), n)
-        worst_fid = max(worst_fid, 1.0 - cert.min_fidelity)
-    report.add("generalized-strategy", worst_fid < tol, residual=worst_fid, tolerance=tol)
-
-    wall = int(round((time.perf_counter() - start) * 1000))
-    return _emit(report.finish(wall), args.format)
+    rejected = [haar_unitary(2, rng) for _ in range(samples)] + [PAULI_X]
+    ok = ok and not any(equivalence.useful_entanglement_check(e, QUBIT)[0] for e in rejected)
+    return 0.0 if ok else 1.0
 
 
-def cmd_scaling(args, parser) -> int:
-    n_values = _parse_int_list(args.n_values, parser, "--n-values")
-    if len(set(n_values)) < 3:
-        parser.error("--n-values needs at least 3 distinct entries")
-    if max(n_values) > MAX_N or min(n_values) < 1:
-        parser.error(f"--n-values entries must lie in 1..{MAX_N}")
-    if not 1 <= args.nu <= MAX_NU:
-        parser.error(f"--nu must lie in 1..{MAX_NU}")
-    if not 1 <= args.rounds <= MAX_ROUNDS:
-        parser.error(f"--rounds must lie in 1..{MAX_ROUNDS}")
-    kinds = []
-    for name in args.strategies.split(","):
-        name = name.strip()
-        try:
-            kind = StrategyKind(name)
-        except ValueError:
-            parser.error(f"unknown strategy {name!r}")
-        if kind in kinds:
-            parser.error(f"strategy {name!r} is listed more than once")
-        kinds.append(kind)
-    if StrategyKind.GENERALIZED_ENTANGLED in kinds:
-        parser.error("scaling runs the sequential, classical and entangled strategies")
-    seed = _resolve_seed(args, parser)
-    # Open the CSV before computing, so an unwritable --out fails at once.
-    try:
-        out = open(args.out, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        return _csv_error(args.out, exc)
-    with out:
-        return _run_scaling(args, kinds, n_values, seed, out)
+def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, float]:
+    """Boxes W e^{i phi H} V: worst certificate fidelity deficit over `per_n`
+    Haar-random (W, V) at each N in 1..min(n_max, 6) and V = sigma_x at N = 2,
+    and how far two naive sigma_x boxes are from accumulating no phase."""
+    worst = 0.0
+    for n in range(1, min(n_max, 6) + 1):
+        for _ in range(per_n):
+            w, v = haar_unitary(2, rng), haar_unitary(2, rng)
+            cert = equivalence.generalized_strategy_certificate(
+                w, v, QUBIT, rng.uniform(0.1, 1.4), n
+            )
+            worst = max(worst, 1.0 - cert.min_fidelity)
+    # With V = sigma_x naive iteration is phase-free; only tracking W, V works.
+    phi = 0.6
+    squared = np.linalg.matrix_power(u_phi(QUBIT, phi) @ PAULI_X, 2)
+    frozen = float(np.max(np.abs(squared / squared[0, 0] - np.eye(2))))
+    tracked = equivalence.generalized_strategy_certificate(np.eye(2), PAULI_X, QUBIT, phi, 2)
+    return max(worst, 1.0 - tracked.min_fidelity), frozen
 
 
-def _csv_error(path: str, exc: OSError) -> int:
-    print(f"error: cannot write CSV to {path}: {exc}", file=sys.stderr)
-    return 3
+@dataclass(frozen=True)
+class Check:
+    """A `verify` check: fn(rng, n_max, **params) gives its residuals, and it
+    passes when their maximum is below max(--tolerance, floor)."""
+
+    fn: Callable[..., float | tuple[float, ...]]
+    params: dict = field(default_factory=dict)
+    floor: float = 0.0
 
 
-def _run_scaling(args, kinds, n_values, seed, out) -> int:
-    start = time.perf_counter()
+# verify runs these in order on one generator seeded by --seed.
+CHECKS = {
+    "vectorization-identity": Check(check_vectorization, {"samples": 200}),
+    "conversion-n2": Check(check_conversion_n2, {"samples": 100}),
+    "conversion-general-n": Check(check_conversion_general_n, {"per_n": 5}),
+    "counterexample-computational": Check(
+        check_counterexample, {"basis": "computational", "grid": 10}
+    ),
+    "counterexample-hadamard": Check(check_counterexample, {"basis": "hadamard", "grid": 10}),
+    "counterexample-unaveraged-fisher": Check(check_unaveraged_fisher, floor=1e-9),
+    "useful-entanglement": Check(check_useful_entanglement, {"samples": 10}),
+    "generalized-strategy": Check(check_generalized_strategy, {"per_n": 1}),
+}
+
+
+def cmd_verify(args) -> Report:
+    config = {"n_max": args.n_max, "tolerance": args.tolerance, "seed": args.seed,
+              "format": args.format}
+    report = Report("verify", config)
+    rng = np.random.default_rng(args.seed)
+    for name, check in CHECKS.items():
+        residual = float(np.max(check.fn(rng, args.n_max, **check.params)))
+        tolerance = max(args.tolerance, check.floor)
+        report.add(name, residual < tolerance, residual=residual, tolerance=tolerance)
+    return report
+
+
+def cmd_scaling(args) -> Report:
     report = Report(
         "scaling",
         {
-            "strategies": [k.value for k in kinds],
-            "n_values": n_values,
+            "strategies": [k.value for k in args.strategies],
+            "n_values": args.n_values,
             "nu": args.nu,
             "rounds": args.rounds,
-            "seed": seed,
+            "seed": args.seed,
             "stream_version": STREAM_VERSION,
             "out": args.out,
             "format": args.format,
         },
     )
+    try:
+        # Opened before computing, so an unwritable --out fails at once.
+        with open(args.out, "w", encoding="utf-8", newline="\n") as out:
+            out.write(_scaling_csv(args, report))
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {args.out}: {exc}") from exc
+    return report
 
+
+def _scaling_csv(args, report: Report) -> str:
+    """Run the experiment for each strategy, add its slope check to the
+    report and return the CSV text."""
     csv_lines = ["strategy,N,nu,rounds,empirical_rmse,crb,seed"]
-    for kind in kinds:
+    for kind in args.strategies:
         cfg = ExperimentConfig(
-            strategy=StrategySpec(kind=kind, n_probes=max(n_values)),
+            strategy=StrategySpec(kind=kind, n_probes=max(args.n_values)),
             nu=args.nu,
-            seed=seed,
-            n_values=tuple(n_values),
+            seed=args.seed,
+            n_values=tuple(args.n_values),
             rounds=args.rounds,
         )
         result = scaling_experiment(cfg)
@@ -270,7 +322,7 @@ def _run_scaling(args, kinds, n_values, seed, out) -> int:
         lo, hi = SLOPE_BANDS[kind]
         report.add(
             f"scaling-{kind.value}",
-            lo <= result.fitted_slope <= hi,
+            result.fitted_slope is not None and lo <= result.fitted_slope <= hi,
             fitted_slope=result.fitted_slope,
             slope_stderr=result.slope_stderr,
             expected_interval=[lo, hi],
@@ -284,24 +336,12 @@ def _run_scaling(args, kinds, n_values, seed, out) -> int:
                 for row in result.rows
             ],
         )
-
-    try:
-        out.write("\n".join(csv_lines) + "\n")
-        out.flush()
-    except OSError as exc:
-        return _csv_error(args.out, exc)
-
-    wall = int(round((time.perf_counter() - start) * 1000))
-    return _emit(report.finish(wall), args.format)
+    return "\n".join(csv_lines) + "\n"
 
 
-def cmd_noise(args, parser) -> int:
-    if not 0.0 <= args.p <= 1.0:
-        parser.error("--p must lie in [0, 1]")
-    start = time.perf_counter()
+def cmd_noise(args) -> Report:
     channel = CHANNELS[args.channel](args.p)
     unital = is_unital(channel)
-    structured = is_diag_or_antidiag(channel)
     residual = equivalence.noise_conversion_residual(channel, channel)
     _, trace_preserving = equivalence.effective_sequential_channel(channel, channel)
     report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
@@ -309,32 +349,23 @@ def cmd_noise(args, parser) -> int:
         f"noise-{args.channel}",
         residual < 1e-12 and trace_preserving == unital,
         unital=unital,
-        diag_or_antidiag=structured,
+        diag_or_antidiag=is_diag_or_antidiag(channel),
         eq_residual=residual,
         trace_preserving=trace_preserving,
         valid_beyond_n2=equivalence.noisy_conversion_valid_beyond_n2(channel, channel),
     )
-    wall = int(round((time.perf_counter() - start) * 1000))
-    return _emit(report.finish(wall), args.format)
+    return report
 
 
-def cmd_frequency(args, parser) -> int:
-    n_values = _parse_int_list(args.n_values, parser, "--n-values")
-    if min(n_values) < 1:
-        parser.error("--n-values entries must be >= 1")
-    if args.gamma <= 0:
-        parser.error("--gamma must be positive")
-    if args.nu < 1:
-        parser.error("--nu must be >= 1")
-    start = time.perf_counter()
+def cmd_frequency(args) -> Report:
     report = Report(
         "frequency",
-        {"gamma": args.gamma, "n_values": n_values, "nu": args.nu, "format": args.format},
+        {"gamma": args.gamma, "n_values": args.n_values, "nu": args.nu, "format": args.format},
     )
     closed_form = math.e * args.gamma / math.sqrt(args.nu)
     rows = []
     bounds = []
-    for n in n_values:
+    for n in args.n_values:
         t_star, bound_star = optimal_frequency_bound(n, args.gamma, args.nu)
         rows.append({"N": n, "t_star": t_star, "bound_star": bound_star})
         bounds.append(bound_star)
@@ -347,36 +378,24 @@ def cmd_frequency(args, parser) -> int:
         closed_form=closed_form,
         rows=rows,
     )
-    wall = int(round((time.perf_counter() - start) * 1000))
-    return _emit(report.finish(wall), args.format)
+    return report
 
 
-def cmd_noon(args, parser) -> int:
-    if not 1 <= args.n <= MAX_N:
-        parser.error(f"--n must lie in 1..{MAX_N}")
-    start = time.perf_counter()
+def cmd_noon(args) -> Report:
     noon_dev = fock.noon_equivalence_certificate(args.n)
     n0_dev = fock.n0_equivalence_certificate(args.n)
     report = Report("noon", {"n": args.n, "format": args.format})
     report.add("noon-fringe-equivalence", noon_dev < 1e-12, max_deviation=noon_dev)
     report.add("n0-fringe-equivalence", n0_dev < 1e-12, max_deviation=n0_dev)
-    wall = int(round((time.perf_counter() - start) * 1000))
-    return _emit(report.finish(wall), args.format)
+    return report
 
 
-def cmd_fisher(args, parser) -> int:
-    n_values = _parse_int_list(args.n_values, parser, "--n-values")
-    if max(n_values) > MAX_N or min(n_values) < 1:
-        parser.error(f"--n-values entries must lie in 1..{MAX_N}")
-    if args.nu < 1:
-        parser.error("--nu must be >= 1")
-    start = time.perf_counter()
-    h = Generator.qubit()
-    report = Report("fisher", {"n_values": n_values, "nu": args.nu, "format": args.format})
+def cmd_fisher(args) -> Report:
+    report = Report("fisher", {"n_values": args.n_values, "nu": args.nu, "format": args.format})
     ok = True
     rows = []
-    for n in n_values:
-        h_total = collective_generator(h, n)
+    for n in args.n_values:
+        h_total = collective_generator(QUBIT, n)
         qfi_ghz = qfi_pure(ghz_state(n), h_total)
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
         qfi_prod = qfi_pure(product, h_total)
@@ -398,8 +417,7 @@ def cmd_fisher(args, parser) -> int:
         ok = ok and abs(heis - 1.0 / (n * math.sqrt(args.nu))) < 1e-12
         ok = ok and abs(sql - 1.0 / math.sqrt(n * args.nu)) < 1e-12
     report.add("fisher-table", ok, rows=rows)
-    wall = int(round((time.perf_counter() - start) * 1000))
-    return _emit(report.finish(wall), args.format)
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    _validate(args, parser)
+    start = time.perf_counter()
+    try:
+        report = args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    wall = int(round((time.perf_counter() - start) * 1000))
+    return _emit(report.finish(wall), args.format)
 
 
 def entrypoint() -> None:

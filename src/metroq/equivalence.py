@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .information import cfi_binary
 from .linalg import (
     ATOL_IDENTITY,
     apply_on_factor,
@@ -149,9 +148,8 @@ def counterexample(basis: str, phi: float) -> tuple[np.ndarray, float]:
     probe 2 in the +- basis, and averages the conditional probe-1 states over
     the outcome.  Returns (averaged state, trace distance to the same
     computation at phi = 0).  The average is the maximally mixed state for
-    every phi (checked, deviation beyond 1e-12 raises): single-basis
-    correlation carries no phase information once the measurement record is
-    discarded.
+    every phi: single-basis correlation carries no phase information once the
+    measurement record is discarded.  `metroq verify` checks both claims.
     """
     h = Generator.qubit()
 
@@ -167,9 +165,6 @@ def counterexample(basis: str, phi: float) -> tuple[np.ndarray, float]:
         return partial_trace(acc, [2, 2], keep=[0])
 
     avg = averaged(phi)
-    deviation = float(np.max(np.abs(avg - np.eye(2) / 2)))
-    if deviation > ATOL_IDENTITY:
-        raise RuntimeError(f"averaged post-measurement state deviates from I/2 by {deviation}")
     return avg, trace_distance(avg, averaged(0.0))
 
 
@@ -180,8 +175,8 @@ def unaveraged_counterexample_fisher(basis: str, phi: float) -> float:
     equally weighted pure components was prepared), the probe-2 +- outcome and
     the probe-1 +- outcome.  Probability derivatives are exact (d/dphi of each
     phase box is i H times the box).  The result equals the N=2
-    classical-parallel value 2 * cfi_binary(1, phi) for every phi; a mismatch
-    beyond 1e-9 raises.
+    classical-parallel value 2 * cfi_binary(1, phi) for every phi, which
+    `metroq verify` checks.
     """
     if basis != "hadamard":
         raise ValueError("the record-keeping counterexample is defined for the hadamard basis")
@@ -211,12 +206,6 @@ def unaveraged_counterexample_fisher(basis: str, phi: float) -> float:
                         raise RuntimeError("vanishing outcome with non-vanishing derivative")
                     continue
                 fisher += dp * dp / p
-    reference = 2.0 * cfi_binary(1, phi)
-    if abs(fisher - reference) > 1e-9:
-        raise RuntimeError(
-            f"record-keeping Fisher information {fisher} does not match the "
-            f"classical-parallel value {reference}"
-        )
     return float(fisher)
 
 

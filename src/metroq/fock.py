@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .linalg import as_vector
 from .simulate import coincidence_probability, evolve_parallel_entangled
@@ -118,12 +117,10 @@ class SymmetrizationMap:
             support[[lo_idx, hi_idx]] = True
             if float(np.max(np.abs(v[~support]), initial=0.0)) > 1e-12:
                 raise ValueError("state has weight outside the GHZ subspace")
+            # The minimum eigenstate maps to occupation 0 in both layouts:
+            # the vacuum (modes=1) or |vacuum, n> (modes=2, mode-a count 0).
             amp = np.zeros(self.n + 1, dtype=np.complex128)
-            if modes == 1:
-                amp[0], amp[self.n] = v[lo_idx], v[hi_idx]
-            else:
-                # minimum eigenstate -> |vacuum, n> (mode-a count 0)
-                amp[0], amp[self.n] = v[lo_idx], v[hi_idx]
+            amp[0], amp[self.n] = v[lo_idx], v[hi_idx]
             return FockVector(modes, self.n, amp)
         if self.direction == "fock_to_qubit":
             if not isinstance(state, FockVector):
@@ -159,18 +156,7 @@ def n0_equivalence_certificate(n: int, grid_points: int = 100) -> float:
     Both are cos^2(n phi / 2); the comparison runs both simulations on a
     shared grid and returns the largest absolute probability difference.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("n must lie in 1..12")
-    h = Generator.qubit()
-    state = n0_state(n)
-    ghz = ghz_state(n)
-    worst = 0.0
-    for phi in np.linspace(0.0, math.pi, grid_points):
-        p_fock = fringe(state, phi)
-        final = evolve_parallel_entangled(h, phi, n, 0.0)
-        p_qubit = coincidence_probability(final, ghz)
-        worst = max(worst, abs(p_fock - p_qubit))
-    return worst
+    return _max_fringe_deviation(n0_state, n, 1, grid_points)
 
 
 def noon_equivalence_certificate(n: int, grid_points: int = 100) -> float:
@@ -180,25 +166,30 @@ def noon_equivalence_certificate(n: int, grid_points: int = 100) -> float:
     pair where the qubit register has gap n, so the NOON fringe at phi is
     compared against the qubit entangled-parallel fringe at 2 phi.
     """
+    return _max_fringe_deviation(noon_state, n, 2, grid_points)
+
+
+def _max_fringe_deviation(make_state, n: int, qubit_scale: int, grid_points: int) -> float:
+    """Largest |fringe(state, phi) - qubit GHZ fringe at qubit_scale * phi|
+    over a grid of phi in [0, pi]."""
     if not 1 <= n <= 12:
         raise ValueError("n must lie in 1..12")
     h = Generator.qubit()
-    state = noon_state(n)
+    state = make_state(n)
     ghz = ghz_state(n)
     worst = 0.0
     for phi in np.linspace(0.0, math.pi, grid_points):
-        p_fock = fringe(state, phi)
-        final = evolve_parallel_entangled(h, 2 * phi, n, 0.0)
-        p_qubit = coincidence_probability(final, ghz)
-        worst = max(worst, abs(p_fock - p_qubit))
+        final = evolve_parallel_entangled(h, qubit_scale * phi, n, 0.0)
+        worst = max(worst, abs(fringe(state, phi) - coincidence_probability(final, ghz)))
     return worst
 
 
 def noon_fringe_zeros(n: int, count: int) -> list[float]:
-    """First `count` zeros of the NOON fringe, located by root bracketing.
+    """First `count` zeros of the NOON fringe, located by sign-change bisection.
 
     The fringe is cos^2(n phi); roots of the overlap amplitude (which changes
-    sign) sit at phi = pi (2k + 1) / (2n).
+    sign) sit at phi = pi (2k + 1) / (2n).  Each root is bisected on the
+    bracket of half-width pi/(4n) around it until the bracket is 1e-12 wide.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
@@ -211,5 +202,15 @@ def noon_fringe_zeros(n: int, count: int) -> list[float]:
     for k in range(count):
         center = math.pi * (2 * k + 1) / (2 * n)
         half = math.pi / (4 * n)
-        zeros.append(float(optimize.brentq(overlap, center - half, center + half, xtol=1e-12)))
+        lo, hi = center - half, center + half
+        lo_positive = overlap(lo) > 0
+        if lo_positive == (overlap(hi) > 0):
+            raise RuntimeError(f"overlap does not change sign on [{lo}, {hi}]")
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if (overlap(mid) > 0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
     return zeros

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import optimize
 
 from .linalg import ATOL_PREDICATE, as_vector
 from .states import Generator, StrategyKind, StrategySpec, ghz_like
+
+
+# Golden-section step: the inner points split the bracket at 1 - R and R.
+_GOLDEN_R = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_C = 1.0 - _GOLDEN_R
 
 
 @dataclass(frozen=True)
@@ -140,27 +145,27 @@ def phase_bound_dephasing(n: int, gamma: float, t: float, nu: int, *, entangled:
 def optimal_frequency_bound(n: int, gamma: float, nu: int) -> tuple[float, float]:
     """Minimize the dephasing frequency bound over the interrogation time.
 
-    Golden-section search on t in (0, 10/(n gamma)], relative tolerance 1e-9.
-    The analytic optimum is t* = 1/(n gamma) with bound* = e * gamma / sqrt(nu),
-    independent of n.
+    Golden-section search on the bracket (0.01, 1, 10) / (n gamma), stopped
+    when the bracket width falls below 1e-9 of the abscissae.  The analytic
+    optimum is t* = 1/(n gamma) with bound* = e * gamma / sqrt(nu),
+    independent of n (Huelga et al., PRL 79, 3865 (1997)).
     """
     if n < 1 or gamma <= 0 or nu < 1:
         raise ValueError("n, gamma, nu must be positive")
+    f = partial(frequency_bound_dephasing, n, gamma, nu=nu)
     scale = 1.0 / (n * gamma)
-    res = optimize.minimize_scalar(
-        lambda t: frequency_bound_dephasing(n, gamma, t, nu),
-        bracket=(0.01 * scale, 1.0 * scale, 10.0 * scale),
-        method="golden",
-        options={"xtol": 1e-9},
-    )
-    if not res.success:
-        raise RuntimeError("golden-section search did not converge")
-    t_star = float(res.x)
-    return t_star, frequency_bound_dephasing(n, gamma, t_star, nu)
-
-
-def time_advantage(n: int) -> float:
-    """Sampling-time ratio of the sequential to the parallel strategy at equal precision."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(n)
+    # x0 < x1 < x2 < x3 with f(x1), f(x2) below f(x0), f(x3); the longer
+    # side of the initial bracket (1, 10) is the one split.
+    x0, x1, x3 = 0.01 * scale, 1.0 * scale, 10.0 * scale
+    x2 = x1 + _GOLDEN_C * (x3 - x1)
+    f1, f2 = f(x1), f(x2)
+    while x3 - x0 > 1e-9 * (x1 + x2):
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)

@@ -53,13 +53,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(*mats) -> np.ndarray:
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
-
-
 def vec(c) -> np.ndarray:
     """Row-major vectorization of a square matrix: component i*d + j is c[i, j].
 
@@ -70,14 +63,6 @@ def vec(c) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"vec expects a square matrix, got {m.shape}")
     return m.reshape(-1).copy()
-
-
-def unvec(v, d: int) -> np.ndarray:
-    """Inverse of vec: fold a length-d^2 vector back into a d x d matrix."""
-    w = as_vector(v)
-    if w.size != d * d:
-        raise ValueError(f"vector of size {w.size} is not d*d for d={d}")
-    return w.reshape(d, d).copy()
 
 
 def vec_identity_residual(a, b, c) -> float:
@@ -198,13 +183,6 @@ def is_unitary(m, atol: float = ATOL_PREDICATE) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) < atol
-
-
-def is_hermitian(m, atol: float = ATOL_PREDICATE) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - m.conj().T))) < atol
 
 
 def is_diagonal(m, atol: float = ATOL_PREDICATE) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .information import crb, operating_phase, time_advantage
+from .information import crb, operating_phase
 from .linalg import apply_on_factor, as_vector
 from .states import Generator, StrategyKind, StrategySpec, ghz_like, plus_minus_states, u_phi
 
@@ -75,15 +75,14 @@ class ScalingRow:
     empirical_rmse: float
     crb: float
     seed: int
-    time_advantage: float
 
 
 @dataclass(frozen=True)
 class ScalingReport:
     strategy: str
     rows: tuple[ScalingRow, ...]
-    fitted_slope: float
-    slope_stderr: float
+    fitted_slope: float | None  # None when some row's RMSE is zero
+    slope_stderr: float | None
     seed: int
 
 
@@ -228,7 +227,8 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
     Each round draws its success count from its own Philox stream (see
     run_trials and derive_round_seed), estimates the phase by fringe
     inversion, and contributes to the per-N RMSE about the operating phase.
-    Rows carry the matching Cramér-Rao bound.
+    Rows carry the matching Cramér-Rao bound.  The fitted slope and its
+    standard error are None when some N has zero RMSE.
     """
     n_values = sorted(set(cfg.n_values))
     if len(n_values) < 3:
@@ -254,12 +254,14 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
                 empirical_rmse=float(np.sqrt(np.mean(errors**2))),
                 crb=crb(strat, cfg.nu).bound,
                 seed=cfg.seed,
-                time_advantage=time_advantage(n),
             )
         )
-    slope, stderr = fit_loglog_slope(
-        [row.n for row in rows], [row.empirical_rmse for row in rows]
-    )
+    # A zero RMSE (every round at some N hit phi exactly, reachable at small
+    # nu and few rounds) leaves the log-log fit undefined.
+    rmses = [row.empirical_rmse for row in rows]
+    slope = stderr = None
+    if min(rmses) > 0:
+        slope, stderr = fit_loglog_slope([row.n for row in rows], rmses)
     return ScalingReport(
         strategy=cfg.strategy.kind.value,
         rows=tuple(rows),

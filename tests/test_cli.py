@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metroq.cli import main
 
@@ -154,6 +159,22 @@ def test_scaling_strategies_draw_independent_streams(capsys, tmp_path):
         assert rmse[("sequential", n)] != rmse[("entangled", n)]
 
 
+def test_scaling_zero_rmse_is_a_fail(capsys, tmp_path):
+    # At nu = 2 one round can estimate phi exactly at every N; the log-log fit
+    # is then undefined, which is a FAIL with a null slope, not a crash.
+    out_csv = tmp_path / "scaling.csv"
+    code, report = run_json(capsys, [
+        "scaling", "--strategies", "sequential", "--n-values", "1,2,3",
+        "--nu", "2", "--rounds", "1", "--seed", "0", "--out", str(out_csv),
+    ])
+    assert code == 1
+    rec = report["results"][0]
+    assert rec["pass"] is False
+    assert rec["fitted_slope"] is None and rec["slope_stderr"] is None
+    assert 0.0 in [row["empirical_rmse"] for row in rec["rows"]]
+    assert len(out_csv.read_text().splitlines()) == 4
+
+
 def test_scaling_needs_three_sizes(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scaling", "--n-values", "1,2"])
@@ -232,3 +253,150 @@ def test_fisher_reports(capsys):
         assert abs(row["qfi_ghz"] - row["N"] ** 2) < 1e-10
         assert abs(row["qfi_product"] - row["N"]) < 1e-10
         assert abs(row["crb_entangled"] - 1 / (row["N"] * 10)) < 1e-12
+
+
+# Non-finite or out-of-range float flags are usage errors, never a traceback
+# or a FAIL verdict.
+@pytest.mark.parametrize("argv", [
+    ["frequency", "--gamma", "nan"],
+    ["frequency", "--gamma", "inf"],
+    ["frequency", "--gamma", "-inf"],
+    ["frequency", "--gamma", "0"],
+    ["frequency", "--gamma", "1e300"],
+    ["verify", "--n-max", "4", "--tolerance", "nan"],
+    ["verify", "--n-max", "4", "--tolerance", "-1"],
+    ["verify", "--n-max", "4", "--tolerance", "0"],
+    ["verify", "--n-max", "4", "--tolerance", "inf"],
+    ["verify", "--n-max", "4", "--tolerance", "2"],
+    ["noise", "--channel", "dephasing", "--p", "nan"],
+    ["noise", "--channel", "dephasing", "--p", "-inf"],
+    # desk-scale caps hold for every subcommand
+    ["frequency", "--gamma", "1", "--nu", "100000000000"],
+    ["frequency", "--gamma", "1", "--nu", "0"],
+    ["frequency", "--gamma", "1", "--n-values", "1,2,100000"],
+    ["frequency", "--gamma", "1", "--n-values", "0,1"],
+    ["fisher", "--nu", "100000000000"],
+    ["fisher", "--n-values", "1,13"],
+    ["noise", "--channel", "dephasing", "--p", "0.5", "--seed", "-1"],
+])
+def test_bad_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+def test_verify_runs_the_acceptance_checks():
+    # The acceptance suite calls these functions directly; verify must run
+    # the same ones, not copies.
+    from metroq import cli
+
+    assert [check.fn for check in cli.CHECKS.values()] == [
+        cli.check_vectorization,
+        cli.check_conversion_n2,
+        cli.check_conversion_general_n,
+        cli.check_counterexample,
+        cli.check_counterexample,
+        cli.check_unaveraged_fisher,
+        cli.check_useful_entanglement,
+        cli.check_generalized_strategy,
+    ]
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import metroq.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout.strip() == "[]"
+
+
+# argv fuzzing.  Each flag has a strategy for valid values and one for
+# invalid ones; an argv breaks at most one flag, so every rejection is tested
+# on its own.  Valid sizes stay small (N <= 4, nu <= 200, rounds <= 5) so that
+# no draw starts a large computation; out-of-range, NaN and infinite values
+# must be rejected as usage errors before any work starts.
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _ints(lo, hi, cap):
+    return st.integers(lo, hi), st.integers(cap + 1, 10**12) | st.integers(-10**6, lo - 1)
+
+
+def _floats(valid, too_low, too_high):
+    return valid, NON_FINITE | st.sampled_from([too_low, too_high]) | st.floats(-1e6, -1e-3)
+
+
+def _n_values(min_size, min_distinct=1):
+    valid = st.lists(st.integers(1, 4), min_size=min_size, max_size=5).filter(
+        lambda v: len(set(v)) >= min_distinct)
+    invalid = st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+        lambda v: st.sampled_from([0, -3, 13, 100_000]).map(lambda bad: v + [bad]))
+    return valid.map(_join), invalid.map(_join)
+
+
+def _join(values):
+    return ",".join(map(str, values))
+
+
+STRATEGIES = (
+    st.lists(st.sampled_from(["sequential", "classical", "entangled"]),
+             min_size=1, max_size=3, unique=True).map(",".join),
+    st.sampled_from(["warp", "entangled,entangled", "generalized", ""]),
+)
+SEED = (st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, "x"]))
+FORMAT = (st.sampled_from(["json", "text"]), st.just("xml"))
+
+# flag -> (valid values, invalid values), per subcommand
+FLAGS = {
+    "verify": {"--n-max": _ints(2, 4, 12),
+               "--tolerance": _floats(st.floats(1e-30, 1.0), 0.0, 1.5)},
+    "scaling": {"--n-values": _n_values(3, min_distinct=3), "--nu": _ints(1, 200, 100_000),
+                "--rounds": _ints(1, 5, 1_000), "--strategies": STRATEGIES},
+    "noise": {"--channel": (st.sampled_from(["dephasing", "bitphaseflip", "amplitudedamping"]),
+                            st.just("erasure")),
+              "--p": _floats(st.floats(0.0, 1.0), -0.25, 1.25)},
+    "frequency": {"--gamma": _floats(st.floats(1e-3, 1e3), 0.0, 1e300),
+                  "--n-values": _n_values(1), "--nu": _ints(1, 200, 100_000)},
+    "noon": {"--n": _ints(1, 4, 12)},
+    "fisher": {"--n-values": _n_values(1), "--nu": _ints(1, 200, 100_000)},
+}
+
+
+@st.composite
+def _argv(draw, command):
+    flags = dict(FLAGS[command], **{"--seed": SEED, "--format": FORMAT})
+    broken = draw(st.none() | st.sampled_from(sorted(flags)))
+    parts = []
+    for flag, (valid, invalid) in flags.items():
+        # size flags are always given: their defaults are not small
+        if flag == broken or flag in FLAGS[command] or draw(st.booleans()):
+            value = draw(invalid if flag == broken else valid)
+            parts.append([flag, str(value)])
+    if command == "scaling":
+        parts.append(["--out", draw(st.sampled_from(["x.csv", "missing-dir/x.csv"]))])
+    order = draw(st.permutations(parts))
+    return [command] + [token for part in order for token in part], broken
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_argv_fuzz(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # scaling's --out lands under tmp_path
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_argv(command))
+    def run(drawn):
+        argv, broken = drawn
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            capsys.readouterr()
+            assert exc.code == 2 and broken is not None, argv
+            return
+        out = capsys.readouterr().out
+        assert broken is None, f"invalid {broken} accepted: {argv}"
+        assert code in (0, 1, 3), argv
+        if code != 3 and "text" not in argv:
+            jsonschema.validate(json.loads(out), SCHEMA)
+
+    run()

@@ -91,10 +91,11 @@ def test_convert_general_three_probe_branches():
     # independent enumeration oracle: full tensor-product unitary applied as a
     # matrix, probes projected one at a time; every conditional must be
     # |0> +- e^{1.6 i}|1> with the parity sign of the - outcomes
-    from metroq.linalg import kron_all, project_subsystem
+    from metroq.linalg import project_subsystem
     from metroq.states import ghz_state
 
-    evolved = kron_all(u_phi(H, 0.2), u_phi(H, 0.5), u_phi(H, 0.9)) @ ghz_state(3)
+    boxes = np.kron(np.kron(u_phi(H, 0.2), u_phi(H, 0.5)), u_phi(H, 0.9))
+    evolved = boxes @ ghz_state(3)
     for signs in itertools.product((1, -1), repeat=2):
         p2, cond = project_subsystem(evolved, [2, 2, 2], 2, PLUS if signs[1] == 1 else MINUS)
         p1, cond = project_subsystem(cond, [2, 2], 1, PLUS if signs[0] == 1 else MINUS)

@@ -12,7 +12,6 @@ from metroq.information import (
     optimal_frequency_bound,
     phase_bound_dephasing,
     qfi_pure,
-    time_advantage,
 )
 from metroq.simulate import ExperimentConfig, scaling_experiment
 from metroq.states import Generator, StrategyKind, StrategySpec, ghz_state
@@ -140,17 +139,6 @@ def test_phase_bound_keeps_entangled_advantage_at_short_times():
         assert degraded < ratio
 
 
-def test_time_advantage():
-    assert time_advantage(1) == 1.0
-    assert time_advantage(16) == 16.0
-    cfg = ExperimentConfig(
-        strategy=StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4),
-        nu=200, seed=0, n_values=(1, 2, 4), rounds=5,
-    )
-    report = scaling_experiment(cfg)
-    assert [row.time_advantage for row in report.rows] == [1.0, 2.0, 4.0]
-
-
 def test_monte_carlo_rmse_tracks_crb():
     # Empirical RMSE approaches the bound within 10 percent at nu = 4000; the
     # lower edge allows the 3-sigma sampling fluctuation of an RMSE estimated
@@ -175,7 +163,5 @@ def test_validation_errors():
         frequency_bound_dephasing(1, -1.0, 1.0, 1)
     with pytest.raises(ValueError):
         optimal_frequency_bound(0, 1.0, 1)
-    with pytest.raises(ValueError):
-        time_advantage(0)
     with pytest.raises(ValueError):
         qfi_pure(np.array([1.0, 1.0]), Generator.qubit())  # not normalized

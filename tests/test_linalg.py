@@ -9,14 +9,12 @@ from metroq.linalg import (
     fidelity_up_to_phase,
     is_antidiagonal,
     is_diagonal,
-    is_hermitian,
     is_unitary,
     kron,
     normalized,
     partial_trace,
     project_subsystem,
     trace_distance,
-    unvec,
     vec,
     vec_identity_residual,
 )
@@ -61,23 +59,6 @@ def test_vec_zero_matrix():
 def test_vec_rejects_non_square():
     with pytest.raises(ValueError):
         vec(np.zeros((2, 3)))
-
-
-def test_unvec_identity():
-    np.testing.assert_array_equal(unvec(np.array([1, 0, 0, 1]), 2), I2)
-
-
-def test_unvec_round_trip_exact():
-    rng = np.random.default_rng(3)
-    r = random_complex_matrix(rng, 3)
-    assert np.array_equal(unvec(vec(r), 3), r)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.array_equal(vec(unvec(v, 4)), v)
-
-
-def test_unvec_rejects_bad_size():
-    with pytest.raises(ValueError):
-        unvec(np.zeros(6), 2)
 
 
 def test_vec_identity_trivial():
@@ -210,8 +191,6 @@ def test_predicates():
     h = Generator.qubit()
     assert is_unitary(u_phi(h, 0.9))
     assert not is_unitary(2 * I2)
-    assert is_hermitian(PAULI_Z)
-    assert not is_hermitian(1j * PAULI_Z)
     assert is_diagonal(np.diag([1.0, 2.0]))
     assert not is_diagonal(np.array([[1, 1e-8], [0, 1]]))
     assert is_antidiagonal(np.array([[0, 3], [2, 0]]))
