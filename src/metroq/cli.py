@@ -135,9 +135,11 @@ def _validate(args, parser) -> None:
             parser.error(f"--n-values must be a comma-separated integer list, got {text!r}")
         if not args.n_values or not all(1 <= n <= MAX_N for n in args.n_values):
             parser.error(f"--n-values entries must lie in 1..{MAX_N}, got {text!r}")
+        if len(set(args.n_values)) < len(args.n_values):
+            parser.error(f"--n-values lists an entry more than once: {text!r}")
     if "strategies" in flags:
-        if len(set(args.n_values)) < 3:
-            parser.error("--n-values needs at least 3 distinct entries")
+        if len(args.n_values) < 3:
+            parser.error("--n-values needs at least 3 entries")
         args.strategies = _parse_strategies(args.strategies, parser)
 
 
@@ -162,7 +164,7 @@ def _conversion_residuals(certs) -> tuple[float, float, float]:
     for cert in certs:
         fid = max(fid, 1.0 - cert.min_fidelity)
         prob = max(prob, cert.max_prob_error)
-        missing = max(missing, float(abs(len(cert.records) - 2 ** (cert.n_probes - 1))))
+        missing = max(missing, float(abs(cert.probabilities.size - 2 ** (cert.n_probes - 1))))
     return fid, prob, missing
 
 

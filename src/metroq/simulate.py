@@ -18,7 +18,15 @@ import numpy as np
 
 from .information import crb, operating_phase
 from .linalg import apply_on_factor, as_vector
-from .states import Generator, StrategyKind, StrategySpec, ghz_like, plus_minus_states, u_phi
+from .states import (
+    Generator,
+    StrategyKind,
+    StrategySpec,
+    ghz_like,
+    phase_mask,
+    plus_minus_states,
+    u_phi,
+)
 
 # Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
 # on streams keyed on (N, round); version 2 is the scheme described above.
@@ -100,16 +108,13 @@ def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
 def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0) -> np.ndarray:
     """Apply the n-fold tensor-product unitary to the GHZ-type initial state.
 
-    The unitary is applied factor by factor (a literal evaluation of
-    u_phi^{tensor n}), not replaced by the analytic closed form, so the
-    phase-accumulation claim is something tests can check rather than assume.
+    Each probe's phase box is still applied, as one factor of the register's
+    phase mask (states.phase_mask), not replaced by the analytic closed form
+    e^{i n phi} on the extreme pair, so the phase-accumulation claim is
+    something tests can check rather than assume.  Tests check the mask
+    against per-factor application of u_phi with linalg.apply_on_factor.
     """
-    state = ghz_like(h, n, lam)
-    u = u_phi(h, phi)
-    dims = (h.dim,) * n
-    for k in range(n):
-        state = apply_on_factor(state, dims, k, u)
-    return state
+    return ghz_like(h, n, lam) * phase_mask(h, [phi] * n)
 
 
 def coincidence_probability(final, initial) -> float:

@@ -63,6 +63,23 @@ def u_phi(h: Generator, phi: float) -> np.ndarray:
     return np.diag(np.exp(1j * phi * h.eigenvalues))
 
 
+def phase_mask(h: Generator, phis) -> np.ndarray:
+    """Diagonal of u_phi(h, phis[0]) (x) ... (x) u_phi(h, phis[-1]).
+
+    Every phase box is diagonal, so the register's N-box evolution is an
+    elementwise multiply by this mask.  It is built as the outer product of
+    the per-probe factors exp(i phi_j eigenvalues), probe 1 on the most
+    significant axis as in np.kron: one exp per probe instead of one per
+    register entry.  The product runs from the last probe outward, so each
+    step scales the contiguous mask built so far by d scalars.
+    """
+    factors = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), h.eigenvalues))
+    mask = np.ones(1, dtype=np.complex128)
+    for factor in factors[::-1]:
+        mask = np.multiply.outer(factor, mask).reshape(-1)
+    return mask
+
+
 def plus_minus_states(h: Generator) -> tuple[np.ndarray, np.ndarray]:
     """Equal superpositions (|min> +- |max>)/sqrt(2) of the extreme eigenstates."""
     lo = basis_state(h.dim, h.min_index)

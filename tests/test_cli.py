@@ -218,6 +218,17 @@ def test_noise_reports(capsys):
     assert err.value.code == 2
 
 
+def test_noise_residual_defect_is_a_fail_not_a_traceback(capsys, monkeypatch):
+    # The conversion identity is checked once, by the noise check itself.
+    monkeypatch.setattr("metroq.equivalence.noise_conversion_residual", lambda cha, chb: 1e-6)
+    code = main(["noise", "--channel", "dephasing", "--p", "0.25"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code == 1
+    rec = json.loads(captured.out)["results"][0]
+    assert rec["pass"] is False and rec["eq_residual"] == 1e-6
+
+
 def test_frequency_reports_constant_bound(capsys):
     code, report = run_json(
         capsys, ["frequency", "--gamma", "1.0", "--n-values", "1,2,4,8", "--nu", "1"]
@@ -278,11 +289,25 @@ def test_fisher_reports(capsys):
     ["fisher", "--nu", "100000000000"],
     ["fisher", "--n-values", "1,13"],
     ["noise", "--channel", "dephasing", "--p", "0.5", "--seed", "-1"],
+    # a repeated --n-values entry would echo in config but not match the rows
+    ["scaling", "--n-values", "1,2,3,3"],
+    ["fisher", "--n-values", "2,2"],
+    ["frequency", "--gamma", "1", "--n-values", "2,2"],
 ])
 def test_bad_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def test_conversion_residuals_count_missing_branches():
+    from metroq.cli import _conversion_residuals
+    from metroq.equivalence import ConversionCertificate
+
+    complete = ConversionCertificate(3, [0.25] * 4, [1.0] * 4)
+    short = ConversionCertificate(3, [0.25] * 3, [1.0] * 3)
+    assert _conversion_residuals([complete]) == (0.0, 0.0, 0.0)
+    assert _conversion_residuals([complete, short])[2] == 1.0
 
 
 def test_verify_runs_the_acceptance_checks():
@@ -326,12 +351,13 @@ def _floats(valid, too_low, too_high):
     return valid, NON_FINITE | st.sampled_from([too_low, too_high]) | st.floats(-1e6, -1e-3)
 
 
-def _n_values(min_size, min_distinct=1):
-    valid = st.lists(st.integers(1, 4), min_size=min_size, max_size=5).filter(
-        lambda v: len(set(v)) >= min_distinct)
-    invalid = st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+def _n_values(min_size):
+    valid = st.lists(st.integers(1, 4), min_size=min_size, max_size=4, unique=True)
+    some = st.lists(st.integers(1, 4), min_size=1, max_size=4)
+    out_of_range = some.flatmap(
         lambda v: st.sampled_from([0, -3, 13, 100_000]).map(lambda bad: v + [bad]))
-    return valid.map(_join), invalid.map(_join)
+    repeated = some.flatmap(lambda v: st.sampled_from(v).map(lambda again: v + [again]))
+    return valid.map(_join), (out_of_range | repeated).map(_join)
 
 
 def _join(values):
@@ -350,7 +376,7 @@ FORMAT = (st.sampled_from(["json", "text"]), st.just("xml"))
 FLAGS = {
     "verify": {"--n-max": _ints(2, 4, 12),
                "--tolerance": _floats(st.floats(1e-30, 1.0), 0.0, 1.5)},
-    "scaling": {"--n-values": _n_values(3, min_distinct=3), "--nu": _ints(1, 200, 100_000),
+    "scaling": {"--n-values": _n_values(3), "--nu": _ints(1, 200, 100_000),
                 "--rounds": _ints(1, 5, 1_000), "--strategies": STRATEGIES},
     "noise": {"--channel": (st.sampled_from(["dephasing", "bitphaseflip", "amplitudedamping"]),
                             st.just("erasure")),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from metroq.channels import (
     identity_channel,
     is_unital,
 )
+from metroq import equivalence
+from metroq.cli import main
 from metroq.equivalence import (
     convert_general_n,
     convert_n2,
@@ -23,8 +26,15 @@ from metroq.equivalence import (
     useful_entanglement_check,
 )
 from metroq.information import cfi_binary
-from metroq.linalg import fidelity_up_to_phase, haar_unitary, kron, normalized, vec
-from metroq.states import PAULI_X, Generator, plus_minus_states, u_phi
+from metroq.linalg import (
+    apply_on_factor,
+    fidelity_up_to_phase,
+    haar_unitary,
+    kron,
+    normalized,
+    vec,
+)
+from metroq.states import PAULI_X, Generator, ghz_like, phase_mask, plus_minus_states, u_phi
 
 from helpers import random_cptp_channel
 
@@ -115,6 +125,86 @@ def test_convert_general_random_phase_vectors():
             assert cert.min_fidelity > 1 - 1e-12
             assert cert.max_prob_error < 1e-10
             assert abs(cert.probability_sum - 1.0) < 1e-10
+
+
+def test_phase_mask_matches_per_factor_boxes_and_record_order():
+    # Oracle: the mask must act as u_phi(h, phi_j) applied to factor j, one
+    # factor at a time, on an arbitrary register state (not just GHZ, which
+    # would only probe two entries of the mask).
+    rng = np.random.default_rng(31)
+    qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
+    for h in (H, qutrit):
+        for n in range(1, 7):
+            phis = rng.uniform(0, 2 * math.pi, size=n)
+            dims = (h.dim,) * n
+            state = rng.standard_normal(h.dim**n) + 1j * rng.standard_normal(h.dim**n)
+            oracle = state
+            for j, phi in enumerate(phis):
+                oracle = apply_on_factor(oracle, dims, j, u_phi(h, phi))
+            assert np.max(np.abs(state * phase_mask(h, phis) - oracle)) < 1e-12
+    # Branch records come out labelled and ordered as the product enumeration.
+    for n in range(2, 6):
+        cert = convert_general_n(H, rng.uniform(0, 2 * math.pi, size=n), 0.4)
+        labels = ["".join(o) for o in itertools.product("+-", repeat=n - 1)]
+        assert [r.outcome for r in cert.records] == labels
+        assert len(cert.records) == 2 ** (n - 1)
+        assert [r.probability for r in cert.records] == list(cert.probabilities)
+        assert [r.fidelity for r in cert.records] == list(cert.fidelities)
+
+
+def _conversion_inputs(phis, lam):
+    """Evolved GHZ-type register and the (+, -) sequential references of
+    convert_general_n, built here from the same pieces."""
+    n = len(phis)
+    evolved = ghz_like(H, n, lam) * phase_mask(H, phis)
+    u_total = u_phi(H, sum(phis))
+    refs = [u_total @ normalized(np.array([1.0, s * np.exp(1j * lam)])) for s in (1, -1)]
+    return evolved, refs
+
+
+def test_grading_fails_on_a_dropped_phase_or_swapped_references():
+    phis, lam = [0.4, 1.3, 0.9, 2.2], 0.7
+    n = len(phis)
+    evolved, (ref_plus, ref_minus) = _conversion_inputs(phis, lam)
+    assert equivalence._certificate(evolved, H, n, ref_plus, ref_minus).min_fidelity > 1 - 1e-12
+    dropped, _ = _conversion_inputs(phis[:-1] + [0.0], lam)
+    assert equivalence._certificate(dropped, H, n, ref_plus, ref_minus).min_fidelity < 0.9
+    swapped = equivalence._certificate(evolved, H, n, ref_minus, ref_plus)
+    assert swapped.min_fidelity < 1e-12
+    # probabilities do not see the references; only the fidelities fail
+    assert swapped.max_prob_error < 1e-12
+
+
+def _conversion_check(capsys):
+    code = main(["verify", "--n-max", "4", "--seed", "7"])
+    report = json.loads(capsys.readouterr().out)
+    return code, {rec["name"]: rec for rec in report["results"]}["conversion-general-n"]
+
+
+def test_verify_conversion_fails_on_a_dropped_phase(capsys, monkeypatch):
+    code, rec = _conversion_check(capsys)
+    assert code == 0 and rec["pass"]
+
+    def drop_last_phase(h, phis):
+        phis = list(phis)
+        return phase_mask(h, phis[:-1] + [0.0])
+
+    monkeypatch.setattr(equivalence, "phase_mask", drop_last_phase)
+    code, rec = _conversion_check(capsys)
+    assert code == 1 and not rec["pass"]
+    assert rec["residual"] > 1e-3
+
+
+def test_verify_conversion_fails_on_swapped_references(capsys, monkeypatch):
+    grade = equivalence._certificate
+
+    def swapped(evolved, h, n, ref_plus, ref_minus):
+        return grade(evolved, h, n, ref_minus, ref_plus)
+
+    monkeypatch.setattr(equivalence, "_certificate", swapped)
+    code, rec = _conversion_check(capsys)
+    assert code == 1 and not rec["pass"]
+    assert rec["residual"] > 0.5
 
 
 def test_convert_general_input_validation():
