@@ -322,9 +322,12 @@ def _scaling_csv(args, report: Report) -> str:
                 f"{float(row.empirical_rmse)!r},{float(row.crb)!r},{row.seed}"
             )
         lo, hi = SLOPE_BANDS[kind]
+        # A saturated round was clamped to a branch end by fringe inversion;
+        # a slope fitted through such rounds is no evidence of the scaling.
+        in_regime = not any(row.saturated_rounds for row in result.rows)
         report.add(
             f"scaling-{kind.value}",
-            result.fitted_slope is not None and lo <= result.fitted_slope <= hi,
+            in_regime and result.fitted_slope is not None and lo <= result.fitted_slope <= hi,
             fitted_slope=result.fitted_slope,
             slope_stderr=result.slope_stderr,
             expected_interval=[lo, hi],
@@ -334,6 +337,8 @@ def _scaling_csv(args, report: Report) -> str:
                     "empirical_rmse": row.empirical_rmse,
                     "crb": row.crb,
                     "rmse_stderr": rmse_stderr(row.empirical_rmse, row.rounds),
+                    "rmse_over_crb": row.empirical_rmse / row.crb,
+                    "saturated_rounds": row.saturated_rounds,
                 }
                 for row in result.rows
             ],

@@ -83,6 +83,10 @@ class ScalingRow:
     empirical_rmse: float
     crb: float
     seed: int
+    # rounds whose count was 0 or all trials: fringe inversion clamped them
+    # to an end of its branch, outside the regime where the estimator and
+    # its Cramér-Rao comparison mean anything
+    saturated_rounds: int
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     return coincidence_probability(state, initial)
 
 
-def run_trials(strategy: StrategySpec, phi_true: float, nu: int, seed: int) -> int:
+def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     """Return the success count of one round of the strategy's Bernoulli trials.
 
     Sequential/entangled rounds make nu trials at the N-fold fringe; the
@@ -165,12 +169,19 @@ def run_trials(strategy: StrategySpec, phi_true: float, nu: int, seed: int) -> i
     with a common success probability p is exactly Binomial(trials, p), so it
     is drawn as one binomial variate instead of trial by trial.
     Deterministic for a fixed seed (Philox counter-based stream).
+
+    p is the strategy's strategy_success_probability at the round's phase.
+    The caller computes it once and passes the same value to every round of a
+    row: at the operating phase p is 1/2 up to roundoff, and numpy's binomial
+    samples 1 - p and returns trials - k once p > 1/2, so a p recomputed along
+    a path that differs in the last bit could mirror every count.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    p = strategy_success_probability(strategy, phi_true)
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise ValueError("p must lie in [0, 1]")
     trials = strategy.n_probes * nu if strategy.kind is StrategyKind.CLASSICAL_PARALLEL else nu
     rng = np.random.Generator(np.random.Philox(seed))
     return int(rng.binomial(trials, p))
@@ -229,27 +240,33 @@ def fit_loglog_slope(ns, rmses) -> tuple[float, float]:
 def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
     """Estimate phi over rounds of nu trials for each N and fit the error scaling.
 
-    Each round draws its success count from its own Philox stream (see
-    run_trials and derive_round_seed), estimates the phase by fringe
-    inversion, and contributes to the per-N RMSE about the operating phase.
-    Rows carry the matching Cramér-Rao bound.  The fitted slope and its
-    standard error are None when some N has zero RMSE.
+    For each N the success probability p is computed once, by one
+    strategy_success_probability call, and every round of the row draws
+    from that same p: the fringe is fixed by (strategy, N, phi), and at the
+    operating phase p is 1/2 up to roundoff, where numpy's binomial mirrors
+    the counts (k -> trials - k) under a last-bit change of p (see
+    run_trials).  Each round draws its success count from its own Philox
+    stream (see derive_round_seed), estimates the phase by fringe inversion,
+    and contributes to the per-N RMSE about the operating phase.  Rows carry
+    the matching Cramér-Rao bound and the number of saturated rounds.  The
+    fitted slope and its standard error are None when some N has zero RMSE.
     """
     n_values = sorted(set(cfg.n_values))
     if len(n_values) < 3:
         raise ValueError("need at least 3 distinct N values")
+    classical = cfg.strategy.kind is StrategyKind.CLASSICAL_PARALLEL
     rows = []
     for n in n_values:
         strat = replace(cfg.strategy, n_probes=n)
         phi = cfg.phase_for(n)
+        p = strategy_success_probability(strat, phi)
+        trials = n * cfg.nu if classical else cfg.nu
         errors = np.empty(cfg.rounds)
+        saturated = 0
         for r in range(cfg.rounds):
-            k = run_trials(strat, phi, cfg.nu, derive_round_seed(cfg.seed, strat.kind, n, r))
-            if strat.kind is StrategyKind.CLASSICAL_PARALLEL:
-                phi_hat = estimate_phase(k, n * cfg.nu, 1)
-            else:
-                phi_hat = estimate_phase(k, cfg.nu, n)
-            errors[r] = phi_hat - phi
+            k = run_trials(strat, p, cfg.nu, derive_round_seed(cfg.seed, strat.kind, n, r))
+            saturated += k in (0, trials)
+            errors[r] = estimate_phase(k, trials, 1 if classical else n) - phi
         rows.append(
             ScalingRow(
                 strategy=cfg.strategy.kind.value,
@@ -259,6 +276,7 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
                 empirical_rmse=float(np.sqrt(np.mean(errors**2))),
                 crb=crb(strat, cfg.nu).bound,
                 seed=cfg.seed,
+                saturated_rounds=saturated,
             )
         )
     # A zero RMSE (every round at some N hit phi exactly, reachable at small

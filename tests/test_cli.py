@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -173,6 +174,48 @@ def test_scaling_zero_rmse_is_a_fail(capsys, tmp_path):
     assert rec["fitted_slope"] is None and rec["slope_stderr"] is None
     assert 0.0 in [row["empirical_rmse"] for row in rec["rows"]]
     assert len(out_csv.read_text().splitlines()) == 4
+
+
+def test_scaling_saturated_rounds_fail(capsys, tmp_path):
+    # At nu = 1 every N = 1 count is 0 or 1, which fringe inversion clamps to a
+    # branch end; sequential and entangled would otherwise fit a slope of -1.0.
+    code, report = run_json(capsys, [
+        "scaling", "--nu", "1", "--rounds", "1", "--seed", "0",
+        "--out", str(tmp_path / "scaling.csv"),
+    ])
+    assert code == 1
+    assert [r["name"] for r in report["results"]] == [
+        "scaling-sequential", "scaling-classical", "scaling-entangled"]
+    for rec in report["results"]:
+        assert rec["pass"] is False
+        assert rec["rows"][0]["saturated_rounds"] == 1
+
+
+# sha256 of the scaling CSV at fixed flags (numpy 2.4.6).  The digests belong
+# to stream_version 2: a deliberate change of the random stream updates them
+# together with simulate.STREAM_VERSION.  The second config's N = 6 row draws
+# at p = 1/2 up to roundoff, where numpy's binomial mirrors every count under
+# a last-bit change of p.
+CSV_DIGESTS = [
+    (["--strategies", "sequential,classical,entangled", "--n-values", "1,2,4,8",
+      "--nu", "4000", "--rounds", "200", "--seed", "42"],
+     "e44ed523675cef7a16706a49e640c14a2413ee4b2096087d70b3e9856c51da15"),
+    (["--strategies", "entangled", "--n-values", "1,2,6", "--nu", "4000", "--rounds", "20",
+      "--seed", "5"],
+     "35dad0dda1d069b89f6804c431b89a675bc93f3f75a0d4771ac950795e246eea"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", CSV_DIGESTS)
+def test_scaling_csv_digest(capsys, tmp_path, flags, digest):
+    out_csv = tmp_path / "scaling.csv"
+    code, report = run_json(capsys, ["scaling", *flags, "--out", str(out_csv)])
+    assert code == 0
+    assert report["config"]["stream_version"] == 2
+    for rec in report["results"]:
+        assert all(row["saturated_rounds"] == 0 for row in rec["rows"])
+        assert all(row["rmse_over_crb"] > 0 for row in rec["rows"])
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
 
 def test_scaling_needs_three_sizes(capsys):

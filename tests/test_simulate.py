@@ -95,21 +95,30 @@ def test_coincidence_values():
 
 def test_run_trials_degenerate_probabilities():
     spec = StrategySpec(StrategyKind.SEQUENTIAL, 2)
-    assert run_trials(spec, 0.0, 500, seed=1) == 500       # p = 1
-    assert run_trials(spec, math.pi / 2, 500, seed=1) == 0  # N phi = pi, p = 0
+    p_one = strategy_success_probability(spec, 0.0)
+    p_zero = strategy_success_probability(spec, math.pi / 2)  # N phi = pi
+    assert run_trials(spec, p_one, 500, seed=1) == 500
+    assert run_trials(spec, p_zero, 500, seed=1) == 0
 
 
 def test_run_trials_deterministic():
     spec = StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4)
-    a = run_trials(spec, 0.2, 1000, seed=77)
-    b = run_trials(spec, 0.2, 1000, seed=77)
+    p = strategy_success_probability(spec, 0.2)
+    a = run_trials(spec, p, 1000, seed=77)
+    b = run_trials(spec, p, 1000, seed=77)
     assert a == b
 
 
 def test_classical_strategy_uses_n_nu_probes():
     spec = StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 4)
-    k = run_trials(spec, 0.0, 250, seed=3)
+    k = run_trials(spec, strategy_success_probability(spec, 0.0), 250, seed=3)
     assert k == 4 * 250  # every one of the N*nu probes coincides at phi = 0
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+def test_run_trials_rejects_bad_probability(p):
+    with pytest.raises(ValueError):
+        run_trials(StrategySpec(StrategyKind.SEQUENTIAL, 2), p, 10, seed=0)
 
 
 def test_strategy_probability_forms():
@@ -138,10 +147,11 @@ def test_estimate_phase_inversion():
 def test_rmse_shrinks_with_nu():
     spec = StrategySpec(StrategyKind.SEQUENTIAL, 4)
     phi = math.pi / 8
+    p = strategy_success_probability(spec, phi)
     rmses = []
     for nu in (100, 1000, 10000):
         errs = [
-            estimate_phase(run_trials(spec, phi, nu, seed=1000 + r), nu, 4) - phi
+            estimate_phase(run_trials(spec, p, nu, seed=1000 + r), nu, 4) - phi
             for r in range(60)
         ]
         rmses.append(math.sqrt(float(np.mean(np.square(errs)))))
@@ -169,6 +179,23 @@ def test_scaling_experiment_slopes():
     assert all(r1.n <= r2.n for r1, r2 in zip(ent.rows, ent.rows[1:]))
 
 
+def test_success_probability_computed_once_per_row(monkeypatch):
+    # Every round of a row draws from the same p, so it is computed once per N.
+    calls = []
+
+    def counting(strategy, phi):
+        calls.append((strategy.n_probes, phi))
+        return strategy_success_probability(strategy, phi)
+
+    monkeypatch.setattr("metroq.simulate.strategy_success_probability", counting)
+    cfg = ExperimentConfig(
+        strategy=StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4),
+        nu=100, seed=3, n_values=(1, 2, 4), rounds=7,
+    )
+    scaling_experiment(cfg)
+    assert [n for n, _ in calls] == [1, 2, 4]
+
+
 def test_scaling_requires_three_sizes():
     with pytest.raises(ValueError):
         scaling_experiment(
@@ -182,7 +209,7 @@ def test_scaling_requires_three_sizes():
 def test_seed_must_be_unsigned_64_bit():
     spec = StrategySpec(StrategyKind.SEQUENTIAL, 2)
     with pytest.raises(ValueError):
-        run_trials(spec, 0.1, 10, seed=-1)
+        run_trials(spec, strategy_success_probability(spec, 0.1), 10, seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(strategy=spec, nu=10, seed=2**64, n_values=(1, 2, 4), rounds=2)
 
@@ -215,7 +242,7 @@ def test_run_trials_count_is_binomial(kind, phi):
     spec = StrategySpec(kind, n)
     p = strategy_success_probability(spec, phi)
     trials = n * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
-    counts = np.array([run_trials(spec, phi, nu, seed=s) for s in range(seeds)], dtype=float)
+    counts = np.array([run_trials(spec, p, nu, seed=s) for s in range(seeds)], dtype=float)
     var = trials * p * (1 - p)
     mu4 = var * (1 + 3 * (trials - 2) * p * (1 - p))  # fourth central moment
     mean_se = math.sqrt(var / seeds)
