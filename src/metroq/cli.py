@@ -200,14 +200,17 @@ def check_counterexample(rng, n_max: int, basis: str, grid: int) -> tuple[float,
     return entry, dist, phi_dep
 
 
-def check_unaveraged_fisher(rng, n_max: int) -> float:
+def check_unaveraged_fisher(rng, n_max: int) -> tuple[float, float]:
     """Worst deviation of the record-keeping counterexample's Fisher information
-    from the two-probe classical value 2 * cfi_binary(1, phi)."""
+    from the two-probe classical value 2 * cfi_binary(1, phi), and the count of
+    singular outcomes (vanishing, with a derivative that does not vanish)."""
     worst = 0.0
+    singular = 0
     for phi in (0.3, math.pi / 4, 1.1):
-        fisher = equivalence.unaveraged_counterexample_fisher("hadamard", phi)
+        fisher, vanishing = equivalence.unaveraged_counterexample_fisher("hadamard", phi)
         worst = max(worst, abs(fisher - 2.0 * cfi_binary(1, phi)))
-    return worst
+        singular += vanishing
+    return worst, float(singular)
 
 
 def check_useful_entanglement(rng, n_max: int, samples: int) -> float:

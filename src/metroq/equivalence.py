@@ -25,6 +25,7 @@ from .linalg import (
     is_antidiagonal,
     is_diagonal,
     is_unitary,
+    kron,
     normalized,
     partial_trace,
     trace_distance,
@@ -99,18 +100,30 @@ class ConversionCertificate:
 
 
 def _branch_amplitudes(state: np.ndarray, h: Generator, n: int) -> np.ndarray:
-    """Rotate probes 2..n into the +- basis and return the amplitude tensor.
+    """Rotate probes 2..n into the +- basis and return the amplitude matrix.
 
-    Output shape (d, 2, ..., 2): axis 0 is probe 1, axis j >= 1 indexes the
-    {+,-} outcome of probe j+1.  Slicing a full outcome assignment yields the
-    unnormalized conditional probe-1 vector.
+    Output shape (d, 2^(n-1)): column b is the unnormalized conditional
+    probe-1 vector of branch b, whose bits, most significant first, are the
+    outcomes of probes 2..n (0 for +, 1 for -).
+
+    Each probe costs one np.dot of the (2, d) projector with the register
+    unfolded to a (d, rest) matrix: that probe's axis on the rows, every other
+    axis in register order on the columns.  np.tensordot over that axis forms
+    this same matrix (same values, same memory layout) and hands it to the same
+    np.dot, so the amplitudes are bitwise those of the tensordot/moveaxis
+    cascade.  Between probes the product stays as (new outcome, probe 1 and
+    earlier outcomes, later probes); the next unfolding moves the new outcome
+    behind the earlier ones in the same copy that brings the next probe to the
+    rows.
     """
-    plus, minus = plus_minus_states(h)
-    proj = np.stack([plus.conj(), minus.conj()])
-    t = state.reshape((h.dim,) * n)
-    for axis in range(1, n):
-        t = np.moveaxis(np.tensordot(proj, t, axes=([1], [axis])), 0, axis)
-    return t
+    proj = np.array(plus_minus_states(h)).conj()
+    d = h.dim
+    t = state.reshape(1, d, -1)
+    for _ in range(n - 1):
+        outcome, before, rest = t.shape
+        unfolded = t.reshape(outcome, before, d, rest // d).transpose(2, 1, 0, 3).reshape(d, -1)
+        t = np.dot(proj, unfolded).reshape(2, before * outcome, rest // d)
+    return t.reshape(2, -1).T.reshape(d, -1)
 
 
 def _certificate(evolved: np.ndarray, h: Generator, n: int,
@@ -118,19 +131,16 @@ def _certificate(evolved: np.ndarray, h: Generator, n: int,
     """Grade every +- branch of probes 2..n at once against the sign-matched
     sequential reference state: ref_minus when the branch has an odd number
     of - outcomes, ref_plus otherwise."""
-    amps = _branch_amplitudes(evolved, h, n).reshape(h.dim, -1)
+    amps = _branch_amplitudes(evolved, h, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real
     # branch b's - outcomes are the set bits of b
-    branch = np.arange(amps.shape[1])
-    parity = np.zeros_like(branch)
-    for k in range(n - 1):
-        parity ^= branch >> k & 1
-    refs = np.stack([ref_plus, ref_minus])[parity]
+    parity = np.bitwise_count(np.arange(amps.shape[1])) & 1
+    refs = np.array([ref_plus, ref_minus])[parity]
+    # a dead branch (probability below 1e-15) is divided by 1 and graded 0
     live = probs >= 1e-15
-    fids = np.zeros_like(probs)
-    cond = amps[:, live] / np.sqrt(probs[live])
-    overlaps = np.einsum("ib,bi->b", cond.conj(), refs[live])
-    fids[live] = np.minimum(np.abs(overlaps) ** 2, 1.0)
+    cond = amps / np.sqrt(np.where(live, probs, 1.0))
+    overlaps = np.einsum("ib,bi->b", cond.conj(), refs)
+    fids = np.where(live, np.minimum(np.abs(overlaps) ** 2, 1.0), 0.0)
     return ConversionCertificate(n, probs, fids)
 
 
@@ -183,31 +193,37 @@ def counterexample(basis: str, phi: float) -> tuple[np.ndarray, float]:
     measurement record is discarded.  `metroq verify` checks both claims.
     """
     h = Generator.qubit()
+    rho = classical_corr_state(basis)
+    projs = [kron(np.eye(2), np.outer(o, o.conj())) for o in plus_minus_states(h)]
 
     def averaged(angle: float) -> np.ndarray:
-        rho = classical_corr_state(basis)
-        u2 = np.kron(u_phi(h, angle), u_phi(h, angle))
-        rho = u2 @ rho @ u2.conj().T
-        plus, minus = plus_minus_states(h)
+        u = u_phi(h, angle)
+        u2 = kron(u, u)
+        evolved = u2 @ rho @ u2.conj().T
         acc = np.zeros((4, 4), dtype=np.complex128)
-        for o in (plus, minus):
-            proj = np.kron(np.eye(2), np.outer(o, o.conj()))
-            acc += proj @ rho @ proj
+        for proj in projs:
+            acc += proj @ evolved @ proj
         return partial_trace(acc, [2, 2], keep=[0])
 
     avg = averaged(phi)
     return avg, trace_distance(avg, averaged(0.0))
 
 
-def unaveraged_counterexample_fisher(basis: str, phi: float) -> float:
+def unaveraged_counterexample_fisher(basis: str, phi: float) -> tuple[float, int]:
     """Fisher information of the counterexample when nothing is discarded.
 
     Keeps the full record: the classical preparation label (which of the two
     equally weighted pure components was prepared), the probe-2 +- outcome and
     the probe-1 +- outcome.  Probability derivatives are exact (d/dphi of each
-    phase box is i H times the box).  The result equals the N=2
+    phase box is i H times the box).  The information equals the N=2
     classical-parallel value 2 * cfi_binary(1, phi) for every phi, which
     `metroq verify` checks.
+
+    Returns (Fisher information, singular outcomes).  An outcome of
+    probability below 1e-14 adds nothing to the sum; it is singular when its
+    derivative still exceeds 1e-7 in magnitude, which consistent
+    probabilities cannot do (|dp| <= sqrt(F p)), so a correct computation
+    counts 0.
     """
     if basis != "hadamard":
         raise ValueError("the record-keeping counterexample is defined for the hadamard basis")
@@ -218,26 +234,25 @@ def unaveraged_counterexample_fisher(basis: str, phi: float) -> float:
     comp_x = normalized(vec(PAULI_X))
     u = u_phi(h, phi)
     du = 1j * np.diag(h.eigenvalues) @ u
-    uu = np.kron(u, u)
-    duu = np.kron(du, u) + np.kron(u, du)
+    uu = kron(u, u)
+    duu = kron(du, u) + kron(u, du)
+    outs = [kron(o1, o2) for o2 in (plus, minus) for o1 in (plus, minus)]
 
     fisher = 0.0
+    singular = 0
     for comp in (comp_id, comp_x):
         psi = uu @ comp
         dpsi = duu @ comp
-        for o2 in (plus, minus):
-            for o1 in (plus, minus):
-                out = np.kron(o1, o2)
-                amp = np.vdot(out, psi)
-                damp = np.vdot(out, dpsi)
-                p = 0.5 * abs(amp) ** 2
-                dp = 0.5 * 2.0 * np.real(np.conj(amp) * damp)
-                if p < 1e-14:
-                    if abs(dp) > 1e-7:
-                        raise RuntimeError("vanishing outcome with non-vanishing derivative")
-                    continue
-                fisher += dp * dp / p
-    return float(fisher)
+        for out in outs:
+            amp = np.vdot(out, psi)
+            damp = np.vdot(out, dpsi)
+            p = 0.5 * abs(amp) ** 2
+            dp = 0.5 * 2.0 * np.real(np.conj(amp) * damp)
+            if p < 1e-14:
+                singular += int(abs(dp) > 1e-7)
+                continue
+            fisher += dp * dp / p
+    return float(fisher), singular
 
 
 def noise_conversion_residual(cha: KrausChannel, chb: KrausChannel) -> float:
@@ -256,9 +271,9 @@ def noise_conversion_residual(cha: KrausChannel, chb: KrausChannel) -> float:
     rhs = np.zeros_like(lhs)
     for a in cha.ops:
         for b in chb.ops:
-            u = np.kron(a, b) @ idv
+            u = kron(a, b) @ idv
             lhs += np.outer(u, u.conj())
-            w = np.kron(a @ b.T, eye) @ idv
+            w = kron(a @ b.T, eye) @ idv
             rhs += np.outer(w, w.conj())
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -288,7 +303,7 @@ def noisy_conversion_valid_beyond_n2(cha: KrausChannel, chb: KrausChannel) -> bo
         raise ValueError("the induction predicate is defined for qubit channels")
     for a in cha.ops:
         for b in chb.ops:
-            prod = np.kron(a, b)
+            prod = kron(a, b)
             if not (is_diagonal(prod) or is_antidiagonal(prod)):
                 return False
     return True
@@ -302,6 +317,10 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     to a global phase for one phi-independent lambda, returned as the second
     element.  Exactly the operators proportional to diag(c, c e^{i lambda})
     pass; global scale is quotiented out beforehand.
+
+    The whole grid is evaluated at once from one (50, d) array of phase-box
+    diagonals.  A grid point rejects when an evolved vector's norm is below
+    1e-12 or its fidelity to the target is below 1 - 1e-12.
     """
     e = as_matrix(e)
     if e.shape != (2, 2) or h.dim != 2:
@@ -316,20 +335,20 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
     lo, hi = _extreme_states(h)
-    targets = [
-        normalized(lo + sign * np.exp(1j * lam_hat) * hi) for sign in (1.0, -1.0)
-    ]
-    plus, minus = plus_minus_states(h)
-    for phi in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
-        u = u_phi(h, phi)
-        u2 = u @ u
-        for start, target in zip((plus, minus), targets):
-            v = u @ e @ u @ start
-            nv = float(np.linalg.norm(v))
-            if nv < 1e-12:
-                return False, None
-            if fidelity_up_to_phase(v / nv, u2 @ target) < 1.0 - 1e-12:
-                return False, None
+    targets = np.stack(
+        [normalized(lo + sign * np.exp(1j * lam_hat) * hi) for sign in (1.0, -1.0)]
+    )
+    starts = np.stack(plus_minus_states(h))
+    phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
+    # boxes[g] is the diagonal of e^{i phi_g H}; axes below are (phase, start, entry)
+    boxes = np.exp(1j * np.multiply.outer(phis, h.eigenvalues))[:, None, :]
+    v = boxes * ((boxes * starts) @ e.T)
+    nv = np.linalg.norm(v, axis=2)
+    if np.any(nv < 1e-12):
+        return False, None
+    overlaps = np.sum((v / nv[..., None]).conj() * (boxes * boxes * targets), axis=2)
+    if np.any(np.abs(overlaps) ** 2 < 1.0 - 1e-12):
+        return False, None
     return True, lam_hat
 
 

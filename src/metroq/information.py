@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import ATOL_PREDICATE, as_vector
-from .states import Generator, StrategyKind, StrategySpec, ghz_like
+from .states import Generator, StrategyKind, StrategySpec, ghz_like, repeated_index
 
 
 # Golden-section step: the inner points split the bracket at 1 - R and R.
@@ -52,10 +52,9 @@ def collective_generator(h: Generator, n: int) -> Generator:
     total = np.zeros(1)
     for _ in range(n):
         total = np.add.outer(total, lam).reshape(-1)
-    d = h.dim
-    idx_min = int(np.ravel_multi_index((h.min_index,) * n, (d,) * n))
-    idx_max = int(np.ravel_multi_index((h.max_index,) * n, (d,) * n))
-    return Generator(total, idx_min, idx_max)
+    return Generator(
+        total, repeated_index(h.dim, n, h.min_index), repeated_index(h.dim, n, h.max_index)
+    )
 
 
 def qfi_pure(psi, h_total: Generator) -> float:

@@ -49,8 +49,22 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product; entry ((i,k),(j,l)) = a[i,j] * b[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Tensor product of two matrices or of two vectors.
+
+    Matrices: entry ((i,k),(j,l)) = a[i,j] * b[k,l]; vectors: component
+    i * len(b) + k = a[i] * b[k].  One broadcast multiply of the complex128
+    inputs followed by a reshape: numpy's own kron also ends in a single
+    broadcast multiply of the same entry pairs, so the result is bitwise the
+    same, without its general-rank set-up.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron expects two matrices or two vectors, got {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def vec(c) -> np.ndarray:

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import as_matrix, basis_state, is_unitary
+from .linalg import as_matrix, basis_state, is_unitary, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -87,16 +87,22 @@ def plus_minus_states(h: Generator) -> tuple[np.ndarray, np.ndarray]:
     return (lo + hi) / math.sqrt(2), (lo - hi) / math.sqrt(2)
 
 
+def repeated_index(d: int, n: int, j: int) -> int:
+    """Index of |j...j> in the d^n register, probe 1 most significant.
+
+    Digit j in each of the n base-d places: j * (d^n - 1) / (d - 1), exact in
+    integer arithmetic.
+    """
+    return j * (d**n - 1) // (d - 1)
+
+
 def ghz_like(h: Generator, n: int, lam: float = 0.0) -> np.ndarray:
     """Normalized (|min>^n + e^{i lam} |max>^n)/sqrt(2) on the n-probe register."""
     if n < 1:
         raise ValueError("need at least one probe")
-    d = h.dim
-    state = np.zeros(d**n, dtype=np.complex128)
-    idx_min = int(np.ravel_multi_index((h.min_index,) * n, (d,) * n))
-    idx_max = int(np.ravel_multi_index((h.max_index,) * n, (d,) * n))
-    state[idx_min] = 1 / math.sqrt(2)
-    state[idx_max] = np.exp(1j * lam) / math.sqrt(2)
+    state = np.zeros(h.dim**n, dtype=np.complex128)
+    state[repeated_index(h.dim, n, h.min_index)] = 1 / math.sqrt(2)
+    state[repeated_index(h.dim, n, h.max_index)] = np.exp(1j * lam) / math.sqrt(2)
     return state
 
 
@@ -113,13 +119,13 @@ def classical_corr_state(basis: str) -> np.ndarray:
     correlation in the complementary basis.
     """
     if basis == "computational":
-        a = np.kron(basis_state(2, 0), basis_state(2, 0))
-        b = np.kron(basis_state(2, 1), basis_state(2, 1))
+        a = kron(basis_state(2, 0), basis_state(2, 0))
+        b = kron(basis_state(2, 1), basis_state(2, 1))
     elif basis == "hadamard":
         plus = (basis_state(2, 0) + basis_state(2, 1)) / math.sqrt(2)
         minus = (basis_state(2, 0) - basis_state(2, 1)) / math.sqrt(2)
-        a = np.kron(plus, plus)
-        b = np.kron(minus, minus)
+        a = kron(plus, plus)
+        b = kron(minus, minus)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return (np.outer(a, a.conj()) + np.outer(b, b.conj())) / 2

@@ -85,8 +85,8 @@ def test_criterion_04_entanglement_necessity():
         entry, dist, phi_dep = check_counterexample(None, 2, basis=basis, grid=50)
         worst_entry = max(worst_entry, entry)
         worst_dist = max(worst_dist, dist, phi_dep)
-    worst_fisher = check_unaveraged_fisher(None, 2)
-    ok = worst_entry < 1e-12 and worst_dist < 1e-12 and worst_fisher < 1e-9
+    worst_fisher, singular = check_unaveraged_fisher(None, 2)
+    ok = worst_entry < 1e-12 and worst_dist < 1e-12 and worst_fisher < 1e-9 and singular == 0
     report(4, ok, f"averaged state distance {worst_dist:.3e}, "
                   f"record-keeping Fisher deviation {worst_fisher:.3e}")
 

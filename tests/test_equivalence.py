@@ -36,7 +36,11 @@ from metroq.linalg import (
 )
 from metroq.states import PAULI_X, Generator, ghz_like, phase_mask, plus_minus_states, u_phi
 
-from helpers import random_cptp_channel
+from helpers import (
+    branch_amplitudes_tensordot,
+    random_cptp_channel,
+    useful_entanglement_check_per_phase,
+)
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
@@ -150,6 +154,18 @@ def test_phase_mask_matches_per_factor_boxes_and_record_order():
         assert len(cert.records) == 2 ** (n - 1)
         assert [r.probability for r in cert.records] == list(cert.probabilities)
         assert [r.fidelity for r in cert.records] == list(cert.fidelities)
+
+
+def test_branch_cascade_is_bitwise_the_tensordot_cascade():
+    rng = np.random.default_rng(32)
+    qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
+    for h, n_max in ((H, 8), (qutrit, 5)):
+        for n in range(2, n_max + 1):
+            state = rng.standard_normal(h.dim**n) + 1j * rng.standard_normal(h.dim**n)
+            amps = equivalence._branch_amplitudes(state, h, n)
+            oracle = branch_amplitudes_tensordot(state, h, n)
+            assert amps.shape == oracle.shape == (h.dim, 2 ** (n - 1))
+            assert amps.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
 def _conversion_inputs(phis, lam):
@@ -280,8 +296,8 @@ def _record_distribution(phi):
 
 def test_unaveraged_fisher_matches_classical_parallel():
     for phi in (math.pi / 4, 0.3, 1.2):
-        fisher = unaveraged_counterexample_fisher("hadamard", phi)
-        assert abs(fisher - 2.0 * cfi_binary(1, phi)) < 1e-9
+        fisher, singular = unaveraged_counterexample_fisher("hadamard", phi)
+        assert abs(fisher - 2.0 * cfi_binary(1, phi)) < 1e-9 and singular == 0
 
 
 def test_unaveraged_fisher_against_finite_difference_oracle():
@@ -290,13 +306,43 @@ def test_unaveraged_fisher_against_finite_difference_oracle():
     dp = (_record_distribution(phi + step) - _record_distribution(phi - step)) / (2 * step)
     mask = p0 > 1e-12
     oracle = float(np.sum(dp[mask] ** 2 / p0[mask]))
-    assert abs(oracle - unaveraged_counterexample_fisher("hadamard", phi)) < 1e-6
+    assert abs(oracle - unaveraged_counterexample_fisher("hadamard", phi)[0]) < 1e-6
 
 
 def test_unaveraged_fisher_near_zero_phase():
     phi = 1e-3
-    fisher = unaveraged_counterexample_fisher("hadamard", phi)
-    assert abs(fisher - 2.0 * cfi_binary(1, phi)) < 1e-9
+    fisher, singular = unaveraged_counterexample_fisher("hadamard", phi)
+    assert abs(fisher - 2.0 * cfi_binary(1, phi)) < 1e-9 and singular == 0
+
+
+def _fisher_check(capsys):
+    code = main(["verify", "--n-max", "2", "--seed", "1"])
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    return code, {r["name"]: r for r in report["results"]}["counterexample-unaveraged-fisher"]
+
+
+def test_verify_reports_a_singular_fisher_outcome_as_a_fail(capsys, monkeypatch):
+    # A box stuck 1e-9 from the identity under a generator 1000x too steep for
+    # it: outcome |+-> of the |00> + |11> component nearly vanishes while its
+    # derivative does not, which consistent probabilities cannot do.
+    steep = Generator(np.array([0.0, 1e3]), 0, 1)
+    with monkeypatch.context() as m:
+        m.setattr(equivalence.Generator, "qubit", staticmethod(lambda: steep))
+        m.setattr(equivalence, "u_phi", lambda h, phi: np.diag([1.0, np.exp(1e-9j)]))
+        code, rec = _fisher_check(capsys)
+        assert code == 1 and not rec["pass"] and rec["residual"] >= 1.0
+        assert unaveraged_counterexample_fisher("hadamard", 0.3)[1] > 0
+    # A singular outcome fails the check even when the Fisher sum is right.
+    exact = equivalence.unaveraged_counterexample_fisher
+    monkeypatch.setattr(
+        equivalence, "unaveraged_counterexample_fisher", lambda basis, phi: (exact(basis, phi)[0], 1)
+    )
+    code, rec = _fisher_check(capsys)
+    assert code == 1 and not rec["pass"] and rec["residual"] == 3.0
 
 
 def test_unaveraged_fisher_requires_hadamard_basis():
@@ -402,6 +448,21 @@ def test_useful_entanglement_characterization():
     for lam in rng.uniform(-math.pi, math.pi, size=5):
         useful, lam_hat = useful_entanglement_check(np.diag([1.0, np.exp(1j * lam)]), H)
         assert useful and abs(lam_hat - lam) < 1e-9
+
+
+def test_useful_entanglement_grid_matches_per_phase_oracle():
+    rng = np.random.default_rng(16)
+    seeds = [haar_unitary(2, rng) for _ in range(200)] + [PAULI_X]
+    for lam in (0.0, 0.8, -1.3, math.pi):
+        phase = np.diag([1.0, np.exp(1j * lam)])
+        # off-diagonal eps costs fidelity ~eps^2: 1e-7 sits below the 1e-12
+        # threshold, 2e-6 about four times above it
+        seeds += [phase, phase + 1e-7 * PAULI_X, phase + 2e-6 * PAULI_X]
+    for e in seeds:
+        assert useful_entanglement_check(e, H) == useful_entanglement_check_per_phase(e, H)
+    phase = np.diag([1.0, np.exp(0.8j)])
+    assert useful_entanglement_check(phase + 1e-7 * PAULI_X, H)[0]
+    assert useful_entanglement_check(phase + 2e-6 * PAULI_X, H) == (False, None)
 
 
 def test_useful_entanglement_rejects_unequal_weights():

@@ -44,6 +44,35 @@ def test_kron_pauli_z_pair():
     np.testing.assert_array_equal(kron(PAULI_Z, PAULI_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda rng, d: (_complex(rng, d), _complex(rng, 9 - d)),  # vector (x) vector
+        lambda rng, d: (_complex(rng, d, d), _complex(rng, 9 - d, 9 - d)),  # square
+        lambda rng, d: (_complex(rng, d, 9 - d), _complex(rng, 1, d)),  # non-square
+        lambda rng, d: (rng.standard_normal((d, d)), _complex(rng, d, d)),  # float (x) complex
+        lambda rng, d: (_complex(rng, d, 2), rng.standard_normal((3, d))),  # complex (x) float
+    ],
+    ids=["vector", "square", "non-square", "float-complex", "complex-float"],
+)
+def test_kron_is_bitwise_numpy_kron(case):
+    rng = np.random.default_rng(44)
+    for d in range(1, 9):
+        a, b = case(rng, d)
+        out, ref = kron(a, b), np.kron(a, b)
+        assert out.dtype == np.complex128 and out.shape == ref.shape
+        assert out.tobytes() == ref.astype(np.complex128).tobytes()
+
+
+def test_kron_rejects_mixed_ranks():
+    with pytest.raises(ValueError):
+        kron(np.ones(2), np.eye(2))
+
+
 def test_vec_identity_matrix():
     np.testing.assert_array_equal(vec(I2), np.array([1, 0, 0, 1], dtype=complex))
 

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metroq
 from metroq.linalg import fidelity_up_to_phase, partial_trace, vec
 from metroq.states import (
     PAULI_X,
@@ -16,6 +18,7 @@ from metroq.states import (
     ghz_like,
     ghz_state,
     plus_minus_states,
+    repeated_index,
     u_phi,
 )
 
@@ -87,6 +90,25 @@ def test_ghz_like_uses_extreme_indices():
     assert abs(state[idx_min] - 1 / math.sqrt(2)) < 1e-15
     assert abs(state[idx_max] - 1 / math.sqrt(2)) < 1e-15
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_repeated_index_matches_ravel_multi_index():
+    for d in (2, 3, 4):
+        n = 1
+        while d**n <= 4096:
+            for j in range(d):
+                assert repeated_index(d, n, j) == np.ravel_multi_index((j,) * n, (d,) * n)
+            n += 1
+
+
+def test_tensor_products_and_register_indices_have_one_helper():
+    # kron ordering lives in linalg.kron, the |j...j> index in repeated_index
+    paths = sorted(Path(metroq.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert "np.kron(" not in text, path.name
+        assert "ravel_multi_index" not in text, path.name
 
 
 def test_classical_corr_spectral_structure():
