@@ -4,10 +4,8 @@ entangled-parallel phase-estimation strategies at desk scale."""
 from .channels import (
     KrausChannel,
     amplitude_damping,
-    apply_channel,
     bit_phase_flip,
     dephasing,
-    identity_channel,
     is_diag_or_antidiag,
     is_unital,
 )
@@ -15,7 +13,6 @@ from .equivalence import (
     BranchRecord,
     ConversionCertificate,
     convert_general_n,
-    convert_n2,
     counterexample,
     effective_sequential_channel,
     generalized_strategy_certificate,
@@ -33,7 +30,6 @@ from .fock import (
     noon_equivalence_certificate,
     noon_fringe_zeros,
     noon_state,
-    symmetrization_map,
 )
 from .information import (
     PrecisionBound,
@@ -52,7 +48,6 @@ from .linalg import (
     fidelity_up_to_phase,
     kron,
     partial_trace,
-    project_subsystem,
     trace_distance,
     vec,
     vec_identity_residual,

@@ -1,4 +1,4 @@
-"""Kraus noise channels: constructors, application, structure predicates."""
+"""Kraus noise channels: constructors and structure predicates."""
 
 from __future__ import annotations
 
@@ -61,10 +61,6 @@ def _trace_preserving(ops) -> KrausChannel:
     return ch
 
 
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return _trace_preserving([np.eye(dim, dtype=np.complex128)])
-
-
 def dephasing(p: float) -> KrausChannel:
     """Phase-flip noise {sqrt(1-p) I, sqrt(p) Z}; unital, all operators diagonal."""
     if not 0.0 <= p <= 1.0:
@@ -87,24 +83,6 @@ def amplitude_damping(g: float) -> KrausChannel:
     k1 = np.zeros((2, 2), dtype=np.complex128)
     k1[0, 1] = math.sqrt(g)
     return _trace_preserving([k0, k1])
-
-
-def apply_channel(rho, ch: KrausChannel, dims, k: int) -> np.ndarray:
-    """Apply a channel to subsystem k of a multi-probe density matrix."""
-    rho = as_matrix(rho)
-    dims = list(dims)
-    d_total = int(np.prod(dims))
-    if rho.shape != (d_total, d_total):
-        raise ValueError("rho shape does not match product of dims")
-    if ch.dim != dims[k]:
-        raise ValueError("channel dimension does not match subsystem k")
-    pre = int(np.prod(dims[:k])) if k > 0 else 1
-    post = int(np.prod(dims[k + 1:])) if k + 1 < len(dims) else 1
-    t = rho.reshape(pre, dims[k], post, pre, dims[k], post)
-    out = np.zeros_like(t)
-    for op in ch.ops:
-        out += np.einsum("ab,pbqrcs,dc->paqrds", op, t, op.conj())
-    return out.reshape(d_total, d_total)
 
 
 def is_unital(ch: KrausChannel, atol: float = ATOL_PREDICATE) -> bool:

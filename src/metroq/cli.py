@@ -171,7 +171,9 @@ def _conversion_residuals(certs) -> tuple[float, float, float]:
 def check_conversion_n2(rng, n_max: int, samples: int) -> tuple[float, float, float]:
     """Two-probe conversion at random phase pairs."""
     return _conversion_residuals(
-        equivalence.convert_n2(QUBIT, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        equivalence.convert_general_n(
+            QUBIT, [rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
+        )
         for _ in range(samples)
     )
 
@@ -189,14 +191,16 @@ def check_conversion_general_n(rng, n_max: int, per_n: int) -> tuple[float, floa
 
 def check_counterexample(rng, n_max: int, basis: str, grid: int) -> tuple[float, float, float]:
     """Outcome-averaged single-basis counterexample on a phase grid over [0, pi]:
-    worst max-abs entry and trace distance from I/2, and worst phi-dependence."""
+    worst max-abs entry and trace distance from I/2, and worst trace distance
+    from the state at phi = 0."""
     eye_half = np.eye(2) / 2
+    ref = equivalence.counterexample(basis, 0.0)
     entry = dist = phi_dep = 0.0
     for phi in np.linspace(0.0, math.pi, grid):
-        avg, dep = equivalence.counterexample(basis, phi)
+        avg = equivalence.counterexample(basis, phi)
         entry = max(entry, float(np.max(np.abs(avg - eye_half))))
         dist = max(dist, trace_distance(avg, eye_half))
-        phi_dep = max(phi_dep, dep)
+        phi_dep = max(phi_dep, trace_distance(avg, ref))
     return entry, dist, phi_dep
 
 
@@ -227,23 +231,26 @@ def check_useful_entanglement(rng, n_max: int, samples: int) -> float:
 
 
 def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, float]:
-    """Boxes W e^{i phi H} V: worst certificate fidelity deficit over `per_n`
-    Haar-random (W, V) at each N in 1..min(n_max, 6) and V = sigma_x at N = 2,
-    and how far two naive sigma_x boxes are from accumulating no phase."""
+    """Boxes W e^{i phi H} V: worst of max|M - e^{i phi H}| and the certificate
+    fidelity deficit over `per_n` Haar-random (W, V) at each N in
+    1..min(n_max, 6) and V = sigma_x at N = 2, and how far two naive sigma_x
+    boxes are from accumulating no phase."""
     worst = 0.0
     for n in range(1, min(n_max, 6) + 1):
         for _ in range(per_n):
             w, v = haar_unitary(2, rng), haar_unitary(2, rng)
-            cert = equivalence.generalized_strategy_certificate(
+            residual, cert = equivalence.generalized_strategy_certificate(
                 w, v, QUBIT, rng.uniform(0.1, 1.4), n
             )
-            worst = max(worst, 1.0 - cert.min_fidelity)
+            worst = max(worst, residual, 1.0 - cert.min_fidelity)
     # With V = sigma_x naive iteration is phase-free; only tracking W, V works.
     phi = 0.6
     squared = np.linalg.matrix_power(u_phi(QUBIT, phi) @ PAULI_X, 2)
     frozen = float(np.max(np.abs(squared / squared[0, 0] - np.eye(2))))
-    tracked = equivalence.generalized_strategy_certificate(np.eye(2), PAULI_X, QUBIT, phi, 2)
-    return max(worst, 1.0 - tracked.min_fidelity), frozen
+    residual, tracked = equivalence.generalized_strategy_certificate(
+        np.eye(2), PAULI_X, QUBIT, phi, 2
+    )
+    return max(worst, residual, 1.0 - tracked.min_fidelity), frozen
 
 
 @dataclass(frozen=True)

@@ -85,100 +85,35 @@ def fringe(state: FockVector, phi: float) -> float:
     return coincidence_probability(evolve(state, phi).amplitudes, state.amplitudes)
 
 
-@dataclass(frozen=True)
-class SymmetrizationMap:
-    """Correspondence between the n-qubit GHZ-relevant subspace and Fock states.
-
-    pairs lists (qubit register basis index, single-mode occupation,
-    (mode-a, mode-b) occupations): the all-minimum product state symmetrizes
-    to the vacuum / |vacuum, n>, the all-maximum one to |n> / |n, vacuum>.
-    The map is an isometry on the two-dimensional subspace it covers.
-    """
-
-    n: int
-    direction: str
-    pairs: tuple[tuple[int, int, tuple[int, int]], ...]
-
-    def qubit_indices(self) -> tuple[int, int]:
-        return self.pairs[0][0], self.pairs[1][0]
-
-    def apply(self, state, modes: int = 1):
-        """Carry a state across the correspondence.
-
-        qubit_to_fock expects a 2^n vector supported on the GHZ subspace and
-        returns a FockVector; fock_to_qubit is the inverse.
-        """
-        lo_idx, hi_idx = self.qubit_indices()
-        if self.direction == "qubit_to_fock":
-            v = as_vector(state)
-            if v.size != 2**self.n:
-                raise ValueError("expected a 2^n qubit register state")
-            support = np.zeros(v.size, dtype=bool)
-            support[[lo_idx, hi_idx]] = True
-            if float(np.max(np.abs(v[~support]), initial=0.0)) > 1e-12:
-                raise ValueError("state has weight outside the GHZ subspace")
-            # The minimum eigenstate maps to occupation 0 in both layouts:
-            # the vacuum (modes=1) or |vacuum, n> (modes=2, mode-a count 0).
-            amp = np.zeros(self.n + 1, dtype=np.complex128)
-            amp[0], amp[self.n] = v[lo_idx], v[hi_idx]
-            return FockVector(modes, self.n, amp)
-        if self.direction == "fock_to_qubit":
-            if not isinstance(state, FockVector):
-                raise ValueError("expected a FockVector")
-            amp = state.amplitudes
-            interior = amp[1:-1]
-            if interior.size and float(np.max(np.abs(interior))) > 1e-12:
-                raise ValueError("state has weight outside the extreme occupations")
-            v = np.zeros(2**self.n, dtype=np.complex128)
-            v[lo_idx], v[hi_idx] = amp[0], amp[self.n]
-            return v
-        raise ValueError(f"unknown direction {self.direction!r}")
-
-
-def symmetrization_map(n: int, direction: str = "qubit_to_fock") -> SymmetrizationMap:
-    """Identify product extreme eigenstates with their symmetrized Fock images."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if direction not in ("qubit_to_fock", "fock_to_qubit"):
-        raise ValueError(f"unknown direction {direction!r}")
-    lo_idx = 0
-    hi_idx = 2**n - 1
-    pairs = (
-        (lo_idx, 0, (0, n)),   # |0>^n  <->  vacuum  <->  |vacuum, n>
-        (hi_idx, n, (n, 0)),   # |1>^n  <->  |n>     <->  |n, vacuum>
-    )
-    return SymmetrizationMap(n=n, direction=direction, pairs=pairs)
-
-
-def n0_equivalence_certificate(n: int, grid_points: int = 100) -> float:
+def n0_equivalence_certificate(n: int) -> float:
     """Max deviation between the N0 fringe and the qubit GHZ fringe.
 
     Both are cos^2(n phi / 2); the comparison runs both simulations on a
     shared grid and returns the largest absolute probability difference.
     """
-    return _max_fringe_deviation(n0_state, n, 1, grid_points)
+    return _max_fringe_deviation(n0_state, n, 1)
 
 
-def noon_equivalence_certificate(n: int, grid_points: int = 100) -> float:
+def noon_equivalence_certificate(n: int) -> float:
     """Max deviation between the NOON fringe and the rescaled qubit fringe.
 
     The two-mode number-difference generator has eigenvalue gap 2n on the NOON
     pair where the qubit register has gap n, so the NOON fringe at phi is
     compared against the qubit entangled-parallel fringe at 2 phi.
     """
-    return _max_fringe_deviation(noon_state, n, 2, grid_points)
+    return _max_fringe_deviation(noon_state, n, 2)
 
 
-def _max_fringe_deviation(make_state, n: int, qubit_scale: int, grid_points: int) -> float:
+def _max_fringe_deviation(make_state, n: int, qubit_scale: int) -> float:
     """Largest |fringe(state, phi) - qubit GHZ fringe at qubit_scale * phi|
-    over a grid of phi in [0, pi]."""
+    over 100 evenly spaced phi in [0, pi]."""
     if not 1 <= n <= 12:
         raise ValueError("n must lie in 1..12")
     h = Generator.qubit()
     state = make_state(n)
     ghz = ghz_state(n)
     worst = 0.0
-    for phi in np.linspace(0.0, math.pi, grid_points):
+    for phi in np.linspace(0.0, math.pi, 100):
         final = evolve_parallel_entangled(h, qubit_scale * phi, n, 0.0)
         worst = max(worst, abs(fringe(state, phi) - coincidence_probability(final, ghz)))
     return worst

@@ -94,47 +94,6 @@ def vec_identity_residual(a, b, c) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def apply_on_factor(state, dims, k: int, op) -> np.ndarray:
-    """Apply a matrix to subsystem k of a state vector on a tensor-product space."""
-    state = as_vector(state)
-    op = as_matrix(op)
-    dims = list(dims)
-    if int(np.prod(dims)) != state.size:
-        raise ValueError("product of dims does not match state dimension")
-    if op.shape != (dims[k], dims[k]):
-        raise ValueError("operator dimension does not match subsystem k")
-    t = state.reshape(dims)
-    t = np.moveaxis(np.tensordot(op, t, axes=([1], [k])), 0, k)
-    return t.reshape(-1)
-
-
-def project_subsystem(state, dims, k: int, onto) -> tuple[float, np.ndarray | None]:
-    """Project subsystem k of a normalized state onto a normalized vector.
-
-    Returns (probability, conditional state on the remaining subsystems, in
-    their original order).  A zero-probability outcome returns (0.0, None):
-    the conditional is undefined, never a NaN vector.
-    """
-    state = as_vector(state)
-    onto = as_vector(onto)
-    dims = list(dims)
-    if int(np.prod(dims)) != state.size:
-        raise ValueError("product of dims does not match state dimension")
-    if onto.size != dims[k]:
-        raise ValueError("projection vector does not match subsystem k dimension")
-    if abs(np.linalg.norm(state) - 1.0) > ATOL_PREDICATE:
-        raise ValueError("state must be normalized")
-    if abs(np.linalg.norm(onto) - 1.0) > ATOL_PREDICATE:
-        raise ValueError("projection vector must be normalized")
-    t = state.reshape(dims)
-    partial = np.tensordot(onto.conj(), t, axes=([0], [k])).reshape(-1)
-    p = float(np.real(np.vdot(partial, partial)))
-    if p < 1e-15:
-        return 0.0, None
-    p = min(p, 1.0)
-    return p, partial / math.sqrt(p)
-
-
 def is_density_matrix(rho, atol: float = ATOL_PREDICATE) -> bool:
     m = as_matrix(rho)
     if m.shape[0] != m.shape[1]:

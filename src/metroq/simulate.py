@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .information import crb, operating_phase
-from .linalg import apply_on_factor, as_vector
+from .linalg import as_vector
 from .states import (
     Generator,
     StrategyKind,
@@ -37,7 +37,6 @@ _STREAM_INDEX = {
     StrategyKind.SEQUENTIAL: 0,
     StrategyKind.CLASSICAL_PARALLEL: 1,
     StrategyKind.ENTANGLED_PARALLEL: 2,
-    StrategyKind.GENERALIZED_ENTANGLED: 3,
 }
 
 
@@ -45,9 +44,7 @@ _STREAM_INDEX = {
 class ExperimentConfig:
     """Config for one scaling experiment; the report is a pure function of it.
 
-    phi_true=None selects the per-N maximum-sensitivity operating point
-    pi/(2N); an explicit value must keep N*phi_true inside (0, pi) for every
-    N in n_values.
+    Each N is estimated at its maximum-sensitivity operating point pi/(2N).
     """
 
     strategy: StrategySpec
@@ -55,7 +52,6 @@ class ExperimentConfig:
     seed: int
     n_values: tuple[int, ...]
     rounds: int = 200
-    phi_true: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -65,13 +61,6 @@ class ExperimentConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n_values must be positive integers")
-        if self.phi_true is not None:
-            for n in self.n_values:
-                if not 0.0 < n * self.phi_true < math.pi:
-                    raise ValueError("N * phi_true must lie in (0, pi) for every N")
-
-    def phase_for(self, n: int) -> float:
-        return self.phi_true if self.phi_true is not None else operating_phase(n)
 
 
 @dataclass(frozen=True)
@@ -116,7 +105,7 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
     phase mask (states.phase_mask), not replaced by the analytic closed form
     e^{i n phi} on the extreme pair, so the phase-accumulation claim is
     something tests can check rather than assume.  Tests check the mask
-    against per-factor application of u_phi with linalg.apply_on_factor.
+    against u_phi applied to one register factor at a time.
     """
     return ghz_like(h, n, lam) * phase_mask(h, [phi] * n)
 
@@ -146,18 +135,10 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     if strategy.kind is StrategyKind.CLASSICAL_PARALLEL:
         final = evolve_sequential(h, phi, 1, plus)
         return coincidence_probability(final, plus)
-    if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        initial = ghz_like(h, strategy.n_probes, strategy.lam)
-        final = evolve_parallel_entangled(h, phi, strategy.n_probes, strategy.lam)
-        return coincidence_probability(final, initial)
-    # generalized: per-probe operator W^dag U'_phi V^dag applied in parallel
-    m = strategy.w.conj().T @ (strategy.w @ u_phi(h, phi) @ strategy.v) @ strategy.v.conj().T
+    # entangled parallel
     initial = ghz_like(h, strategy.n_probes, strategy.lam)
-    state = initial
-    dims = (h.dim,) * strategy.n_probes
-    for k in range(strategy.n_probes):
-        state = apply_on_factor(state, dims, k, m)
-    return coincidence_probability(state, initial)
+    final = evolve_parallel_entangled(h, phi, strategy.n_probes, strategy.lam)
+    return coincidence_probability(final, initial)
 
 
 def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
@@ -258,7 +239,7 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
     rows = []
     for n in n_values:
         strat = replace(cfg.strategy, n_probes=n)
-        phi = cfg.phase_for(n)
+        phi = operating_phase(n)
         p = strategy_success_probability(strat, phi)
         trials = n * cfg.nu if classical else cfg.nu
         errors = np.empty(cfg.rounds)

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import as_matrix, basis_state, is_unitary, kron
+from .linalg import basis_state, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -135,31 +135,17 @@ class StrategyKind(str, Enum):
     SEQUENTIAL = "sequential"
     CLASSICAL_PARALLEL = "classical"
     ENTANGLED_PARALLEL = "entangled"
-    GENERALIZED_ENTANGLED = "generalized"
 
 
 @dataclass(frozen=True, eq=False)
 class StrategySpec:
-    """One estimation strategy: what is prepared, how many probes, which boxes."""
+    """One estimation strategy: what is prepared and how many probes."""
 
     kind: StrategyKind
     n_probes: int
     generator: Generator = field(default_factory=Generator.qubit)
     lam: float = 0.0
-    w: np.ndarray | None = None
-    v: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_probes < 1:
             raise ValueError("n_probes must be >= 1")
-        if self.kind is StrategyKind.GENERALIZED_ENTANGLED:
-            if self.w is None or self.v is None:
-                raise ValueError("generalized strategy requires w and v")
-        for name in ("w", "v"):
-            m = getattr(self, name)
-            if m is not None:
-                m = as_matrix(m)
-                if not is_unitary(m):
-                    raise ValueError(f"{name} must be unitary")
-                m.setflags(write=False)
-                object.__setattr__(self, name, m)

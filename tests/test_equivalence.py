@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from metroq.channels import (
+    KrausChannel,
     amplitude_damping,
     bit_phase_flip,
     dephasing,
-    identity_channel,
     is_unital,
 )
 from metroq import equivalence
 from metroq.cli import main
 from metroq.equivalence import (
     convert_general_n,
-    convert_n2,
     counterexample,
     effective_sequential_channel,
     generalized_strategy_certificate,
@@ -27,39 +26,42 @@ from metroq.equivalence import (
 )
 from metroq.information import cfi_binary
 from metroq.linalg import (
-    apply_on_factor,
     fidelity_up_to_phase,
     haar_unitary,
     kron,
     normalized,
+    trace_distance,
     vec,
 )
 from metroq.states import PAULI_X, Generator, ghz_like, phase_mask, plus_minus_states, u_phi
 
 from helpers import (
+    apply_on_factor,
     branch_amplitudes_tensordot,
+    project_subsystem,
     random_cptp_channel,
     useful_entanglement_check_per_phase,
 )
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
+IDENTITY_CHANNEL = KrausChannel((np.eye(2),))
 
 
 # ---------------------------------------------------------------- conversion
 
 def test_convert_n2_trivial_phases():
-    cert = convert_n2(H, 0.0, 0.0)
+    cert = convert_general_n(H, [0.0, 0.0])
     assert cert.n_probes == 2
     assert {r.outcome for r in cert.records} == {"+", "-"}
     for r in cert.records:
         assert abs(r.probability - 0.5) < 1e-12
         assert r.fidelity > 1 - 1e-12
-    assert abs(cert.probability_sum - 1.0) < 1e-10
+    assert abs(cert.probabilities.sum() - 1.0) < 1e-10
 
 
 def test_convert_n2_accumulates_both_phases():
-    cert = convert_n2(H, 0.7, 1.3)
+    cert = convert_general_n(H, [0.7, 1.3])
     # conditional probe-1 states are proportional to |0> +- e^{2.0 i} |1>
     assert cert.max_prob_error < 1e-12
     assert cert.min_fidelity > 1 - 1e-12
@@ -72,19 +74,22 @@ def test_convert_n2_random_pairs():
     rng = np.random.default_rng(21)
     worst = 1.0
     for _ in range(100):
-        cert = convert_n2(H, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        cert = convert_general_n(H, [rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)])
         worst = min(worst, cert.min_fidelity)
         assert cert.max_prob_error < 1e-12
     assert worst > 1 - 1e-12
 
 
 def test_convert_general_matches_n2():
-    a = convert_n2(H, 0.4, 1.1)
-    b = convert_general_n(H, [0.4, 1.1], 0.0)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.outcome == rb.outcome
-        assert abs(ra.probability - rb.probability) < 1e-15
-        assert abs(ra.fidelity - rb.fidelity) < 1e-15
+    # two-probe oracle: the pair evolved by the matrix U_0.4 (x) U_1.1, probe 2
+    # projected onto + and -, conditionals |0> +- e^{1.5 i}|1>
+    cert = convert_general_n(H, [0.4, 1.1])
+    evolved = kron(u_phi(H, 0.4), u_phi(H, 1.1)) @ ghz_like(H, 2)
+    for r, (onto, sign) in zip(cert.records, ((PLUS, 1), (MINUS, -1))):
+        p, cond = project_subsystem(evolved, [2, 2], 1, onto)
+        assert abs(r.probability - p) < 1e-15
+        expected = normalized(np.array([1.0, sign * np.exp(1.5j)]))
+        assert abs(r.fidelity - fidelity_up_to_phase(cond, expected)) < 1e-15
 
 
 def test_convert_general_equal_phases():
@@ -105,7 +110,6 @@ def test_convert_general_three_probe_branches():
     # independent enumeration oracle: full tensor-product unitary applied as a
     # matrix, probes projected one at a time; every conditional must be
     # |0> +- e^{1.6 i}|1> with the parity sign of the - outcomes
-    from metroq.linalg import project_subsystem
     from metroq.states import ghz_state
 
     boxes = np.kron(np.kron(u_phi(H, 0.2), u_phi(H, 0.5)), u_phi(H, 0.9))
@@ -128,7 +132,7 @@ def test_convert_general_random_phase_vectors():
             )
             assert cert.min_fidelity > 1 - 1e-12
             assert cert.max_prob_error < 1e-10
-            assert abs(cert.probability_sum - 1.0) < 1e-10
+            assert abs(cert.probabilities.sum() - 1.0) < 1e-10
 
 
 def test_phase_mask_matches_per_factor_boxes_and_record_order():
@@ -191,10 +195,10 @@ def test_grading_fails_on_a_dropped_phase_or_swapped_references():
     assert swapped.max_prob_error < 1e-12
 
 
-def _conversion_check(capsys):
+def _conversion_check(capsys, name="conversion-general-n"):
     code = main(["verify", "--n-max", "4", "--seed", "7"])
     report = json.loads(capsys.readouterr().out)
-    return code, {rec["name"]: rec for rec in report["results"]}["conversion-general-n"]
+    return code, {rec["name"]: rec for rec in report["results"]}[name]
 
 
 def test_verify_conversion_fails_on_a_dropped_phase(capsys, monkeypatch):
@@ -263,15 +267,15 @@ def test_antidiagonal_product_also_preserves_subspace():
 @pytest.mark.parametrize("basis", ["computational", "hadamard"])
 def test_counterexample_average_is_maximally_mixed(basis):
     for phi in np.linspace(0.0, math.pi, 50):
-        avg, phi_dep = counterexample(basis, phi)
+        avg = counterexample(basis, phi)
         assert np.max(np.abs(avg - np.eye(2) / 2)) < 1e-12
-        assert phi_dep < 1e-12
+        assert trace_distance(avg, counterexample(basis, 0.0)) < 1e-12
 
 
 def test_counterexample_reference_point():
-    avg, phi_dep = counterexample("computational", 0.0)
+    avg = counterexample("computational", 0.0)
     assert np.max(np.abs(avg - np.eye(2) / 2)) < 1e-12
-    assert phi_dep == 0.0
+    assert trace_distance(avg, counterexample("computational", 0.0)) == 0.0
 
 
 def _record_distribution(phi):
@@ -356,7 +360,7 @@ def test_averaged_state_carries_no_information():
     plus_proj = np.outer(PLUS, PLUS.conj())
 
     def outcome_prob(phi):
-        avg, _ = counterexample("hadamard", phi)
+        avg = counterexample("hadamard", phi)
         return float(np.real(np.trace(plus_proj @ avg)))
 
     dp = (outcome_prob(0.8 + step) - outcome_prob(0.8 - step)) / (2 * step)
@@ -367,7 +371,7 @@ def test_averaged_state_carries_no_information():
 # ----------------------------------------------------------- noise conversion
 
 def test_effective_channel_identity_case():
-    eff, tp = effective_sequential_channel(identity_channel(), identity_channel())
+    eff, tp = effective_sequential_channel(IDENTITY_CHANNEL, IDENTITY_CHANNEL)
     assert tp
     assert len(eff.ops) == 1
     np.testing.assert_allclose(eff.ops[0], np.eye(2), atol=1e-15)
@@ -399,7 +403,7 @@ def test_conversion_identity_universal():
 def test_trace_preservation_iff_second_unital():
     rng = np.random.default_rng(14)
     zoo = [
-        identity_channel(), dephasing(0.3), bit_phase_flip(0.6),
+        IDENTITY_CHANNEL, dephasing(0.3), bit_phase_flip(0.6),
         amplitude_damping(0.2), amplitude_damping(0.9),
         random_cptp_channel(rng, 2, 3), random_cptp_channel(rng, 2, 2),
     ]
@@ -473,8 +477,9 @@ def test_useful_entanglement_rejects_unequal_weights():
 # --------------------------------------------------------- generalized boxes
 
 def test_generalized_reduces_to_plain_conversion():
-    cert = generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.8, 3)
+    residual, cert = generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.8, 3)
     plain = convert_general_n(H, [0.8] * 3, 0.0)
+    assert residual < 1e-15
     assert cert.min_fidelity > 1 - 1e-12
     assert abs(cert.min_fidelity - plain.min_fidelity) < 1e-12
 
@@ -489,24 +494,46 @@ def test_generalized_sigma_x_case():
     tracked = normalized(u_phi(H, 2 * phi) @ PLUS)
     assert fidelity_up_to_phase(naive, tracked) < 1 - 1e-3
     # the corrected per-probe operator restores the certificate
-    cert = generalized_strategy_certificate(np.eye(2), PAULI_X, H, phi, 2)
+    residual, cert = generalized_strategy_certificate(np.eye(2), PAULI_X, H, phi, 2)
+    assert residual < 1e-12
     assert cert.min_fidelity > 1 - 1e-12
     assert cert.max_prob_error < 1e-12
 
 
 def test_generalized_random_unitaries():
     rng = np.random.default_rng(16)
-    for _ in range(5):
-        w, v = haar_unitary(2, rng), haar_unitary(2, rng)
-        cert = generalized_strategy_certificate(w, v, H, 0.6, 3)
-        assert cert.min_fidelity > 1 - 1e-12
-        assert cert.max_prob_error < 1e-10
+    for n in range(1, 7):
+        for _ in range(5):
+            w, v = haar_unitary(2, rng), haar_unitary(2, rng)
+            residual, cert = generalized_strategy_certificate(w, v, H, rng.uniform(0.1, 1.4), n)
+            assert residual < 1e-12
+            assert cert.min_fidelity > 1 - 1e-12
+            assert cert.max_prob_error < 1e-10
+            assert cert.probabilities.size == 2 ** (n - 1)
 
 
 def test_generalized_single_probe():
-    cert = generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.4, 1)
-    assert cert.records[0].probability == 1.0
+    residual, cert = generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.4, 1)
+    assert residual < 1e-15
+    assert abs(cert.records[0].probability - 1.0) < 1e-12
     assert cert.min_fidelity > 1 - 1e-12
+
+
+def test_verify_generalized_fails_on_a_dropped_phase(capsys, monkeypatch):
+    code, rec = _conversion_check(capsys, "generalized-strategy")
+    assert code == 0 and rec["pass"]
+
+    def drop_last_phase(h, phis):
+        phis = list(phis)
+        return phase_mask(h, phis[:-1] + [0.0])
+
+    monkeypatch.setattr(equivalence, "phase_mask", drop_last_phase)
+    code, rec = _conversion_check(capsys, "generalized-strategy")
+    assert code == 1 and not rec["pass"]
+    assert rec["residual"] > 1e-3
+    # a single probe is graded too: e^{i phi H}|+> against M|+>
+    _, cert = generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.4, 1)
+    assert cert.min_fidelity < 1 - 1e-3
 
 
 def test_generalized_rejects_nonunitary():

@@ -13,7 +13,6 @@ from metroq.fock import (
     noon_equivalence_certificate,
     noon_fringe_zeros,
     noon_state,
-    symmetrization_map,
 )
 from metroq.simulate import coincidence_probability, evolve_parallel_entangled, evolve_sequential
 from metroq.states import Generator, ghz_state, plus_minus_states
@@ -95,60 +94,6 @@ def test_noon_equivalent_to_multipass():
         p_noon = fringe(noon_state(n), phi)
         seq = evolve_sequential(H, 2 * phi, n, plus)
         assert abs(p_noon - coincidence_probability(seq, plus)) < 1e-12
-
-
-def test_symmetrization_single_mode():
-    table = symmetrization_map(3, "qubit_to_fock")
-    image = table.apply(ghz_state(3, 0.7), modes=1)
-    expected = np.zeros(4, dtype=complex)
-    expected[0], expected[3] = 1 / math.sqrt(2), np.exp(0.7j) / math.sqrt(2)
-    np.testing.assert_allclose(image.amplitudes, expected, atol=1e-15)
-
-
-def test_symmetrization_trivial_relabeling():
-    table = symmetrization_map(1, "qubit_to_fock")
-    image = table.apply(np.array([1.0, 0.0]), modes=1)
-    np.testing.assert_array_equal(image.amplitudes, np.array([1.0, 0.0]))
-
-
-def test_symmetrization_round_trip_and_isometry():
-    rng = np.random.default_rng(32)
-    fwd = symmetrization_map(4, "qubit_to_fock")
-    back = symmetrization_map(4, "fock_to_qubit")
-    states = []
-    for _ in range(4):
-        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = np.zeros(16, dtype=complex)
-        v[0], v[15] = a, b
-        v /= np.linalg.norm(v)
-        states.append(v)
-    images = [fwd.apply(v, modes=1) for v in states]
-    # inner products preserved on the two-dimensional subspace
-    for va, ia in zip(states, images):
-        for vb, ib in zip(states, images):
-            assert abs(np.vdot(va, vb) - np.vdot(ia.amplitudes, ib.amplitudes)) < 1e-12
-    # and the reverse direction undoes the map
-    for v, img in zip(states, images):
-        np.testing.assert_allclose(back.apply(img), v, atol=1e-12)
-
-
-def test_symmetrization_two_mode_orientation():
-    # the all-minimum register state maps to |vacuum, n>: mode-a count 0
-    table = symmetrization_map(2, "qubit_to_fock")
-    lo = np.zeros(4, dtype=complex)
-    lo[0] = 1.0
-    image = table.apply(lo, modes=2)
-    assert image.modes == 2
-    assert abs(image.amplitudes[0] - 1.0) < 1e-15
-    assert table.pairs[0][2] == (0, 2)
-    assert table.pairs[1][2] == (2, 0)
-
-
-def test_symmetrization_rejects_weight_outside_subspace():
-    table = symmetrization_map(2, "qubit_to_fock")
-    bad = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    with pytest.raises(ValueError):
-        table.apply(bad, modes=1)
 
 
 def test_fock_vector_validation():

@@ -214,24 +214,6 @@ def test_seed_must_be_unsigned_64_bit():
         ExperimentConfig(strategy=spec, nu=10, seed=2**64, n_values=(1, 2, 4), rounds=2)
 
 
-def test_config_validates_operating_branch():
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            strategy=StrategySpec(StrategyKind.SEQUENTIAL, 8),
-            nu=10, seed=0, n_values=(1, 2, 8), rounds=2, phi_true=math.pi / 2,
-        )
-    cfg = ExperimentConfig(
-        strategy=StrategySpec(StrategyKind.SEQUENTIAL, 8),
-        nu=10, seed=0, n_values=(1, 2, 8), rounds=2, phi_true=math.pi / 16,
-    )
-    assert cfg.phase_for(8) == math.pi / 16
-    cfg = ExperimentConfig(
-        strategy=StrategySpec(StrategyKind.SEQUENTIAL, 8),
-        nu=10, seed=0, n_values=(1, 2, 8), rounds=2,
-    )
-    assert cfg.phase_for(8) == math.pi / 16
-
-
 @pytest.mark.parametrize(
     "kind, phi", [(StrategyKind.ENTANGLED_PARALLEL, 0.3), (StrategyKind.CLASSICAL_PARALLEL, 1.2)]
 )

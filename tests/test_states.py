@@ -102,13 +102,15 @@ def test_repeated_index_matches_ravel_multi_index():
 
 
 def test_tensor_products_and_register_indices_have_one_helper():
-    # kron ordering lives in linalg.kron, the |j...j> index in repeated_index
+    # kron ordering lives in linalg.kron, the |j...j> index in repeated_index,
+    # and phase boxes act through states.phase_mask, never per factor
     paths = sorted(Path(metroq.__file__).parent.glob("*.py"))
     assert len(paths) > 1
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        assert "np.kron(" not in text, path.name
-        assert "ravel_multi_index" not in text, path.name
+        for pattern in ("np.kron(", "ravel_multi_index", "apply_on_factor", "tensordot(",
+                        "moveaxis("):
+            assert pattern not in text, (path.name, pattern)
 
 
 def test_classical_corr_spectral_structure():
@@ -148,9 +150,5 @@ def test_classical_corr_rejects_unknown_basis():
 def test_strategy_spec_validation():
     with pytest.raises(ValueError):
         StrategySpec(StrategyKind.SEQUENTIAL, 0)
-    with pytest.raises(ValueError):
-        StrategySpec(StrategyKind.GENERALIZED_ENTANGLED, 2)  # missing w, v
-    with pytest.raises(ValueError):
-        StrategySpec(StrategyKind.GENERALIZED_ENTANGLED, 2, w=2 * np.eye(2), v=np.eye(2))
-    spec = StrategySpec(StrategyKind.GENERALIZED_ENTANGLED, 2, w=np.eye(2), v=PAULI_X)
-    assert spec.n_probes == 2
+    spec = StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 2, lam=0.4)
+    assert spec.n_probes == 2 and spec.lam == 0.4
