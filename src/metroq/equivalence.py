@@ -169,7 +169,7 @@ def _extreme_states(h: Generator) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def counterexample(basis: str, phi: float) -> np.ndarray:
+def counterexample(basis: str, phis) -> np.ndarray:
     """Run the conversion on a state correlated in one basis only.
 
     Evolves the classical-correlation mixture by U_phi (x) U_phi, measures
@@ -178,13 +178,21 @@ def counterexample(basis: str, phi: float) -> np.ndarray:
     single-basis correlation carries no phase information once the
     measurement record is discarded.  `metroq verify` checks that it equals
     I/2 and that it does not move from its value at phi = 0.
+
+    A scalar phase gives one 2x2 state, an array of phases a stack of them,
+    one per phase.  The whole stack goes through each matrix product at once;
+    matmul runs the same BLAS call on every matrix of a stack, so each state
+    is bitwise the one its phase gives alone.
     """
     h = Generator.qubit()
     rho = classical_corr_state(basis)
-    u = u_phi(h, phi)
+    phis = np.asarray(phis, dtype=float)
+    # u[g] = u_phi(h, phis[g]): the same exp of the same products, on the diagonal
+    u = np.zeros(phis.shape + (2, 2), dtype=np.complex128)
+    u[..., [0, 1], [0, 1]] = np.exp(1j * phis[..., None] * h.eigenvalues)
     u2 = kron(u, u)
-    evolved = u2 @ rho @ u2.conj().T
-    acc = np.zeros((4, 4), dtype=np.complex128)
+    evolved = u2 @ rho @ u2.conj().swapaxes(-1, -2)
+    acc = np.zeros(evolved.shape, dtype=np.complex128)
     for o in plus_minus_states(h):
         proj = kron(np.eye(2), np.outer(o, o.conj()))
         acc += proj @ evolved @ proj

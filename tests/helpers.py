@@ -1,13 +1,21 @@
 """Shared test utilities: random quantum objects with seeded generators, and
-loop-form reference implementations of vectorised kernels."""
+loop-form reference implementations of vectorised and stacked kernels."""
 
 import math
 
 import numpy as np
 
 from metroq.channels import KrausChannel
-from metroq.linalg import ATOL_PREDICATE, as_matrix, as_vector, fidelity_up_to_phase, normalized
-from metroq.states import plus_minus_states, u_phi
+from metroq.linalg import (
+    ATOL_PREDICATE,
+    as_matrix,
+    as_vector,
+    fidelity_up_to_phase,
+    is_density_matrix,
+    kron,
+    normalized,
+)
+from metroq.states import Generator, classical_corr_state, plus_minus_states, u_phi
 
 
 def random_complex_matrix(rng, d):
@@ -119,3 +127,56 @@ def useful_entanglement_check_per_phase(e, h):
             if fidelity_up_to_phase(v / nv, u2 @ target) < 1.0 - 1e-12:
                 return False, None
     return True, lam_hat
+
+
+def vec_identity_residual_per_triple(a, b, c):
+    """Reference for linalg.vec_identity_residual on one triple of matrices:
+    numpy's kron and a row-major reshape, one matrix-vector product."""
+    lhs = np.kron(a, b) @ c.reshape(-1)
+    rhs = (a @ c @ b.T).reshape(-1)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def check_vectorization_six_draws(rng, n_max, samples):
+    """Reference for cli.check_vectorization: six (d, d) draws per sample
+    (real then imaginary part of a, b and c), each triple graded alone."""
+    worst = 0.0
+    for _ in range(samples):
+        d = int(rng.integers(2, 9))
+        a, b, c = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for _ in range(3))
+        worst = max(worst, vec_identity_residual_per_triple(a, b, c))
+    return worst
+
+
+def counterexample_per_phase(basis, phi):
+    """Reference for equivalence.counterexample at one phase: 4x4 matrix
+    products and the probe-2 trace taken on the 2-D state."""
+    h = Generator.qubit()
+    u2 = kron(u_phi(h, phi), u_phi(h, phi))
+    evolved = u2 @ classical_corr_state(basis) @ u2.conj().T
+    acc = np.zeros((4, 4), dtype=np.complex128)
+    for o in plus_minus_states(h):
+        proj = kron(np.eye(2), np.outer(o, o.conj()))
+        acc += proj @ evolved @ proj
+    assert is_density_matrix(acc)
+    out = np.trace(acc.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    return (out + out.conj().T) / 2
+
+
+def trace_distance_per_pair(r1, r2):
+    """Reference for linalg.trace_distance on two matrices."""
+    return float(0.5 * np.sum(np.linalg.svd(r1 - r2, compute_uv=False)))
+
+
+def check_counterexample_per_phase(basis, grid):
+    """Reference for cli.check_counterexample: one phase of the grid at a time."""
+    eye_half = np.eye(2) / 2
+    ref = counterexample_per_phase(basis, 0.0)
+    entry = dist = phi_dep = 0.0
+    for phi in np.linspace(0.0, math.pi, grid):
+        avg = counterexample_per_phase(basis, phi)
+        entry = max(entry, float(np.max(np.abs(avg - eye_half))))
+        dist = max(dist, trace_distance_per_pair(avg, eye_half))
+        phi_dep = max(phi_dep, trace_distance_per_pair(avg, ref))
+    return entry, dist, phi_dep

@@ -7,11 +7,16 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metroq import cli, equivalence
 from metroq.cli import main
+from metroq.states import Generator, plus_minus_states
+
+from helpers import check_counterexample_per_phase, check_vectorization_six_draws
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text())
 
@@ -30,7 +35,12 @@ def run_json(capsys, argv):
 
 
 def strip_timing(report):
-    return {k: v for k, v in report.items() if k != "wall_time_ms"}
+    """The report without its wall time and the per-check `elapsed_ms`."""
+    stripped = {k: v for k, v in report.items() if k != "wall_time_ms"}
+    stripped["results"] = [
+        {k: v for k, v in rec.items() if k != "elapsed_ms"} for rec in report["results"]
+    ]
+    return stripped
 
 
 def test_verify_passes_and_validates(capsys):
@@ -70,6 +80,70 @@ def test_verify_deterministic(capsys):
     _, first = run_json(capsys, ["verify", "--n-max", "5", "--seed", "3"])
     _, second = run_json(capsys, ["verify", "--n-max", "5", "--seed", "3"])
     assert strip_timing(first) == strip_timing(second)
+
+
+def test_verify_reports_elapsed_ms_per_check(capsys):
+    code, report = run_json(capsys, ["verify", "--n-max", "4", "--seed", "7"])
+    assert code == 0
+    elapsed = [rec["elapsed_ms"] for rec in report["results"]]
+    assert len(elapsed) == len(cli.CHECKS)
+    assert all(isinstance(ms, float) and ms >= 0 and ms == round(ms, 3) for ms in elapsed)
+    assert sum(elapsed) <= report["wall_time_ms"] + 1
+
+
+def test_check_vectorization_matches_six_draw_loop():
+    # same draws, same worst residual, same generator state afterwards
+    for seed in range(30):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        worst = cli.check_vectorization(rng, 2, samples=60)
+        expected = check_vectorization_six_draws(oracle_rng, 2, samples=60)
+        assert worst == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("basis", ["computational", "hadamard"])
+@pytest.mark.parametrize("grid", [1, 10, 50])
+def test_check_counterexample_matches_per_phase_loop(basis, grid):
+    assert cli.check_counterexample(None, 2, basis=basis, grid=grid) == \
+        check_counterexample_per_phase(basis, grid)
+
+
+def test_verify_counterexample_fails_without_the_minus_projector(capsys, monkeypatch):
+    # Mutant: the - projector is skipped and the + one applied twice, so the
+    # "average" is the + outcome's conditional state (still of trace 1).  For
+    # the hadamard-correlated state it moves with phi.
+    real = equivalence.counterexample
+    plus, _ = plus_minus_states(Generator.qubit())
+
+    def plus_outcome_only(basis, phis):
+        with monkeypatch.context() as m:
+            m.setattr(equivalence, "plus_minus_states", lambda h: (plus, plus))
+            return real(basis, phis)
+
+    monkeypatch.setattr(equivalence, "counterexample", plus_outcome_only)
+    code, report = run_json(capsys, ["verify", "--n-max", "4", "--seed", "7"])
+    verdicts = {rec["name"]: rec for rec in report["results"]}
+    assert code == 1 and report["pass"] is False
+    assert not verdicts["counterexample-hadamard"]["pass"]
+    assert verdicts["counterexample-hadamard"]["residual"] > 0.1
+    assert verdicts["conversion-general-n"]["pass"]
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    # `metroq verify | head -c 10`: the reader is gone before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from metroq.cli import entrypoint; entrypoint()",
+             "verify", "--n-max", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_seed_env_default(capsys, monkeypatch):
@@ -356,8 +430,6 @@ def test_conversion_residuals_count_missing_branches():
 def test_verify_runs_the_acceptance_checks():
     # The acceptance suite calls these functions directly; verify must run
     # the same ones, not copies.
-    from metroq import cli
-
     assert [check.fn for check in cli.CHECKS.values()] == [
         cli.check_vectorization,
         cli.check_conversion_n2,

@@ -38,6 +38,7 @@ from metroq.states import PAULI_X, Generator, ghz_like, phase_mask, plus_minus_s
 from helpers import (
     apply_on_factor,
     branch_amplitudes_tensordot,
+    counterexample_per_phase,
     project_subsystem,
     random_cptp_channel,
     useful_entanglement_check_per_phase,
@@ -276,6 +277,23 @@ def test_counterexample_reference_point():
     avg = counterexample("computational", 0.0)
     assert np.max(np.abs(avg - np.eye(2) / 2)) < 1e-12
     assert trace_distance(avg, counterexample("computational", 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("basis", ["computational", "hadamard"])
+def test_counterexample_stack_is_bitwise_per_phase(basis):
+    # phases on both sides of 0 and beyond 2 pi, as a flat grid and as a 2-D block
+    for seed in range(20):
+        phis = np.random.default_rng(seed).uniform(-7.0, 7.0, size=(3, 4))
+        stacked = counterexample(basis, phis)
+        assert stacked.shape == (3, 4, 2, 2)
+        oracle = np.array([[counterexample_per_phase(basis, phi) for phi in row] for row in phis])
+        assert stacked.tobytes() == oracle.tobytes()
+        flat = counterexample(basis, phis.reshape(-1))
+        assert flat.tobytes() == oracle.tobytes()
+    for phi in (0.0, 0.4, math.pi, -2.5):
+        single = counterexample(basis, phi)
+        assert single.shape == (2, 2)
+        assert single.tobytes() == counterexample_per_phase(basis, phi).tobytes()
 
 
 def _record_distribution(phi):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metroq import linalg
 from metroq.linalg import (
     fidelity_up_to_phase,
     is_antidiagonal,
+    is_density_matrix,
     is_diagonal,
     is_unitary,
     kron,
@@ -19,7 +21,14 @@ from metroq.linalg import (
 )
 from metroq.states import PAULI_Z, Generator, u_phi
 
-from helpers import project_subsystem, random_complex_matrix, random_density_matrix, random_state
+from helpers import (
+    project_subsystem,
+    random_complex_matrix,
+    random_density_matrix,
+    random_state,
+    trace_distance_per_pair,
+    vec_identity_residual_per_triple,
+)
 
 I2 = np.eye(2)
 
@@ -67,6 +76,18 @@ def test_kron_is_bitwise_numpy_kron(case):
         assert out.tobytes() == ref.astype(np.complex128).tobytes()
 
 
+def test_kron_stacks_are_bitwise_per_matrix():
+    # leading axes broadcast: a stack against a stack, and a stack against one matrix
+    rng = np.random.default_rng(45)
+    a, b = _complex(rng, 5, 3, 2), _complex(rng, 5, 2, 4)
+    single = _complex(rng, 2, 2)
+    stacked, broadcast = kron(a, b), kron(single, b)
+    assert stacked.shape == (5, 6, 8) and broadcast.shape == (5, 4, 8)
+    for k in range(5):
+        assert stacked[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+        assert broadcast[k].tobytes() == np.kron(single, b[k]).tobytes()
+
+
 def test_kron_rejects_mixed_ranks():
     with pytest.raises(ValueError):
         kron(np.ones(2), np.eye(2))
@@ -82,6 +103,15 @@ def test_vec_pauli_z():
 
 def test_vec_zero_matrix():
     np.testing.assert_array_equal(vec(np.zeros((3, 3))), np.zeros(9, dtype=complex))
+
+
+def test_vec_stack_is_one_vec_per_matrix():
+    rng = np.random.default_rng(46)
+    c = _complex(rng, 4, 3, 3)
+    out = vec(c)
+    assert out.shape == (4, 9)
+    for k in range(4):
+        np.testing.assert_array_equal(out[k], vec(c[k]))
 
 
 def test_vec_rejects_non_square():
@@ -115,6 +145,42 @@ def test_vec_identity_property(d, seed):
     rng = np.random.default_rng(seed)
     a, b, c = (random_complex_matrix(rng, d) for _ in range(3))
     assert vec_identity_residual(a, b, c) < 1e-12
+
+
+def test_vec_identity_stack_is_bitwise_per_triple():
+    # the stacked residuals are those of one triple at a time, bit for bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for d in range(2, 9):
+            a, b, c = _complex(rng, 3, 6, d, d)
+            stacked = vec_identity_residual(a, b, c)
+            assert stacked.shape == (6,)
+            single = np.array([vec_identity_residual(a[k], b[k], c[k]) for k in range(6)])
+            oracle = np.array([vec_identity_residual_per_triple(a[k], b[k], c[k])
+                               for k in range(6)])
+            assert stacked.tobytes() == single.tobytes() == oracle.tobytes()
+            assert np.max(stacked) < 1e-12
+
+
+def test_vec_identity_stack_detects_one_corrupted_triple(monkeypatch):
+    # A d = 8 group as verify draws it.  The mutant vectorizes sample 17 of c
+    # transposed on the kron side only (c -> c^T there): that residual must
+    # stand out of the stack, the others stay at roundoff.
+    rng = np.random.default_rng(47)
+    z = rng.standard_normal((29, 3, 2, 8, 8))
+    a, b, c = (z[:, i, 0] + 1j * z[:, i, 1] for i in range(3))
+    real_vec = linalg.vec
+
+    def vec_one_transposed(m):
+        if np.shares_memory(m, c):
+            m = m.copy()
+            m[17] = m[17].T.copy()
+        return real_vec(m)
+
+    monkeypatch.setattr(linalg, "vec", vec_one_transposed)
+    residual = vec_identity_residual(a, b, c)
+    assert residual[17] > 1e-3
+    assert np.max(np.delete(residual, 17)) < 1e-12
 
 
 def test_vec_identity_rejects_dim_mismatch():
@@ -190,6 +256,38 @@ def test_partial_trace_properties():
 def test_partial_trace_rejects_invalid_input():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), [2, 2], keep=[0])  # trace 4, not a state
+
+
+def test_partial_trace_stack_is_per_matrix():
+    rng = np.random.default_rng(9)
+    rhos = np.stack([random_density_matrix(rng, 8) for _ in range(5)])
+    assert is_density_matrix(rhos)
+    red = partial_trace(rhos, [2, 2, 2], keep=[0, 2])
+    assert red.shape == (5, 4, 4)
+    for k in range(5):
+        assert red[k].tobytes() == partial_trace(rhos[k], [2, 2, 2], keep=[0, 2]).tobytes()
+
+
+def test_partial_trace_stack_rejects_one_invalid_matrix():
+    # only the last matrix of the stack is not a state (trace 2)
+    rng = np.random.default_rng(10)
+    rhos = np.stack([random_density_matrix(rng, 4) for _ in range(4)])
+    rhos[-1] *= 2
+    assert not is_density_matrix(rhos)
+    assert is_density_matrix(rhos[:-1])
+    with pytest.raises(ValueError):
+        partial_trace(rhos, [2, 2], keep=[0])
+
+
+def test_trace_distance_stack_is_per_pair():
+    rng = np.random.default_rng(12)
+    rhos = np.stack([random_density_matrix(rng, 3) for _ in range(6)])
+    sigma = random_density_matrix(rng, 3)
+    stacked = trace_distance(rhos, sigma)
+    assert stacked.shape == (6,)
+    per_pair = np.array([trace_distance_per_pair(r, sigma) for r in rhos])
+    assert stacked.tobytes() == per_pair.tobytes()
+    assert isinstance(trace_distance(rhos[0], sigma), float)
 
 
 def test_trace_distance_and_fidelity_extremes():
