@@ -22,14 +22,9 @@ from .equivalence import (
     useful_entanglement_check,
 )
 from .fock import (
-    FockVector,
-    evolve_single_mode,
-    evolve_two_mode,
     n0_equivalence_certificate,
-    n0_state,
     noon_equivalence_certificate,
     noon_fringe_zeros,
-    noon_state,
 )
 from .information import (
     PrecisionBound,
@@ -43,7 +38,6 @@ from .information import (
     qfi_pure,
 )
 from .linalg import (
-    ATOL_IDENTITY,
     ATOL_PREDICATE,
     fidelity_up_to_phase,
     kron,
@@ -56,7 +50,6 @@ from .simulate import (
     ExperimentConfig,
     ScalingReport,
     ScalingRow,
-    coincidence_probability,
     estimate_phase,
     evolve_parallel_entangled,
     evolve_sequential,

@@ -292,11 +292,17 @@ def cmd_verify(args) -> Report:
     report = Report("verify", config)
     rng = np.random.default_rng(args.seed)
     for name, check in CHECKS.items():
-        start = time.perf_counter()
-        residual = float(np.max(check.fn(rng, args.n_max, **check.params)))
-        elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
         tolerance = max(args.tolerance, check.floor)
-        report.add(name, residual < tolerance, residual=residual, tolerance=tolerance,
+        start = time.perf_counter()
+        try:
+            residual = float(np.max(check.fn(rng, args.n_max, **check.params)))
+            outcome = {"residual": residual}
+        except ValueError as exc:
+            # a check whose computation rejects its own intermediate state
+            # (say, a mixed state of the wrong trace) has no residual: FAIL
+            residual, outcome = math.inf, {"residual": None, "error": str(exc)}
+        elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
+        report.add(name, residual < tolerance, **outcome, tolerance=tolerance,
                    elapsed_ms=elapsed_ms)
     return report
 

@@ -20,6 +20,7 @@ import numpy as np
 from .channels import KrausChannel
 from .linalg import (
     as_matrix,
+    basis_state,
     is_antidiagonal,
     is_diagonal,
     is_unitary,
@@ -155,18 +156,10 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     state = ghz_like(h, n, lam) * phase_mask(h, phis)
     u_total = u_phi(h, sum(phis))
-    lo, hi = _extreme_states(h)
+    lo, hi = basis_state(h.dim, h.min_index), basis_state(h.dim, h.max_index)
     base_plus = (lo + np.exp(1j * lam) * hi) / math.sqrt(2)
     base_minus = (lo - np.exp(1j * lam) * hi) / math.sqrt(2)
     return _certificate(state, h, n, u_total @ base_plus, u_total @ base_minus)
-
-
-def _extreme_states(h: Generator) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.zeros(h.dim, dtype=np.complex128)
-    hi = np.zeros(h.dim, dtype=np.complex128)
-    lo[h.min_index] = 1.0
-    hi[h.max_index] = 1.0
-    return lo, hi
 
 
 def counterexample(basis: str, phis) -> np.ndarray:
@@ -327,7 +320,7 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
-    lo, hi = _extreme_states(h)
+    lo, hi = basis_state(h.dim, h.min_index), basis_state(h.dim, h.max_index)
     targets = np.stack(
         [normalized(lo + sign * np.exp(1j * lam_hat) * hi) for sign in (1.0, -1.0)]
     )

@@ -1,88 +1,29 @@
 """Indistinguishable-probe (bosonic) states: N0 and NOON interferometry.
 
-Occupation-number representation with a hard photon-number cutoff.  All
-generators used here are diagonal in the number basis, so evolution is a
-phase mask; no ladder-operator exponentials are needed.  Two-mode states live
-in the fixed-total-photon subspace n_a + n_b = N (dimension N+1), indexed by
-the photon count of mode a.
+Both states are put on the distinguishable-probe register: each is the
+one-probe GHZ-type state ghz_like(h, 1) of a generator whose extreme levels
+are the vacuum and the n-photon occupation.  For N0, (|0> + |n>)/sqrt(2), h
+is the single-mode number operator (Generator.number, spread n); for NOON,
+(|n, 0> + |0, n>)/sqrt(2), it is the two-mode number difference on the
+n-photon subspace indexed by the photon count of mode a
+(Generator.number_difference, spread 2n).  Both generators are diagonal in
+the number basis, so the phase box is the one-probe register phase mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
-from .simulate import coincidence_probability, evolve_parallel_entangled
-from .states import Generator, ghz_state
+from .linalg import fidelity_up_to_phase
+from .simulate import evolve_parallel_entangled
+from .states import Generator, ghz_like, ghz_state, phase_mask
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """State in a truncated Fock space; amplitudes indexed by occupation.
-
-    modes=1: amplitudes[k] is the weight of |k photons>, k = 0..cutoff.
-    modes=2: amplitudes[k] is the weight of |k, cutoff-k> in the
-    fixed-total-photon subspace.
-    """
-
-    modes: int
-    cutoff: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.modes not in (1, 2):
-            raise ValueError("modes must be 1 or 2")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        amp = as_vector(self.amplitudes)
-        if amp.size != self.cutoff + 1:
-            raise ValueError("amplitude count must be cutoff + 1")
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("state must be normalized within 1e-12")
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-
-def n0_state(n: int) -> FockVector:
-    """Single-mode (|vacuum> + |n>)/sqrt(2)."""
-    amp = np.zeros(n + 1, dtype=np.complex128)
-    amp[0] = amp[n] = 1 / math.sqrt(2)
-    return FockVector(modes=1, cutoff=n, amplitudes=amp)
-
-
-def evolve_single_mode(state: FockVector, phi: float) -> FockVector:
-    """Number-operator evolution: amplitude of |k> picks up e^{i k phi}."""
-    if state.modes != 1:
-        raise ValueError("expected a single-mode state")
-    phases = np.exp(1j * phi * np.arange(state.cutoff + 1))
-    return FockVector(1, state.cutoff, state.amplitudes * phases)
-
-
-def noon_state(n: int) -> FockVector:
-    """Two-mode (|n, vacuum> + |vacuum, n>)/sqrt(2) in the n-photon subspace."""
-    amp = np.zeros(n + 1, dtype=np.complex128)
-    amp[n] = amp[0] = 1 / math.sqrt(2)
-    return FockVector(modes=2, cutoff=n, amplitudes=amp)
-
-
-def evolve_two_mode(state: FockVector, phi: float) -> FockVector:
-    """Photon-number-difference evolution: |k, n-k> picks up e^{i (2k - n) phi}."""
-    if state.modes != 2:
-        raise ValueError("expected a two-mode state")
-    n = state.cutoff
-    phases = np.exp(1j * phi * (2 * np.arange(n + 1) - n))
-    return FockVector(2, n, state.amplitudes * phases)
-
-
-def fringe(state: FockVector, phi: float) -> float:
-    """Coincidence probability |<psi_0|psi_phi>|^2 of the evolved state."""
-    evolve = evolve_single_mode if state.modes == 1 else evolve_two_mode
-    return coincidence_probability(evolve(state, phi).amplitudes, state.amplitudes)
+def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
+    """Coincidence probability |<probe| e^{i phi H} |probe>|^2 of one phase box."""
+    return fidelity_up_to_phase(probe, probe * phase_mask(h, [phi]))
 
 
 def n0_equivalence_certificate(n: int) -> float:
@@ -91,7 +32,7 @@ def n0_equivalence_certificate(n: int) -> float:
     Both are cos^2(n phi / 2); the comparison runs both simulations on a
     shared grid and returns the largest absolute probability difference.
     """
-    return _max_fringe_deviation(n0_state, n, 1)
+    return _max_fringe_deviation(Generator.number, n, 1)
 
 
 def noon_equivalence_certificate(n: int) -> float:
@@ -101,21 +42,22 @@ def noon_equivalence_certificate(n: int) -> float:
     pair where the qubit register has gap n, so the NOON fringe at phi is
     compared against the qubit entangled-parallel fringe at 2 phi.
     """
-    return _max_fringe_deviation(noon_state, n, 2)
+    return _max_fringe_deviation(Generator.number_difference, n, 2)
 
 
-def _max_fringe_deviation(make_state, n: int, qubit_scale: int) -> float:
-    """Largest |fringe(state, phi) - qubit GHZ fringe at qubit_scale * phi|
-    over 100 evenly spaced phi in [0, pi]."""
+def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
+    """Largest |fringe of ghz_like(make_generator(n), 1) at phi - qubit GHZ
+    fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi]."""
     if not 1 <= n <= 12:
         raise ValueError("n must lie in 1..12")
-    h = Generator.qubit()
-    state = make_state(n)
+    h = make_generator(n)
+    probe = ghz_like(h, 1)
+    qubit = Generator.qubit()
     ghz = ghz_state(n)
     worst = 0.0
     for phi in np.linspace(0.0, math.pi, 100):
-        final = evolve_parallel_entangled(h, qubit_scale * phi, n, 0.0)
-        worst = max(worst, abs(fringe(state, phi) - coincidence_probability(final, ghz)))
+        final = evolve_parallel_entangled(qubit, qubit_scale * phi, n, 0.0)
+        worst = max(worst, abs(fringe(h, probe, phi) - fidelity_up_to_phase(ghz, final)))
     return worst
 
 
@@ -128,10 +70,11 @@ def noon_fringe_zeros(n: int, count: int) -> list[float]:
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    state = noon_state(n)
+    h = Generator.number_difference(n)
+    probe = ghz_like(h, 1)
 
     def overlap(phi: float) -> float:
-        return float(np.real(np.vdot(state.amplitudes, evolve_two_mode(state, phi).amplitudes)))
+        return float(np.real(np.vdot(probe, probe * phase_mask(h, [phi]))))
 
     zeros = []
     for k in range(count):

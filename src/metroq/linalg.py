@@ -10,10 +10,8 @@ import math
 
 import numpy as np
 
-# Algebraic identities are expected to hold at double precision; structural
-# predicates get a looser tolerance because the matrices they see may have
-# passed through long operator products.
-ATOL_IDENTITY = 1e-12
+# Structural predicates get a tolerance looser than double precision because
+# the matrices they see may have passed through long operator products.
 ATOL_PREDICATE = 1e-10
 
 

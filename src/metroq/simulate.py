@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .information import crb, operating_phase
-from .linalg import as_vector
+from .linalg import as_vector, fidelity_up_to_phase
 from .states import (
     Generator,
     StrategyKind,
@@ -110,35 +110,26 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
     return ghz_like(h, n, lam) * phase_mask(h, [phi] * n)
 
 
-def coincidence_probability(final, initial) -> float:
-    """Born probability |<initial|final>|^2 that the evolved state passes
-    the projection back onto the initial one."""
-    final = as_vector(final)
-    initial = as_vector(initial)
-    if final.size != initial.size:
-        raise ValueError("state dimensions do not match")
-    p = float(abs(np.vdot(initial, final)) ** 2)
-    return min(max(p, 0.0), 1.0)
-
-
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     """Per-trial Bernoulli success probability of one repetition.
 
     For the classical-parallel strategy this is the single-probe (N=1)
-    probability: its N probes are independent trials.
+    probability: its N probes are independent trials.  The probability is
+    the Born probability |<initial|final>|^2 that the evolved state passes
+    the projection back onto the initial one.
     """
     h = strategy.generator
     plus, _ = plus_minus_states(h)
     if strategy.kind is StrategyKind.SEQUENTIAL:
         final = evolve_sequential(h, phi, strategy.n_probes, plus)
-        return coincidence_probability(final, plus)
+        return fidelity_up_to_phase(plus, final)
     if strategy.kind is StrategyKind.CLASSICAL_PARALLEL:
         final = evolve_sequential(h, phi, 1, plus)
-        return coincidence_probability(final, plus)
+        return fidelity_up_to_phase(plus, final)
     # entangled parallel
     initial = ghz_like(h, strategy.n_probes, strategy.lam)
     final = evolve_parallel_entangled(h, phi, strategy.n_probes, strategy.lam)
-    return coincidence_probability(final, initial)
+    return fidelity_up_to_phase(initial, final)
 
 
 def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:

@@ -57,6 +57,17 @@ class Generator:
         """Default two-level generator diag(0, 1)."""
         return Generator(np.array([0.0, 1.0]), 0, 1)
 
+    @staticmethod
+    def number(n: int) -> "Generator":
+        """Single-mode number operator on occupations 0..n: spread n."""
+        return Generator(np.arange(n + 1), 0, n)
+
+    @staticmethod
+    def number_difference(n: int) -> "Generator":
+        """Two-mode number difference n_a - n_b on the n-photon subspace,
+        indexed by n_a: eigenvalues 2k - n, spread 2n."""
+        return Generator(2 * np.arange(n + 1) - n, 0, n)
+
 
 def u_phi(h: Generator, phi: float) -> np.ndarray:
     """Diagonal phase unitary with entries exp(i * phi * eigenvalue)."""

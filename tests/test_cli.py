@@ -129,6 +129,35 @@ def test_verify_counterexample_fails_without_the_minus_projector(capsys, monkeyp
     assert verdicts["conversion-general-n"]["pass"]
 
 
+def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch):
+    # Mutant: the - projector is dropped, so the outcome "average" loses trace
+    # and partial_trace rejects it with a ValueError inside the check.
+    real = equivalence.counterexample
+    plus, _ = plus_minus_states(Generator.qubit())
+
+    def plus_projector_only(basis, phis):
+        with monkeypatch.context() as m:
+            m.setattr(equivalence, "plus_minus_states", lambda h: (plus,))
+            return real(basis, phis)
+
+    monkeypatch.setattr(equivalence, "counterexample", plus_projector_only)
+    # main returns instead of raising: no traceback
+    code, out = run_cli(capsys, ["verify", "--n-max", "4", "--seed", "7"])
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=reject)
+    jsonschema.validate(report, SCHEMA)
+    verdicts = {rec["name"]: rec for rec in report["results"]}
+    assert code == 1 and report["pass"] is False
+    for basis in ("computational", "hadamard"):
+        rec = verdicts[f"counterexample-{basis}"]
+        assert rec["pass"] is False and rec["residual"] is None
+        assert "density matrix" in rec["error"]
+    assert verdicts["conversion-general-n"]["pass"]
+
+
 def test_closed_stdout_exits_3_without_traceback():
     # `metroq verify | head -c 10`: the reader is gone before the report is written
     read_end, write_end = os.pipe()

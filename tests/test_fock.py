@@ -4,68 +4,80 @@ import numpy as np
 import pytest
 
 from metroq.fock import (
-    FockVector,
-    evolve_single_mode,
-    evolve_two_mode,
     fringe,
     n0_equivalence_certificate,
-    n0_state,
     noon_equivalence_certificate,
     noon_fringe_zeros,
-    noon_state,
 )
-from metroq.simulate import coincidence_probability, evolve_parallel_entangled, evolve_sequential
-from metroq.states import Generator, ghz_state, plus_minus_states
+from metroq.linalg import fidelity_up_to_phase
+from metroq.simulate import evolve_parallel_entangled, evolve_sequential
+from metroq.states import Generator, ghz_like, ghz_state, phase_mask, plus_minus_states
 
 H = Generator.qubit()
 
 
+def test_generators_of_the_bosonic_probes():
+    number = Generator.number(3)
+    np.testing.assert_array_equal(number.eigenvalues, [0.0, 1.0, 2.0, 3.0])
+    assert (number.min_index, number.max_index, number.gap) == (0, 3, 3.0)
+    difference = Generator.number_difference(3)
+    np.testing.assert_array_equal(difference.eigenvalues, [-3.0, -1.0, 1.0, 3.0])
+    assert (difference.min_index, difference.max_index, difference.gap) == (0, 3, 6.0)
+    # N0 and NOON are the one-probe GHZ-type states: vacuum and n photons
+    expected = np.zeros(4, dtype=complex)
+    expected[0] = expected[3] = 1 / math.sqrt(2)
+    np.testing.assert_array_equal(ghz_like(number, 1), expected)
+    np.testing.assert_array_equal(ghz_like(difference, 1), expected)
+
+
 def test_n0_state_and_evolution():
-    state = evolve_single_mode(n0_state(3), 0.5)
+    state = ghz_like(Generator.number(3), 1) * phase_mask(Generator.number(3), [0.5])
     expected = np.zeros(4, dtype=complex)
     expected[0], expected[3] = 1 / math.sqrt(2), np.exp(1.5j) / math.sqrt(2)
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+    np.testing.assert_allclose(state, expected, atol=1e-15)
 
 
 def test_zero_phase_is_identity():
-    state = n0_state(4)
-    np.testing.assert_array_equal(evolve_single_mode(state, 0.0).amplitudes, state.amplitudes)
-    noon = noon_state(4)
-    np.testing.assert_array_equal(evolve_two_mode(noon, 0.0).amplitudes, noon.amplitudes)
+    for h in (Generator.number(4), Generator.number_difference(4)):
+        probe = ghz_like(h, 1)
+        np.testing.assert_array_equal(probe * phase_mask(h, [0.0]), probe)
+        assert abs(fringe(h, probe, 0.0) - 1.0) < 1e-15
 
 
 def test_single_mode_evolution_is_unitary():
     rng = np.random.default_rng(31)
     amp = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     amp /= np.linalg.norm(amp)
-    state = FockVector(1, 5, amp)
-    out = evolve_single_mode(state, 1.234)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    out = amp * phase_mask(Generator.number(5), [1.234])
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_n0_phase_matches_entangled_register():
     # same interference fringe as the 3-probe entangled strategy at phi = 0.5
     n, phi = 3, 0.5
-    fock_p = fringe(n0_state(n), phi)
-    qubit_p = coincidence_probability(
-        evolve_parallel_entangled(H, phi, n, 0.0), ghz_state(n)
-    )
+    h = Generator.number(n)
+    fock_p = fringe(h, ghz_like(h, 1), phi)
+    qubit_p = fidelity_up_to_phase(ghz_state(n), evolve_parallel_entangled(H, phi, n, 0.0))
     assert abs(fock_p - qubit_p) < 1e-12
 
 
 def test_noon_relative_phase():
-    state = evolve_two_mode(noon_state(2), 0.3)
+    h = Generator.number_difference(2)
+    state = ghz_like(h, 1) * phase_mask(h, [0.3])
     # branches pick up e^{+-i 2 * 0.3}; relative phase 1.2
-    ratio = state.amplitudes[2] / state.amplitudes[0]
+    ratio = state[2] / state[0]
     assert abs(np.angle(ratio) - 1.2) < 1e-12
 
 
 def test_noon_fringe_period():
-    n = 4
-    state = noon_state(n)
+    # both generators, against the closed forms cos^2(n phi / 2) and cos^2(n phi)
     phis = np.linspace(0.0, math.pi, 200)
-    values = [fringe(state, p) for p in phis]
-    np.testing.assert_allclose(values, np.cos(n * phis) ** 2, atol=1e-12)
+    for make_generator, rate in ((Generator.number, 0.5), (Generator.number_difference, 1.0)):
+        for n in (1, 4, 12):
+            h = make_generator(n)
+            probe = ghz_like(h, 1)
+            values = [fringe(h, probe, p) for p in phis]
+            np.testing.assert_allclose(values, np.cos(rate * n * phis) ** 2, atol=1e-12)
 
 
 def test_fringe_zeros_at_odd_multiples():
@@ -86,26 +98,43 @@ def test_noon_certificates():
         assert noon_equivalence_certificate(n) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_certificates_detect_a_generator_one_photon_short(monkeypatch, n):
+    # Power check: with spread n - 1 in place of n the bosonic fringe runs
+    # slower than the qubit one, and each certificate must see it.
+    real_number = Generator.number
+    real_difference = Generator.number_difference
+    monkeypatch.setattr(Generator, "number", staticmethod(lambda m: real_number(m - 1)))
+    monkeypatch.setattr(
+        Generator, "number_difference", staticmethod(lambda m: real_difference(m - 1))
+    )
+    assert Generator.number(n).gap == n - 1
+    assert n0_equivalence_certificate(n) > 1e-3
+    assert noon_equivalence_certificate(n) > 1e-3
+
+
 def test_noon_equivalent_to_multipass():
     # NOON fringe with n photons = sequential fringe with n box uses at 2 phi
     n = 5
+    h = Generator.number_difference(n)
+    probe = ghz_like(h, 1)
     plus, _ = plus_minus_states(H)
     for phi in np.linspace(0.0, math.pi / (2 * n), 20):
-        p_noon = fringe(noon_state(n), phi)
+        p_noon = fringe(h, probe, phi)
         seq = evolve_sequential(H, 2 * phi, n, plus)
-        assert abs(p_noon - coincidence_probability(seq, plus)) < 1e-12
+        assert abs(p_noon - fidelity_up_to_phase(plus, seq)) < 1e-12
 
 
-def test_fock_vector_validation():
+def test_certificate_and_generator_validation():
+    for bad in (0, 13):
+        with pytest.raises(ValueError):
+            noon_equivalence_certificate(bad)
+        with pytest.raises(ValueError):
+            n0_equivalence_certificate(bad)
     with pytest.raises(ValueError):
-        FockVector(3, 2, np.zeros(3))
-    with pytest.raises(ValueError):
-        FockVector(1, 2, np.array([1.0, 0.0]))  # wrong length
-    with pytest.raises(ValueError):
-        FockVector(1, 2, np.array([1.0, 1.0, 0.0]))  # not normalized
-    with pytest.raises(ValueError):
-        evolve_single_mode(noon_state(2), 0.1)
-    with pytest.raises(ValueError):
-        evolve_two_mode(n0_state(2), 0.1)
-    with pytest.raises(ValueError):
-        noon_equivalence_certificate(13)
+        noon_fringe_zeros(0, 3)
+    # zero photons: vacuum only, no spread to estimate a phase with
+    for make_generator in (Generator.number, Generator.number_difference):
+        with pytest.raises(ValueError):
+            make_generator(0)
+

@@ -1,0 +1,56 @@
+"""The benchmark's traced-count contract, checked in the ordinary test run.
+
+perfbench's traced run wraps metroq's public functions and requires the call
+and draw counts it sees to equal the counts read off each invocation's flags
+(`workloads.expected_counts`).  A change of call structure that breaks that
+contract (a renamed function, a fringe built once per grid instead of once
+per point) would otherwise show only when the benchmark is run.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from metroq import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load("spans")
+workloads = load("workloads")
+BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_traced_counts_match_the_flags(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    argvs = [workload.argv(1, i, str(tmp_path / "scaling.csv")) for i in range(len(workload.mix))]
+    rec = spans.Recorder()
+    saved = spans.install(rec)
+    try:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+    finally:
+        spans.uninstall(saved)
+    counts = Counter(rec.totals()[0])
+    counts.update(rec.counters)
+    expected = workloads.expected_counts(argvs)
+    for metric, key in workloads.COUNTED.items():
+        assert counts[key] == expected[metric], (metric, counts[key], expected[metric])

@@ -6,7 +6,6 @@ import pytest
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import (
     ExperimentConfig,
-    coincidence_probability,
     estimate_phase,
     evolve_parallel_entangled,
     evolve_sequential,
@@ -75,22 +74,21 @@ def test_sequential_and_parallel_fringes_agree():
     for n in range(1, 11):
         worst = 0.0
         for phi in np.linspace(0.0, math.pi / n, 100):
-            p_seq = coincidence_probability(evolve_sequential(H, phi, n, PLUS), PLUS)
-            p_par = coincidence_probability(
-                evolve_parallel_entangled(H, phi, n, 0.0), ghz_state(n)
-            )
+            p_seq = fidelity_up_to_phase(PLUS, evolve_sequential(H, phi, n, PLUS))
+            p_par = fidelity_up_to_phase(ghz_state(n), evolve_parallel_entangled(H, phi, n, 0.0))
             worst = max(worst, abs(p_seq - p_par))
         assert worst < 1e-12
 
 
 def test_coincidence_values():
-    assert coincidence_probability(PLUS, PLUS) > 1 - 1e-12
+    # the coincidence probability |<initial|final>|^2 of a sequential fringe
+    assert fidelity_up_to_phase(PLUS, PLUS) > 1 - 1e-12
     final = evolve_sequential(H, math.pi, 1, PLUS)
-    assert coincidence_probability(final, PLUS) < 1e-15
+    assert fidelity_up_to_phase(PLUS, final) < 1e-15
     final = evolve_sequential(H, math.pi / 6, 3, PLUS)
-    assert abs(coincidence_probability(final, PLUS) - 0.5) < 1e-12
+    assert abs(fidelity_up_to_phase(PLUS, final) - 0.5) < 1e-12
     with pytest.raises(ValueError):
-        coincidence_probability(PLUS, ghz_state(2))
+        fidelity_up_to_phase(ghz_state(2), PLUS)
 
 
 def test_run_trials_degenerate_probabilities():
