@@ -27,7 +27,6 @@ from .fock import (
     noon_fringe_zeros,
 )
 from .information import (
-    PrecisionBound,
     cfi_binary,
     collective_generator,
     crb,
@@ -47,7 +46,6 @@ from .linalg import (
     vec_identity_residual,
 )
 from .simulate import (
-    ExperimentConfig,
     ScalingReport,
     ScalingRow,
     estimate_phase,

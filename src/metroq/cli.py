@@ -30,7 +30,7 @@ from .information import (
     qfi_pure,
 )
 from .linalg import haar_unitary, trace_distance, vec_identity_residual
-from .simulate import STREAM_VERSION, ExperimentConfig, rmse_stderr, scaling_experiment
+from .simulate import STREAM_VERSION, rmse_stderr, scaling_experiment
 from .states import Generator, PAULI_X, StrategyKind, StrategySpec, ghz_state, u_phi
 
 MAX_N = 12
@@ -130,10 +130,10 @@ def _validate(args, parser) -> None:
     if "n_values" in flags:
         text = args.n_values
         try:
-            args.n_values = [int(part) for part in text.split(",") if part.strip()]
+            args.n_values = [int(part) for part in text.split(",")]
         except ValueError:
             parser.error(f"--n-values must be a comma-separated integer list, got {text!r}")
-        if not args.n_values or not all(1 <= n <= MAX_N for n in args.n_values):
+        if not all(1 <= n <= MAX_N for n in args.n_values):
             parser.error(f"--n-values entries must lie in 1..{MAX_N}, got {text!r}")
         if len(set(args.n_values)) < len(args.n_values):
             parser.error(f"--n-values lists an entry more than once: {text!r}")
@@ -335,18 +335,11 @@ def _scaling_csv(args, report: Report) -> str:
     report and return the CSV text."""
     csv_lines = ["strategy,N,nu,rounds,empirical_rmse,crb,seed"]
     for kind in args.strategies:
-        cfg = ExperimentConfig(
-            strategy=StrategySpec(kind=kind, n_probes=max(args.n_values)),
-            nu=args.nu,
-            seed=args.seed,
-            n_values=tuple(args.n_values),
-            rounds=args.rounds,
-        )
-        result = scaling_experiment(cfg)
+        result = scaling_experiment(kind, args.n_values, args.nu, args.rounds, args.seed)
         for row in result.rows:
             csv_lines.append(
-                f"{row.strategy},{row.n},{row.nu},{row.rounds},"
-                f"{float(row.empirical_rmse)!r},{float(row.crb)!r},{row.seed}"
+                f"{kind.value},{row.n},{args.nu},{args.rounds},"
+                f"{float(row.empirical_rmse)!r},{float(row.crb)!r},{args.seed}"
             )
         lo, hi = SLOPE_BANDS[kind]
         # A saturated round was clamped to a branch end by fringe inversion;
@@ -363,7 +356,7 @@ def _scaling_csv(args, report: Report) -> str:
                     "N": row.n,
                     "empirical_rmse": row.empirical_rmse,
                     "crb": row.crb,
-                    "rmse_stderr": rmse_stderr(row.empirical_rmse, row.rounds),
+                    "rmse_stderr": rmse_stderr(row.empirical_rmse, args.rounds),
                     "rmse_over_crb": row.empirical_rmse / row.crb,
                     "saturated_rounds": row.saturated_rounds,
                 }
@@ -434,8 +427,8 @@ def cmd_fisher(args) -> Report:
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
         qfi_prod = qfi_pure(product, h_total)
         cfi = cfi_binary(n, operating_phase(n))
-        heis = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, n), args.nu).bound
-        sql = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, n), args.nu).bound
+        heis = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, n), args.nu)
+        sql = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, n), args.nu)
         rows.append(
             {
                 "N": n,

@@ -8,7 +8,6 @@ dephasing formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -20,17 +19,6 @@ from .states import Generator, StrategyKind, StrategySpec, ghz_like, repeated_in
 # Golden-section step: the inner points split the bracket at 1 - R and R.
 _GOLDEN_R = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_C = 1.0 - _GOLDEN_R
-
-
-@dataclass(frozen=True)
-class PrecisionBound:
-    """Cramér-Rao bound 1/sqrt(nu * F) for one strategy at one size."""
-
-    strategy: str
-    n_probes: int
-    nu: int
-    fisher_info: float
-    bound: float
 
 
 def operating_phase(n: int) -> float:
@@ -88,32 +76,25 @@ def cfi_binary(n: int, phi: float) -> float:
     return dp * dp / denom
 
 
-def crb(strategy: StrategySpec, nu: int) -> PrecisionBound:
-    """Per-strategy Cramér-Rao bound, computed from qfi/cfi rather than hardcoded.
+def crb(strategy: StrategySpec, nu: int) -> float:
+    """Per-strategy Cramér-Rao bound 1/sqrt(nu F), with the Fisher information F
+    computed from qfi/cfi on the qubit generator rather than hardcoded.
 
-    Sequential and entangled-parallel carry per-repetition information (N g)^2
-    (g the generator gap), the classical-parallel strategy N g^2 across its N
-    probe uses, giving 1/(N g sqrt(nu)) and 1/(g sqrt(N nu)) respectively.
+    Sequential and entangled-parallel carry per-repetition information N^2,
+    the classical-parallel strategy N across its N probe uses, giving
+    1/(N sqrt(nu)) and 1/sqrt(N nu) respectively.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     n = strategy.n_probes
-    h = strategy.generator
-    g = h.gap
     if strategy.kind is StrategyKind.CLASSICAL_PARALLEL:
-        fisher = n * g * g * cfi_binary(1, operating_phase(n))
+        fisher = n * cfi_binary(1, operating_phase(n))
     elif strategy.kind is StrategyKind.SEQUENTIAL:
-        fisher = g * g * cfi_binary(n, operating_phase(n))
+        fisher = cfi_binary(n, operating_phase(n))
     else:
-        psi = ghz_like(h, n, strategy.lam)
-        fisher = qfi_pure(psi, collective_generator(h, n))
-    return PrecisionBound(
-        strategy=strategy.kind.value,
-        n_probes=n,
-        nu=nu,
-        fisher_info=fisher,
-        bound=1.0 / math.sqrt(nu * fisher),
-    )
+        h = Generator.qubit()
+        fisher = qfi_pure(ghz_like(h, n, strategy.lam), collective_generator(h, n))
+    return 1.0 / math.sqrt(nu * fisher)
 
 
 def frequency_bound_dephasing(n: int, gamma: float, t: float, nu: int) -> float:

@@ -4,15 +4,15 @@ Each round draws its success count as one binomial variate from its own
 counter-based Philox stream.  Per-round seeds are derived from the experiment
 seed through numpy's SeedSequence with spawn_key=(strategy index, N,
 round_index), so every strategy samples independently and reports are pure
-functions of their config, independent of any execution order.  STREAM_VERSION
-names this sampling scheme; it changes whenever the same config would draw
-different numbers.
+functions of their arguments, independent of any execution order.
+STREAM_VERSION names this sampling scheme; it changes whenever the same
+arguments would draw different numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,38 +40,11 @@ _STREAM_INDEX = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Config for one scaling experiment; the report is a pure function of it.
-
-    Each N is estimated at its maximum-sensitivity operating point pi/(2N).
-    """
-
-    strategy: StrategySpec
-    nu: int
-    seed: int
-    n_values: tuple[int, ...]
-    rounds: int = 200
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if self.nu < 1 or self.rounds < 1:
-            raise ValueError("nu and rounds must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be positive integers")
-
-
 @dataclass(frozen=True)
 class ScalingRow:
-    strategy: str
     n: int
-    nu: int
-    rounds: int
     empirical_rmse: float
     crb: float
-    seed: int
     # rounds whose count was 0 or all trials: fringe inversion clamped them
     # to an end of its branch, outside the regime where the estimator and
     # its Cramér-Rao comparison mean anything
@@ -80,11 +53,9 @@ class ScalingRow:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    strategy: str
     rows: tuple[ScalingRow, ...]
     fitted_slope: float | None  # None when some row's RMSE is zero
     slope_stderr: float | None
-    seed: int
 
 
 def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
@@ -113,22 +84,20 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     """Per-trial Bernoulli success probability of one repetition.
 
-    For the classical-parallel strategy this is the single-probe (N=1)
-    probability: its N probes are independent trials.  The probability is
-    the Born probability |<initial|final>|^2 that the evolved state passes
-    the projection back onto the initial one.
+    Every strategy runs on the qubit generator.  The sequential strategy
+    sends one probe through N boxes; for the classical-parallel strategy this
+    is the single-probe (N=1) probability: its N probes are independent
+    trials.  The probability is the Born probability |<initial|final>|^2 that
+    the evolved state passes the projection back onto the initial one.
     """
-    h = strategy.generator
-    plus, _ = plus_minus_states(h)
-    if strategy.kind is StrategyKind.SEQUENTIAL:
-        final = evolve_sequential(h, phi, strategy.n_probes, plus)
-        return fidelity_up_to_phase(plus, final)
-    if strategy.kind is StrategyKind.CLASSICAL_PARALLEL:
-        final = evolve_sequential(h, phi, 1, plus)
-        return fidelity_up_to_phase(plus, final)
-    # entangled parallel
-    initial = ghz_like(h, strategy.n_probes, strategy.lam)
-    final = evolve_parallel_entangled(h, phi, strategy.n_probes, strategy.lam)
+    h = Generator.qubit()
+    if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
+        initial = ghz_like(h, strategy.n_probes, strategy.lam)
+        final = evolve_parallel_entangled(h, phi, strategy.n_probes, strategy.lam)
+    else:
+        initial, _ = plus_minus_states(h)
+        boxes = strategy.n_probes if strategy.kind is StrategyKind.SEQUENTIAL else 1
+        final = evolve_sequential(h, phi, boxes, initial)
     return fidelity_up_to_phase(initial, final)
 
 
@@ -209,8 +178,15 @@ def fit_loglog_slope(ns, rmses) -> tuple[float, float]:
     return slope, math.sqrt(s2 / sxx)
 
 
-def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
+def scaling_experiment(
+    kind: StrategyKind, n_values, nu: int, rounds: int, seed: int
+) -> ScalingReport:
     """Estimate phi over rounds of nu trials for each N and fit the error scaling.
+
+    The report is a pure function of the arguments.  Rows come in increasing
+    N, each estimated at its maximum-sensitivity operating point pi/(2N).
+    Raises ValueError unless nu, rounds >= 1, the seed is a 64-bit unsigned
+    integer and n_values lists at least 3 distinct positive N.
 
     For each N the success probability p is computed once, by one
     strategy_success_probability call, and every round of the row draws
@@ -223,31 +199,31 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
     the matching Cramér-Rao bound and the number of saturated rounds.  The
     fitted slope and its standard error are None when some N has zero RMSE.
     """
-    n_values = sorted(set(cfg.n_values))
-    if len(n_values) < 3:
-        raise ValueError("need at least 3 distinct N values")
-    classical = cfg.strategy.kind is StrategyKind.CLASSICAL_PARALLEL
+    if nu < 1 or rounds < 1:
+        raise ValueError("nu and rounds must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    n_values = sorted(n_values)
+    if len(n_values) < 3 or n_values[0] < 1 or len(set(n_values)) < len(n_values):
+        raise ValueError("n_values must list at least 3 distinct positive integers")
+    classical = kind is StrategyKind.CLASSICAL_PARALLEL
     rows = []
     for n in n_values:
-        strat = replace(cfg.strategy, n_probes=n)
+        strat = StrategySpec(kind, n)
         phi = operating_phase(n)
         p = strategy_success_probability(strat, phi)
-        trials = n * cfg.nu if classical else cfg.nu
-        errors = np.empty(cfg.rounds)
+        trials = n * nu if classical else nu
+        errors = np.empty(rounds)
         saturated = 0
-        for r in range(cfg.rounds):
-            k = run_trials(strat, p, cfg.nu, derive_round_seed(cfg.seed, strat.kind, n, r))
+        for r in range(rounds):
+            k = run_trials(strat, p, nu, derive_round_seed(seed, kind, n, r))
             saturated += k in (0, trials)
             errors[r] = estimate_phase(k, trials, 1 if classical else n) - phi
         rows.append(
             ScalingRow(
-                strategy=cfg.strategy.kind.value,
                 n=n,
-                nu=cfg.nu,
-                rounds=cfg.rounds,
                 empirical_rmse=float(np.sqrt(np.mean(errors**2))),
-                crb=crb(strat, cfg.nu).bound,
-                seed=cfg.seed,
+                crb=crb(strat, nu),
                 saturated_rounds=saturated,
             )
         )
@@ -257,10 +233,4 @@ def scaling_experiment(cfg: ExperimentConfig) -> ScalingReport:
     slope = stderr = None
     if min(rmses) > 0:
         slope, stderr = fit_loglog_slope([row.n for row in rows], rmses)
-    return ScalingReport(
-        strategy=cfg.strategy.kind.value,
-        rows=tuple(rows),
-        fitted_slope=slope,
-        slope_stderr=stderr,
-        seed=cfg.seed,
-    )
+    return ScalingReport(rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -150,11 +150,12 @@ class StrategyKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class StrategySpec:
-    """One estimation strategy: what is prepared and how many probes."""
+    """One estimation strategy on the qubit generator: what is prepared and
+    how many probes.  lam is the relative phase of the entangled strategy's
+    GHZ state."""
 
     kind: StrategyKind
     n_probes: int
-    generator: Generator = field(default_factory=Generator.qubit)
     lam: float = 0.0
 
     def __post_init__(self):

@@ -34,7 +34,7 @@ from metroq.information import (
     phase_bound_dephasing,
     qfi_pure,
 )
-from metroq.simulate import ExperimentConfig, rmse_stderr, scaling_experiment
+from metroq.simulate import rmse_stderr, scaling_experiment
 from metroq.states import Generator, StrategyKind, StrategySpec, ghz_state
 
 from helpers import random_cptp_channel
@@ -131,22 +131,19 @@ def test_criterion_06_fisher_and_crb():
         heis = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, n), nu)
         sql = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, n), nu)
         seq = crb(StrategySpec(StrategyKind.SEQUENTIAL, n), nu)
-        ok = ok and abs(heis.bound - 1 / (n * math.sqrt(nu))) < 1e-12
-        ok = ok and abs(seq.bound - 1 / (n * math.sqrt(nu))) < 1e-12
-        ok = ok and abs(sql.bound - 1 / math.sqrt(n * nu)) < 1e-12
+        ok = ok and abs(heis - 1 / (n * math.sqrt(nu))) < 1e-12
+        ok = ok and abs(seq - 1 / (n * math.sqrt(nu))) < 1e-12
+        ok = ok and abs(sql - 1 / math.sqrt(n * nu)) < 1e-12
     report(6, ok, "QFI(GHZ)=N^2, QFI(product)=N, CFI=N^2 constant, CRB forms reproduced")
 
 
 def test_criterion_07_error_scaling():
     start = time.perf_counter()
+    rounds = 200
     reports = {}
     for kind in (StrategyKind.ENTANGLED_PARALLEL, StrategyKind.SEQUENTIAL,
                  StrategyKind.CLASSICAL_PARALLEL):
-        cfg = ExperimentConfig(
-            strategy=StrategySpec(kind, 8), nu=4000, seed=42,
-            n_values=(1, 2, 4, 8), rounds=200,
-        )
-        reports[kind] = scaling_experiment(cfg)
+        reports[kind] = scaling_experiment(kind, (1, 2, 4, 8), nu=4000, rounds=rounds, seed=42)
     ent, seq, cls = (reports[k] for k in (StrategyKind.ENTANGLED_PARALLEL,
                                           StrategyKind.SEQUENTIAL,
                                           StrategyKind.CLASSICAL_PARALLEL))
@@ -157,8 +154,8 @@ def test_criterion_07_error_scaling():
     )
     indistinguishable = True
     for re, rs in zip(ent.rows, seq.rows):
-        combined = math.hypot(rmse_stderr(re.empirical_rmse, re.rounds),
-                              rmse_stderr(rs.empirical_rmse, rs.rounds))
+        combined = math.hypot(rmse_stderr(re.empirical_rmse, rounds),
+                              rmse_stderr(rs.empirical_rmse, rounds))
         indistinguishable = indistinguishable and (
             abs(re.empirical_rmse - rs.empirical_rmse) < 3 * combined
         )

@@ -229,7 +229,7 @@ def test_scaling_rerun_is_byte_identical(capsys, tmp_path):
 
 def test_scaling_unwritable_path(capsys, tmp_path, monkeypatch):
     # --out is opened before any computing, so the experiment never runs.
-    def must_not_run(cfg):
+    def must_not_run(*args):
         raise AssertionError("scaling_experiment ran before --out was checked")
 
     monkeypatch.setattr("metroq.cli.scaling_experiment", must_not_run)
@@ -392,6 +392,18 @@ def test_frequency_reports_constant_bound(capsys):
     assert err.value.code == 2
 
 
+def test_frequency_fails_when_the_bound_depends_on_n(capsys, monkeypatch):
+    real = cli.optimal_frequency_bound
+
+    def n_dependent(n, gamma, nu):
+        t_star, bound = real(n, gamma, nu)
+        return t_star, bound * (1 + 1e-5 * n)
+
+    monkeypatch.setattr("metroq.cli.optimal_frequency_bound", n_dependent)
+    code, report = run_json(capsys, ["frequency", "--gamma", "1.0"])
+    assert code == 1 and report["pass"] is False
+
+
 def test_noon_reports(capsys):
     code, report = run_json(capsys, ["noon", "--n", "4"])
     assert code == 0
@@ -410,6 +422,13 @@ def test_fisher_reports(capsys):
         assert abs(row["qfi_ghz"] - row["N"] ** 2) < 1e-10
         assert abs(row["qfi_product"] - row["N"]) < 1e-10
         assert abs(row["crb_entangled"] - 1 / (row["N"] * 10)) < 1e-12
+
+
+def test_fisher_fails_on_a_bound_off_by_1e9(capsys, monkeypatch):
+    real = cli.crb
+    monkeypatch.setattr("metroq.cli.crb", lambda strategy, nu: real(strategy, nu) * (1 + 1e-9))
+    code, report = run_json(capsys, ["fisher"])
+    assert code == 1 and report["pass"] is False
 
 
 # Non-finite or out-of-range float flags are usage errors, never a traceback
@@ -439,6 +458,9 @@ def test_fisher_reports(capsys):
     ["scaling", "--n-values", "1,2,3,3"],
     ["fisher", "--n-values", "2,2"],
     ["frequency", "--gamma", "1", "--n-values", "2,2"],
+    # an empty entry is not an N
+    ["fisher", "--n-values", "1,2,"],
+    ["scaling", "--n-values", "1,,2,4"],
 ])
 def test_bad_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -501,7 +523,8 @@ def _n_values(min_size):
     out_of_range = some.flatmap(
         lambda v: st.sampled_from([0, -3, 13, 100_000]).map(lambda bad: v + [bad]))
     repeated = some.flatmap(lambda v: st.sampled_from(v).map(lambda again: v + [again]))
-    return valid.map(_join), (out_of_range | repeated).map(_join)
+    empty = some.flatmap(lambda v: st.integers(0, len(v)).map(lambda i: v[:i] + [""] + v[i:]))
+    return valid.map(_join), (out_of_range | repeated | empty).map(_join)
 
 
 def _join(values):

@@ -13,7 +13,7 @@ from metroq.information import (
     phase_bound_dephasing,
     qfi_pure,
 )
-from metroq.simulate import ExperimentConfig, scaling_experiment
+from metroq.simulate import scaling_experiment
 from metroq.states import Generator, StrategyKind, StrategySpec, ghz_state
 
 
@@ -81,16 +81,16 @@ def test_measurement_optimality_cfi_matches_qfi():
 
 def test_crb_values():
     ent = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4), 100)
-    assert abs(ent.bound - 0.025) < 1e-12
+    assert abs(ent - 0.025) < 1e-12
     cls = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 4), 100)
-    assert abs(cls.bound - 0.05) < 1e-12
+    assert abs(cls - 0.05) < 1e-12
     seq = crb(StrategySpec(StrategyKind.SEQUENTIAL, 4), 100)
-    assert abs(seq.bound - ent.bound) < 1e-12
+    assert abs(seq - ent) < 1e-12
 
 
 def test_crb_strategies_coincide_at_single_probe():
     bounds = {
-        kind: crb(StrategySpec(kind, 1), 50).bound
+        kind: crb(StrategySpec(kind, 1), 50)
         for kind in (StrategyKind.SEQUENTIAL, StrategyKind.CLASSICAL_PARALLEL,
                      StrategyKind.ENTANGLED_PARALLEL)
     }
@@ -146,11 +146,7 @@ def test_monte_carlo_rmse_tracks_crb():
     rounds = 400
     low = 1.0 - 3.0 / math.sqrt(2 * rounds)
     for kind in (StrategyKind.ENTANGLED_PARALLEL, StrategyKind.CLASSICAL_PARALLEL):
-        cfg = ExperimentConfig(
-            strategy=StrategySpec(kind, 8), nu=4000, seed=42,
-            n_values=(1, 2, 4, 8), rounds=rounds,
-        )
-        report = scaling_experiment(cfg)
+        report = scaling_experiment(kind, (1, 2, 4, 8), nu=4000, rounds=rounds, seed=42)
         ratios = [row.empirical_rmse / row.crb for row in report.rows]
         assert all(low < r < 1.10 for r in ratios), ratios
         assert 0.95 < float(np.mean(ratios)) < 1.07

@@ -5,7 +5,6 @@ import pytest
 
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import (
-    ExperimentConfig,
     estimate_phase,
     evolve_parallel_entangled,
     evolve_sequential,
@@ -157,24 +156,24 @@ def test_rmse_shrinks_with_nu():
 
 
 def test_scaling_experiment_deterministic():
-    cfg = ExperimentConfig(
-        strategy=StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 8),
-        nu=500, seed=11, n_values=(1, 2, 4, 8), rounds=40,
-    )
-    assert scaling_experiment(cfg) == scaling_experiment(cfg)
+    args = (StrategyKind.ENTANGLED_PARALLEL, (1, 2, 4, 8), 500, 40, 11)
+    assert scaling_experiment(*args) == scaling_experiment(*args)
 
 
 def test_scaling_experiment_slopes():
-    common = dict(nu=2000, seed=5, n_values=(1, 2, 4, 8), rounds=120)
-    ent = scaling_experiment(
-        ExperimentConfig(strategy=StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 8), **common)
-    )
-    cls = scaling_experiment(
-        ExperimentConfig(strategy=StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 8), **common)
-    )
+    common = dict(n_values=(1, 2, 4, 8), nu=2000, rounds=120, seed=5)
+    ent = scaling_experiment(StrategyKind.ENTANGLED_PARALLEL, **common)
+    cls = scaling_experiment(StrategyKind.CLASSICAL_PARALLEL, **common)
     assert -1.15 < ent.fitted_slope < -0.85
     assert -0.65 < cls.fitted_slope < -0.35
     assert all(r1.n <= r2.n for r1, r2 in zip(ent.rows, ent.rows[1:]))
+
+
+def test_scaling_rows_come_in_increasing_n():
+    shuffled = scaling_experiment(StrategyKind.SEQUENTIAL, (4, 1, 3, 2), 100, 5, 9)
+    ordered = scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 3, 4), 100, 5, 9)
+    assert [row.n for row in shuffled.rows] == [1, 2, 3, 4]
+    assert shuffled == ordered
 
 
 def test_success_probability_computed_once_per_row(monkeypatch):
@@ -186,22 +185,24 @@ def test_success_probability_computed_once_per_row(monkeypatch):
         return strategy_success_probability(strategy, phi)
 
     monkeypatch.setattr("metroq.simulate.strategy_success_probability", counting)
-    cfg = ExperimentConfig(
-        strategy=StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4),
-        nu=100, seed=3, n_values=(1, 2, 4), rounds=7,
-    )
-    scaling_experiment(cfg)
+    scaling_experiment(StrategyKind.ENTANGLED_PARALLEL, (1, 2, 4), nu=100, rounds=7, seed=3)
     assert [n for n, _ in calls] == [1, 2, 4]
 
 
 def test_scaling_requires_three_sizes():
     with pytest.raises(ValueError):
-        scaling_experiment(
-            ExperimentConfig(
-                strategy=StrategySpec(StrategyKind.SEQUENTIAL, 2),
-                nu=100, seed=0, n_values=(1, 2), rounds=5,
-            )
-        )
+        scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2), nu=100, rounds=5, seed=0)
+
+
+@pytest.mark.parametrize("n_values, nu, rounds", [
+    ((1, 2, 2, 4), 100, 5),  # a repeated N, as the CLI rejects it
+    ((0, 1, 2), 100, 5),
+    ((1, 2, 4), 0, 5),
+    ((1, 2, 4), 100, 0),
+])
+def test_scaling_experiment_rejects_bad_sizes_and_counts(n_values, nu, rounds):
+    with pytest.raises(ValueError):
+        scaling_experiment(StrategyKind.SEQUENTIAL, n_values, nu, rounds, seed=0)
 
 
 def test_seed_must_be_unsigned_64_bit():
@@ -209,7 +210,7 @@ def test_seed_must_be_unsigned_64_bit():
     with pytest.raises(ValueError):
         run_trials(spec, strategy_success_probability(spec, 0.1), 10, seed=-1)
     with pytest.raises(ValueError):
-        ExperimentConfig(strategy=spec, nu=10, seed=2**64, n_values=(1, 2, 4), rounds=2)
+        scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 4), nu=10, rounds=2, seed=2**64)
 
 
 @pytest.mark.parametrize(
