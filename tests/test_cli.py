@@ -500,6 +500,34 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("caller_sets", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                         {"OMP_NUM_THREADS": "2"}])
+def test_metroq_defaults_to_one_blas_thread(caller_sets):
+    # A fresh process, so numpy loads after metroq/__init__ has run.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(caller_sets, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import json, os, metroq; print(json.dumps([{v: os.environ.get(v) for v in %r}, "
+            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))"
+            % (BLAS_THREAD_VARS,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    seen_env, tasks = json.loads(proc.stdout)
+    expected = {v: caller_sets.get(v) for v in BLAS_THREAD_VARS}
+    if not caller_sets:
+        expected["OPENBLAS_NUM_THREADS"] = "1"
+    assert seen_env == expected
+    if caller_sets:
+        return  # the caller's count is OpenBLAS's business, not metroq's
+    # with one usable CPU the pool has no worker thread either way
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if tasks is None or usable < 2:
+        pytest.skip("thread count needs /proc/self/task and at least 2 usable CPUs")
+    assert tasks == 1
+
+
 # argv fuzzing.  Each flag has a strategy for valid values and one for
 # invalid ones; an argv breaks at most one flag, so every rejection is tested
 # on its own.  Valid sizes stay small (N <= 4, nu <= 200, rounds <= 5) so that

@@ -2,7 +2,9 @@
 
 Each case runs in-process and is compared with its files under tests/golden/:
 the JSON report with its timings (`wall_time_ms` and every `elapsed_ms`)
-stripped, and for `scaling` the CSV.  A deliberate output change reruns
+stripped, and for `scaling` the CSV.  A few cases also run as a cold
+`python -m metroq.cli` process with no BLAS thread variable set, so that the
+CLI's own OpenBLAS thread default must reproduce the same bytes.  A deliberate output change reruns
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
@@ -13,6 +15,9 @@ pinned to one numpy and BLAS build, as the CSV digests in test_cli are.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,12 +47,22 @@ CASES = {
 }
 
 
+# run cold as well: the largest certificate, the largest fringe grid, sampling
+COLD_CASES = ("verify-n12-seed0", "noon-n12", "scaling-seed42")
+
+
 def transcript(argv) -> dict[str, bytes]:
     """Run argv in the current directory; return its golden files by suffix."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         main(argv)
-    report = json.loads(stdout.getvalue())
+    return golden_files(argv, stdout.getvalue())
+
+
+def golden_files(argv, stdout: str) -> dict[str, bytes]:
+    """The golden files by suffix of argv's run in the current directory,
+    given the report it printed."""
+    report = json.loads(stdout)
     del report["wall_time_ms"]
     for rec in report["results"]:
         rec.pop("elapsed_ms", None)
@@ -61,4 +76,17 @@ def transcript(argv) -> dict[str, bytes]:
 def test_golden_transcript(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for suffix, output in transcript(CASES[name]).items():
+        assert output == (GOLDEN / f"{name}.{suffix}").read_bytes(), f"{name}.{suffix}"
+
+
+@pytest.mark.parametrize("name", COLD_CASES)
+def test_golden_transcript_cold(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run([sys.executable, "-m", "metroq.cli", *CASES[name]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for suffix, output in golden_files(CASES[name], proc.stdout).items():
         assert output == (GOLDEN / f"{name}.{suffix}").read_bytes(), f"{name}.{suffix}"
