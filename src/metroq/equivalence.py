@@ -117,7 +117,7 @@ def _branch_amplitudes(state: np.ndarray, h: Generator, n: int) -> np.ndarray:
         outcome, before, rest = t.shape
         unfolded = t.reshape(outcome, before, d, rest // d).transpose(2, 1, 0, 3).reshape(d, -1)
         t = np.dot(proj, unfolded).reshape(2, before * outcome, rest // d)
-    return t.reshape(2, -1).T.reshape(d, -1)
+    return t.reshape(t.shape[0], -1).T.reshape(d, -1)
 
 
 def _certificate(evolved: np.ndarray, h: Generator, n: int,

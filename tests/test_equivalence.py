@@ -530,8 +530,15 @@ def test_generalized_random_unitaries():
             assert cert.probabilities.size == 2 ** (n - 1)
 
 
-def test_generalized_single_probe():
-    residual, cert = generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.4, 1)
+@pytest.mark.parametrize("h", [
+    H,
+    Generator(np.array([0.0, 0.5, 1.0]), 0, 2),
+    # the max index precedes the min index
+    Generator(np.array([0.3, 1.0, -0.7, 0.1]), 2, 1),
+], ids=["qubit", "qutrit", "ququart-max-first"])
+def test_generalized_single_probe(h):
+    eye = np.eye(h.dim)
+    residual, cert = generalized_strategy_certificate(eye, eye, h, 0.4, 1)
     assert residual < 1e-15
     assert abs(cert.records[0].probability - 1.0) < 1e-12
     assert cert.min_fidelity > 1 - 1e-12
