@@ -27,6 +27,7 @@ from .information import (
     crb,
     operating_phase,
     optimal_frequency_bound,
+    phase_bound_dephasing,
     qfi_pure,
 )
 from .linalg import haar_unitary, trace_distance, vec_identity_residual
@@ -384,6 +385,20 @@ def cmd_noise(args) -> Report:
     return report
 
 
+def check_phase_bound_sqrt_n(n_values, gamma: float, nu: int) -> float:
+    """Worst relative distance of the classical/entangled phase-bound ratio
+    from sqrt(N) over n_values, at the short time t = 1e-8/(N gamma) where
+    dephasing has not yet eroded the entangled advantage.  Scaling t by
+    1/(N gamma) keeps every exponent at 1e-8 whatever gamma is."""
+    worst = 0.0
+    for n in n_values:
+        t = 1e-8 / (n * gamma)
+        ratio = phase_bound_dephasing(n, gamma, t, nu, entangled=False) / \
+            phase_bound_dephasing(n, gamma, t, nu, entangled=True)
+        worst = max(worst, abs(ratio - math.sqrt(n)) / math.sqrt(n))
+    return worst
+
+
 def cmd_frequency(args) -> Report:
     report = Report(
         "frequency",
@@ -405,6 +420,8 @@ def cmd_frequency(args) -> Report:
         closed_form=closed_form,
         rows=rows,
     )
+    deviation = check_phase_bound_sqrt_n(args.n_values, args.gamma, args.nu)
+    report.add("phase-bound-sqrt-n", deviation < 1e-6, relative_deviation=deviation)
     return report
 
 

@@ -17,6 +17,7 @@ from metroq.cli import (
     check_conversion_n2,
     check_counterexample,
     check_generalized_strategy,
+    check_phase_bound_sqrt_n,
     check_unaveraged_fisher,
     check_vectorization,
 )
@@ -31,7 +32,6 @@ from metroq.information import (
     collective_generator,
     crb,
     optimal_frequency_bound,
-    phase_bound_dephasing,
     qfi_pure,
 )
 from metroq.simulate import rmse_stderr, scaling_experiment
@@ -171,12 +171,8 @@ def test_criterion_08_frequency_phase_tradeoff():
     bounds = [optimal_frequency_bound(n, gamma, nu)[1] for n in (1, 2, 4, 8, 16)]
     spread = (max(bounds) - min(bounds)) / closed_form
     deviation = max(abs(b - closed_form) for b in bounds) / closed_form
-    phase_ok = True
-    for n in (2, 4, 8, 16):
-        t = 1e-8  # phase estimation can run at arbitrarily short times
-        ratio = phase_bound_dephasing(n, gamma, t, nu, entangled=False) / \
-            phase_bound_dephasing(n, gamma, t, nu, entangled=True)
-        phase_ok = phase_ok and abs(ratio - math.sqrt(n)) < 1e-6 * math.sqrt(n)
+    # phase estimation can run at arbitrarily short times
+    phase_ok = check_phase_bound_sqrt_n((2, 4, 8, 16), gamma, nu) < 1e-6
     ok = spread < 1e-6 and deviation < 1e-6 and phase_ok
     report(8, ok, f"optimized bound N-independent (spread {spread:.2e}), "
                   f"phase bound keeps sqrt(N) advantage at short t")

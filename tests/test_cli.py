@@ -404,6 +404,31 @@ def test_frequency_fails_when_the_bound_depends_on_n(capsys, monkeypatch):
     assert code == 1 and report["pass"] is False
 
 
+@pytest.mark.parametrize("gamma", ["1e-100", "1", "1e100"])
+def test_frequency_phase_bound_keeps_sqrt_n(capsys, gamma):
+    code, report = run_json(
+        capsys, ["frequency", "--gamma", gamma, "--n-values", "1,2,12", "--nu", "100000"]
+    )
+    assert code == 0
+    rec = report["results"][1]
+    assert rec["name"] == "phase-bound-sqrt-n" and rec["pass"]
+    # ratio sqrt(N) e^{-1e-8 (N-1)/N}: 1e-8 (N-1)/N off at most
+    assert 0 < rec["relative_deviation"] < 1e-8
+
+
+def test_frequency_fails_when_entanglement_gives_no_phase_advantage(capsys, monkeypatch):
+    real = cli.phase_bound_dephasing
+
+    def classical_only(n, gamma, t, nu, *, entangled):
+        return real(n, gamma, t, nu, entangled=False)
+
+    monkeypatch.setattr("metroq.cli.phase_bound_dephasing", classical_only)
+    code, report = run_json(capsys, ["frequency", "--gamma", "1.0"])
+    verdicts = {rec["name"]: rec["pass"] for rec in report["results"]}
+    assert code == 1
+    assert verdicts == {"frequency-bound-n-independence": True, "phase-bound-sqrt-n": False}
+
+
 def test_noon_reports(capsys):
     code, report = run_json(capsys, ["noon", "--n", "4"])
     assert code == 0
