@@ -1,7 +1,10 @@
-"""Shared test utilities: random quantum objects with seeded generators, and
-loop-form reference implementations of vectorised and stacked kernels."""
+"""Shared test utilities: random quantum objects with seeded generators,
+loop-form reference implementations of vectorised and stacked kernels, and the
+environment of a fresh metroq child process."""
 
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -180,3 +183,14 @@ def check_counterexample_per_phase(basis, grid):
         dist = max(dist, trace_distance_per_pair(avg, eye_half))
         phi_dep = max(phi_dep, trace_distance_per_pair(avg, ref))
     return entry, dist, phi_dep
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**blas_vars):
+    """Environment for a fresh Python child: this process's import path, and
+    no BLAS thread variable besides those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_vars, PYTHONPATH=os.pathsep.join(sys.path))
+    return env

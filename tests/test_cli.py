@@ -16,7 +16,12 @@ from metroq import cli, equivalence
 from metroq.cli import main
 from metroq.states import Generator, plus_minus_states
 
-from helpers import check_counterexample_per_phase, check_vectorization_six_draws
+from helpers import (
+    BLAS_THREAD_VARS,
+    check_counterexample_per_phase,
+    check_vectorization_six_draws,
+    child_env,
+)
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text())
 
@@ -525,32 +530,33 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@pytest.mark.parametrize("caller_sets", [{}, {"OPENBLAS_NUM_THREADS": "2"},
-                                         {"OMP_NUM_THREADS": "2"}])
-def test_metroq_defaults_to_one_blas_thread(caller_sets):
-    # A fresh process, so numpy loads after metroq/__init__ has run.
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(caller_sets, PYTHONPATH=os.pathsep.join(sys.path))
+def _metroq_child(**blas_vars):
+    """Import metroq in a fresh process, so numpy loads after metroq/__init__;
+    return the child's BLAS thread variables and its OS thread count (None
+    without /proc/self/task)."""
     code = ("import json, os, metroq; print(json.dumps([{v: os.environ.get(v) for v in %r}, "
             "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))"
             % (BLAS_THREAD_VARS,))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env)
-    seen_env, tasks = json.loads(proc.stdout)
-    expected = {v: caller_sets.get(v) for v in BLAS_THREAD_VARS}
-    if not caller_sets:
-        expected["OPENBLAS_NUM_THREADS"] = "1"
-    assert seen_env == expected
-    if caller_sets:
-        return  # the caller's count is OpenBLAS's business, not metroq's
+                          check=True, env=child_env(**blas_vars))
+    return json.loads(proc.stdout)
+
+
+def test_metroq_defaults_to_one_blas_thread():
+    seen, tasks = _metroq_child()
+    assert seen == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                    "OMP_NUM_THREADS": None}
     # with one usable CPU the pool has no worker thread either way
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if tasks is None or usable < 2:
         pytest.skip("thread count needs /proc/self/task and at least 2 usable CPUs")
     assert tasks == 1
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_metroq_keeps_the_callers_blas_threads(var):
+    seen, _ = _metroq_child(**{var: "2"})
+    assert seen == {v: "2" if v == var else None for v in BLAS_THREAD_VARS}
 
 
 # argv fuzzing.  Each flag has a strategy for valid values and one for

@@ -4,7 +4,8 @@ Each case runs in-process and is compared with its files under tests/golden/:
 the JSON report with its timings (`wall_time_ms` and every `elapsed_ms`)
 stripped, and for `scaling` the CSV.  A few cases also run as a cold
 `python -m metroq.cli` process with no BLAS thread variable set, so that the
-CLI's own OpenBLAS thread default must reproduce the same bytes.  A deliberate output change reruns
+CLI's own OpenBLAS thread default must reproduce the same bytes.  A
+deliberate output change reruns
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
@@ -15,7 +16,6 @@ pinned to one numpy and BLAS build, as the CSV digests in test_cli are.
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from metroq.cli import main
+
+from helpers import child_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -82,11 +84,8 @@ def test_golden_transcript(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", COLD_CASES)
 def test_golden_transcript_cold(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
     proc = subprocess.run([sys.executable, "-m", "metroq.cli", *CASES[name]],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     for suffix, output in golden_files(CASES[name], proc.stdout).items():
         assert output == (GOLDEN / f"{name}.{suffix}").read_bytes(), f"{name}.{suffix}"
