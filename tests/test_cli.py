@@ -172,7 +172,7 @@ def test_closed_stdout_exits_3_without_traceback():
             [sys.executable, "-c", "from metroq.cli import entrypoint; entrypoint()",
              "verify", "--n-max", "2"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env=child_env(),
         )
     finally:
         os.close(write_end)
@@ -526,7 +526,7 @@ def test_verify_runs_the_acceptance_checks():
 def test_cli_import_does_not_load_scipy():
     code = "import metroq.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+                          check=True, env=child_env())
     assert proc.stdout.strip() == "[]"
 
 
