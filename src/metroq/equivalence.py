@@ -20,7 +20,6 @@ import numpy as np
 from .channels import KrausChannel
 from .linalg import (
     as_matrix,
-    basis_state,
     is_antidiagonal,
     is_diagonal,
     is_unitary,
@@ -156,10 +155,8 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     state = ghz_like(h, n, lam) * phase_mask(h, phis)
     u_total = u_phi(h, sum(phis))
-    lo, hi = basis_state(h.dim, h.min_index), basis_state(h.dim, h.max_index)
-    base_plus = (lo + np.exp(1j * lam) * hi) / math.sqrt(2)
-    base_minus = (lo - np.exp(1j * lam) * hi) / math.sqrt(2)
-    return _certificate(state, h, n, u_total @ base_plus, u_total @ base_minus)
+    plus, minus = plus_minus_states(h, lam)
+    return _certificate(state, h, n, u_total @ plus, u_total @ minus)
 
 
 def counterexample(basis: str, phis) -> np.ndarray:
@@ -320,10 +317,7 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
-    lo, hi = basis_state(h.dim, h.min_index), basis_state(h.dim, h.max_index)
-    targets = np.stack(
-        [normalized(lo + sign * np.exp(1j * lam_hat) * hi) for sign in (1.0, -1.0)]
-    )
+    targets = np.stack(plus_minus_states(h, lam_hat))
     starts = np.stack(plus_minus_states(h))
     phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
     # boxes[g] is the diagonal of e^{i phi_g H}; axes below are (phase, start, entry)

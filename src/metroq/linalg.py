@@ -188,6 +188,8 @@ def is_unitary(m, atol: float = ATOL_PREDICATE) -> bool:
 
 def is_diagonal(m, atol: float = ATOL_PREDICATE) -> bool:
     m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        return False
     off = m - np.diag(np.diag(m))
     return float(np.max(np.abs(off))) < atol if off.size else True
 

@@ -162,7 +162,7 @@ def fit_loglog_slope(ns, rmses) -> tuple[float, float]:
     """Ordinary least squares slope of log(rmse) vs log(N), with standard error."""
     ns = np.asarray(ns, dtype=float)
     rmses = np.asarray(rmses, dtype=float)
-    if ns.size < 3:
+    if len(set(ns.tolist())) < 3:
         raise ValueError("need at least 3 distinct N values for a slope fit")
     if np.any(rmses <= 0):
         raise ValueError("rmse values must be positive for a log-log fit")

@@ -91,10 +91,12 @@ def phase_mask(h: Generator, phis) -> np.ndarray:
     return mask
 
 
-def plus_minus_states(h: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Equal superpositions (|min> +- |max>)/sqrt(2) of the extreme eigenstates."""
+def plus_minus_states(h: Generator, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Equal superpositions (|min> +- e^{i lam} |max>)/sqrt(2) of the extreme
+    eigenstates: the basis probes 2..N are measured in (lam = 0) and the
+    states probe 1 is graded against."""
     lo = basis_state(h.dim, h.min_index)
-    hi = basis_state(h.dim, h.max_index)
+    hi = np.exp(1j * lam) * basis_state(h.dim, h.max_index)
     return (lo + hi) / math.sqrt(2), (lo - hi) / math.sqrt(2)
 
 
@@ -133,8 +135,7 @@ def classical_corr_state(basis: str) -> np.ndarray:
         a = kron(basis_state(2, 0), basis_state(2, 0))
         b = kron(basis_state(2, 1), basis_state(2, 1))
     elif basis == "hadamard":
-        plus = (basis_state(2, 0) + basis_state(2, 1)) / math.sqrt(2)
-        minus = (basis_state(2, 0) - basis_state(2, 1)) / math.sqrt(2)
+        plus, minus = plus_minus_states(Generator.qubit())
         a = kron(plus, plus)
         b = kron(minus, minus)
     else:

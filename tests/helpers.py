@@ -176,13 +176,12 @@ def check_counterexample_per_phase(basis, grid):
     """Reference for cli.check_counterexample: one phase of the grid at a time."""
     eye_half = np.eye(2) / 2
     ref = counterexample_per_phase(basis, 0.0)
-    entry = dist = phi_dep = 0.0
+    entry = phi_dep = 0.0
     for phi in np.linspace(0.0, math.pi, grid):
         avg = counterexample_per_phase(basis, phi)
         entry = max(entry, float(np.max(np.abs(avg - eye_half))))
-        dist = max(dist, trace_distance_per_pair(avg, eye_half))
         phi_dep = max(phi_dep, trace_distance_per_pair(avg, ref))
-    return entry, dist, phi_dep
+    return entry, phi_dep
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -82,12 +82,12 @@ def test_criterion_03_general_n_conversion():
 def test_criterion_04_entanglement_necessity():
     worst_entry = worst_dist = 0.0
     for basis in ("computational", "hadamard"):
-        entry, dist, phi_dep = check_counterexample(None, 2, basis=basis, grid=50)
+        entry, phi_dep = check_counterexample(None, 2, basis=basis, grid=50)
         worst_entry = max(worst_entry, entry)
-        worst_dist = max(worst_dist, dist, phi_dep)
+        worst_dist = max(worst_dist, phi_dep)
     worst_fisher, singular = check_unaveraged_fisher(None, 2)
     ok = worst_entry < 1e-12 and worst_dist < 1e-12 and worst_fisher < 1e-9 and singular == 0
-    report(4, ok, f"averaged state distance {worst_dist:.3e}, "
+    report(4, ok, f"averaged state entry {worst_entry:.3e}, phi-dependence {worst_dist:.3e}, "
                   f"record-keeping Fisher deviation {worst_fisher:.3e}")
 
 

@@ -530,20 +530,20 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def _metroq_child(**blas_vars):
-    """Import metroq in a fresh process, so numpy loads after metroq/__init__;
-    return the child's BLAS thread variables and its OS thread count (None
-    without /proc/self/task)."""
-    code = ("import json, os, metroq; print(json.dumps([{v: os.environ.get(v) for v in %r}, "
+def _metroq_child(modules="metroq.cli", **blas_vars):
+    """Import `modules` first in a fresh process, so numpy loads after
+    metroq/__init__; return the child's BLAS thread variables and its OS
+    thread count (None without /proc/self/task)."""
+    code = ("import %s; import json, os; print(json.dumps([{v: os.environ.get(v) for v in %r}, "
             "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))"
-            % (BLAS_THREAD_VARS,))
+            % (modules, BLAS_THREAD_VARS))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=child_env(**blas_vars))
     return json.loads(proc.stdout)
 
 
-def test_metroq_defaults_to_one_blas_thread():
-    seen, tasks = _metroq_child()
+def _assert_one_blas_thread(modules):
+    seen, tasks = _metroq_child(modules)
     assert seen == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
                     "OMP_NUM_THREADS": None}
     # with one usable CPU the pool has no worker thread either way
@@ -551,6 +551,15 @@ def test_metroq_defaults_to_one_blas_thread():
     if tasks is None or usable < 2:
         pytest.skip("thread count needs /proc/self/task and at least 2 usable CPUs")
     assert tasks == 1
+
+
+def test_metroq_defaults_to_one_blas_thread():
+    _assert_one_blas_thread("metroq.cli")
+
+
+def test_metroq_before_numpy_defaults_to_one_blas_thread():
+    # library order: the bare package, then numpy by itself
+    _assert_one_blas_thread("metroq, numpy")
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

@@ -327,6 +327,11 @@ def test_predicates():
     assert is_antidiagonal(np.array([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("predicate", [is_unitary, is_diagonal, is_antidiagonal])
+def test_predicates_reject_a_non_square_matrix(predicate):
+    assert predicate(np.ones((2, 3))) is False
+
+
 def test_predicates_idempotent():
     m = np.array([[1, 1e-11], [0, 1]])
     first = is_diagonal(m)

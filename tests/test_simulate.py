@@ -8,6 +8,7 @@ from metroq.simulate import (
     estimate_phase,
     evolve_parallel_entangled,
     evolve_sequential,
+    fit_loglog_slope,
     run_trials,
     scaling_experiment,
     strategy_success_probability,
@@ -192,6 +193,13 @@ def test_success_probability_computed_once_per_row(monkeypatch):
 def test_scaling_requires_three_sizes():
     with pytest.raises(ValueError):
         scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2), nu=100, rounds=5, seed=0)
+
+
+def test_slope_fit_needs_three_distinct_sizes():
+    with pytest.raises(ValueError, match="distinct"):
+        fit_loglog_slope([2, 2, 2], [0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_loglog_slope([1, 2, 2, 1], [0.5, 0.25, 0.25, 0.5])
 
 
 @pytest.mark.parametrize("n_values, nu, rounds", [
