@@ -46,6 +46,10 @@ CASES = {
     # --out is relative, so config.out is the same literal wherever it runs
     "scaling-seed42": README_SCALING + ["--seed", "42", "--out", "scaling.csv"],
     "scaling-seed0": README_SCALING + ["--seed", "0", "--out", "scaling.csv"],
+    # the benchmarked Monte Carlo flags: 1e5-1.2e6 trials per round, N up to 12
+    "scaling-mc-draws": ["scaling", "--strategies", "sequential,classical,entangled",
+                         "--n-values", "1,2,4,8,12", "--nu", "100000", "--rounds", "100",
+                         "--seed", "902", "--out", "scaling.csv"],
 }
 
 
