@@ -2,11 +2,11 @@
 
 Each round draws its success count as one binomial variate from its own
 counter-based Philox stream.  Per-round seeds are derived from the experiment
-seed through numpy's SeedSequence with spawn_key=(strategy index, N,
-round_index), so every strategy samples independently and reports are pure
-functions of their arguments, independent of any execution order.
-STREAM_VERSION names this sampling scheme; it changes whenever the same
-arguments would draw different numbers.
+seed by numpy's SeedSequence, with the entropy of SeedSequence(seed,
+spawn_key=(strategy index, N, round_index)), so every strategy samples
+independently and reports are pure functions of their arguments, independent
+of any execution order.  STREAM_VERSION names this sampling scheme; it
+changes whenever the same arguments would draw different numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .states import (
 # Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
 # on streams keyed on (N, round); version 2 is the scheme described above.
 STREAM_VERSION = 2
+
+_WORD = 0xFFFFFFFF  # SeedSequence entropy is a sequence of uint32 words
 
 # Fixed stream index per strategy, so reordering StrategyKind keeps the streams.
 _STREAM_INDEX = {
@@ -116,6 +118,12 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     row: at the operating phase p is 1/2 up to roundoff, and numpy's binomial
     samples 1 - p and returns trials - k once p > 1/2, so a p recomputed along
     a path that differs in the last bit could mirror every count.
+
+    The Philox key comes from SeedSequence([seed mod 2^32, seed div 2^32]),
+    the words numpy itself hashes for Philox(seed): a word missing from the
+    pool of 4 mixes as a zero word, so seeds below 2^32 agree too.  Passing
+    the words as a uint32 array skips numpy's per-call coercion of the
+    Python int.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -124,7 +132,8 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError("p must lie in [0, 1]")
     trials = strategy.n_probes * nu if strategy.kind is StrategyKind.CLASSICAL_PARALLEL else nu
-    rng = np.random.Generator(np.random.Philox(seed))
+    words = np.array([seed & _WORD, seed >> 32], dtype=np.uint32)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
     return int(rng.binomial(trials, p))
 
 
@@ -145,12 +154,23 @@ def estimate_phase(k: int, nu: int, n: int) -> float:
 def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -> int:
     """Per-round child seed of one strategy at N = n.
 
-    SeedSequence(seed, spawn_key=(strategy index, n, round_index)): the
-    strategy is part of the key, so strategies with the same success
-    probability still draw from independent streams.
+    The seed of SeedSequence(seed, spawn_key=(strategy index, n,
+    round_index)): the strategy is part of the key, so strategies with the
+    same success probability still draw from independent streams.
+
+    The SeedSequence is built from the uint32 entropy numpy assembles for
+    that call: the two words of the 64-bit seed, low first, zero-padded to
+    the pool size of 4 because a spawn key is present, then the key.
+    Passing these words as one array gives the same pool and the same child
+    seed, and skips numpy's per-call coercion of a Python int and a key
+    tuple into uint32 words, the larger part of this function's time.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(_STREAM_INDEX[kind], n, round_index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    words = np.array(
+        [seed & _WORD, seed >> 32, 0, 0, _STREAM_INDEX[kind], n, round_index], dtype=np.uint32
+    )
+    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
 def rmse_stderr(rmse: float, rounds: int) -> float:
