@@ -18,7 +18,13 @@ from metroq.linalg import (
     kron,
     normalized,
 )
-from metroq.states import Generator, classical_corr_state, plus_minus_states, u_phi
+from metroq.states import (
+    Generator,
+    StrategyKind,
+    classical_corr_state,
+    plus_minus_states,
+    u_phi,
+)
 
 
 def random_complex_matrix(rng, d):
@@ -182,6 +188,27 @@ def check_counterexample_per_phase(basis, grid):
         entry = max(entry, float(np.max(np.abs(avg - eye_half))))
         phi_dep = max(phi_dep, trace_distance_per_pair(avg, ref))
     return entry, phi_dep
+
+
+# the stream index of each strategy, as the README documents it
+STREAM_INDEX = {
+    StrategyKind.SEQUENTIAL: 0,
+    StrategyKind.CLASSICAL_PARALLEL: 1,
+    StrategyKind.ENTANGLED_PARALLEL: 2,
+}
+
+
+def derive_round_seed_spawn_key(seed, kind, n, round_index):
+    """Reference for simulate.derive_round_seed: numpy's spawn-key form,
+    which converts the seed and the key into uint32 words itself."""
+    ss = np.random.SeedSequence(seed, spawn_key=(STREAM_INDEX[kind], n, round_index))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def binomial_from_int_seed(trials, p, seed):
+    """Reference for simulate.run_trials' draw: a Philox stream seeded by the
+    Python int itself."""
+    return int(np.random.Generator(np.random.Philox(seed)).binomial(trials, p))
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

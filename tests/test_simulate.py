@@ -5,6 +5,7 @@ import pytest
 
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import (
+    derive_round_seed,
     estimate_phase,
     evolve_parallel_entangled,
     evolve_sequential,
@@ -21,6 +22,8 @@ from metroq.states import (
     plus_minus_states,
     u_phi,
 )
+
+from helpers import binomial_from_int_seed, derive_round_seed_spawn_key
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
@@ -219,6 +222,33 @@ def test_seed_must_be_unsigned_64_bit():
         run_trials(spec, strategy_success_probability(spec, 0.1), 10, seed=-1)
     with pytest.raises(ValueError):
         scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 4), nu=10, rounds=2, seed=2**64)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            derive_round_seed(seed, StrategyKind.SEQUENTIAL, 2, 0)
+
+
+# Seeds where a word of the 64-bit seed is 0 or all ones, and where the high
+# word starts, then a few hundred random 64-bit seeds.
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+    int(s) for s in np.random.default_rng(14).integers(0, 2**64, size=300, dtype=np.uint64)
+]
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_round_seed_and_draw_match_the_spawn_key_form(kind):
+    # derive_round_seed hands SeedSequence the words numpy assembles for the
+    # spawn-key call, and run_trials the words Philox(int) hashes: child
+    # seeds and counts must equal numpy's own int-and-tuple forms.
+    spec = StrategySpec(kind, 3)
+    p, nu = 0.3, 100_000
+    trials = 3 * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
+    for seed in ORACLE_SEEDS:
+        assert run_trials(spec, p, nu, seed) == binomial_from_int_seed(trials, p, seed), seed
+        for n in (1, 12):
+            for r in (0, 1, 999):
+                child = derive_round_seed(seed, kind, n, r)
+                assert child == derive_round_seed_spawn_key(seed, kind, n, r), (seed, n, r)
+                assert run_trials(spec, p, nu, child) == binomial_from_int_seed(trials, p, child)
 
 
 @pytest.mark.parametrize(
