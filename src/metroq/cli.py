@@ -69,12 +69,20 @@ CHANNELS = {
 
 @dataclass
 class Report:
+    """A subcommand's report.  Create it before the work it reports: each
+    result's `elapsed_ms` is the time since the previous result was added,
+    or since the report was created."""
+
     command: str
     config: dict
     results: list[dict] = field(default_factory=list)
+    _mark: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def add(self, name: str, ok: bool, **extras):
-        self.results.append({"name": name, "pass": bool(ok), **extras})
+        now = time.perf_counter()
+        elapsed_ms = round((now - self._mark) * 1000, 3)
+        self._mark = now
+        self.results.append({"name": name, "pass": bool(ok), **extras, "elapsed_ms": elapsed_ms})
 
     def finish(self, wall_time_ms: int) -> dict:
         return {
@@ -289,7 +297,6 @@ def cmd_verify(args) -> Report:
     rng = np.random.default_rng(args.seed)
     for name, check in CHECKS.items():
         tolerance = max(args.tolerance, check.floor)
-        start = time.perf_counter()
         try:
             residual = float(np.max(check.fn(rng, args.n_max, **check.params)))
             outcome = {"residual": residual}
@@ -297,9 +304,7 @@ def cmd_verify(args) -> Report:
             # a check whose computation rejects its own intermediate state
             # (say, a mixed state of the wrong trace) has no residual: FAIL
             residual, outcome = math.inf, {"residual": None, "error": str(exc)}
-        elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
-        report.add(name, residual < tolerance, **outcome, tolerance=tolerance,
-                   elapsed_ms=elapsed_ms)
+        report.add(name, residual < tolerance, **outcome, tolerance=tolerance)
     return report
 
 
@@ -347,6 +352,8 @@ def _scaling_csv(args, report: Report) -> str:
             fitted_slope=result.fitted_slope,
             slope_stderr=result.slope_stderr,
             expected_interval=[lo, hi],
+            streams=result.streams,
+            draws=result.draws,
             rows=[
                 {
                     "N": row.n,
@@ -363,11 +370,11 @@ def _scaling_csv(args, report: Report) -> str:
 
 
 def cmd_noise(args) -> Report:
+    report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
     channel = CHANNELS[args.channel](args.p)
     unital = is_unital(channel)
     residual = equivalence.noise_conversion_residual(channel, channel)
     _, trace_preserving = equivalence.effective_sequential_channel(channel, channel)
-    report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
     report.add(
         f"noise-{args.channel}",
         residual < 1e-12 and trace_preserving == unital,
@@ -421,10 +428,10 @@ def cmd_frequency(args) -> Report:
 
 
 def cmd_noon(args) -> Report:
-    noon_dev = fock.noon_equivalence_certificate(args.n)
-    n0_dev = fock.n0_equivalence_certificate(args.n)
     report = Report("noon", {"n": args.n, "format": args.format})
+    noon_dev = fock.noon_equivalence_certificate(args.n)
     report.add("noon-fringe-equivalence", noon_dev < 1e-12, max_deviation=noon_dev)
+    n0_dev = fock.n0_equivalence_certificate(args.n)
     report.add("n0-fringe-equivalence", n0_dev < 1e-12, max_deviation=n0_dev)
     return report
 

@@ -58,6 +58,8 @@ class ScalingReport:
     rows: tuple[ScalingRow, ...]
     fitted_slope: float | None  # None when some row's RMSE is zero
     slope_stderr: float | None
+    streams: int  # Philox streams opened: one per round of each row
+    draws: int  # Bernoulli trials drawn: the rounds' trials summed over rows
 
 
 def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
@@ -218,6 +220,7 @@ def scaling_experiment(
     and contributes to the per-N RMSE about the operating phase.  Rows carry
     the matching Cramér-Rao bound and the number of saturated rounds.  The
     fitted slope and its standard error are None when some N has zero RMSE.
+    The report also counts the streams opened and the trials drawn.
     """
     if nu < 1 or rounds < 1:
         raise ValueError("nu and rounds must be >= 1")
@@ -228,6 +231,7 @@ def scaling_experiment(
         raise ValueError("n_values must list at least 3 distinct positive integers")
     classical = kind is StrategyKind.CLASSICAL_PARALLEL
     rows = []
+    streams = draws = 0
     for n in n_values:
         strat = StrategySpec(kind, n)
         phi = operating_phase(n)
@@ -239,6 +243,8 @@ def scaling_experiment(
             k = run_trials(strat, p, nu, derive_round_seed(seed, kind, n, r))
             saturated += k in (0, trials)
             errors[r] = estimate_phase(k, trials, 1 if classical else n) - phi
+        streams += rounds
+        draws += rounds * trials
         rows.append(
             ScalingRow(
                 n=n,
@@ -253,4 +259,6 @@ def scaling_experiment(
     slope = stderr = None
     if min(rmses) > 0:
         slope, stderr = fit_loglog_slope([row.n for row in rows], rmses)
-    return ScalingReport(rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr)
+    return ScalingReport(
+        rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr, streams=streams, draws=draws
+    )

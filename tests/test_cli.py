@@ -87,11 +87,23 @@ def test_verify_deterministic(capsys):
     assert strip_timing(first) == strip_timing(second)
 
 
-def test_verify_reports_elapsed_ms_per_check(capsys):
-    code, report = run_json(capsys, ["verify", "--n-max", "4", "--seed", "7"])
-    assert code == 0
+# one argv per subcommand, with the number of results its report holds
+RESULT_COUNTS = {
+    ("verify", "--n-max", "4", "--seed", "7"): len(cli.CHECKS),
+    ("scaling", "--nu", "200", "--rounds", "20", "--seed", "1"): 3,
+    ("noise", "--channel", "dephasing", "--p", "0.25"): 1,
+    ("frequency", "--gamma", "1"): 2,
+    ("noon", "--n", "4"): 2,
+    ("fisher",): 1,
+}
+
+
+@pytest.mark.parametrize("argv", RESULT_COUNTS, ids=lambda argv: argv[0])
+def test_every_result_reports_elapsed_ms(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # scaling writes its CSV to the relative --out
+    _, report = run_json(capsys, list(argv))
     elapsed = [rec["elapsed_ms"] for rec in report["results"]]
-    assert len(elapsed) == len(cli.CHECKS)
+    assert len(elapsed) == RESULT_COUNTS[argv]
     assert all(isinstance(ms, float) and ms >= 0 and ms == round(ms, 3) for ms in elapsed)
     assert sum(elapsed) <= report["wall_time_ms"] + 1
 

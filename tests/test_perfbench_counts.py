@@ -4,7 +4,8 @@ perfbench's traced run wraps metroq's public functions and requires the call
 and draw counts it sees to equal the counts read off each invocation's flags
 (`workloads.expected_counts`).  A change of call structure that breaks that
 contract (a renamed function, a fringe built once per grid instead of once
-per point) would otherwise show only when the benchmark is run.
+per point) would otherwise show only when the benchmark is run.  The work
+counters in `scaling` reports must equal the same flag-derived counts.
 """
 
 import contextlib
@@ -54,3 +55,21 @@ def test_traced_counts_match_the_flags(tmp_path, name):
     expected = workloads.expected_counts(argvs)
     for metric, key in workloads.COUNTED.items():
         assert counts[key] == expected[metric], (metric, counts[key], expected[metric])
+
+
+SCALING_MIXES = {
+    name: argv for name, workload in workloads.WORKLOADS.items()
+    for argv in workload.mix if argv[0] == "scaling"
+}
+
+
+@pytest.mark.parametrize("name", SCALING_MIXES)
+def test_scaling_report_counters_match_the_flags(tmp_path, name):
+    argv = list(SCALING_MIXES[name]) + ["--seed", "3", "--out", str(tmp_path / "scaling.csv")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli.main(argv)
+    results = json.loads(stdout.getvalue())["results"]
+    expected = workloads.expected_counts([argv])
+    assert sum(rec["streams"] for rec in results) == expected["run_trials.calls"]
+    assert sum(rec["draws"] for rec in results) == expected["simulate.draws"]
