@@ -165,7 +165,7 @@ def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -
     the pool size of 4 because a spawn key is present, then the key.
     Passing these words as one array gives the same pool and the same child
     seed, and skips numpy's per-call coercion of a Python int and a key
-    tuple into uint32 words, the larger part of this function's time.
+    tuple into uint32 words.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
