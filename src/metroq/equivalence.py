@@ -32,8 +32,8 @@ from .states import (
     PAULI_X,
     Generator,
     classical_corr_state,
-    ghz_like,
-    phase_mask,
+    ghz_phase_support,
+    ghz_register,
     plus_minus_states,
     u_phi,
 )
@@ -141,7 +141,8 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
     """Certify the parallel-to-sequential conversion for N probes.
 
     Evolves (|min>^N + e^{i lam} |max>^N)/sqrt(2) by one phase box per probe
-    (phase phis[j] on probe j), measures probes 2..N in the +- basis, and
+    (phase phis[j] on probe j, applied on the state's two-level support by
+    states.ghz_phase_support), measures probes 2..N in the +- basis, and
     compares every one of the 2^(N-1) conditional probe-1 states against
     e^{i (sum phis) H} (|min> +- e^{i lam} |max>)/sqrt(2), the sign being the
     parity of - outcomes.  All branches should be uniform with probability
@@ -153,7 +154,7 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError("need at least 2 probes for a conversion certificate")
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
-    state = ghz_like(h, n, lam) * phase_mask(h, phis)
+    state = ghz_register(h, n, ghz_phase_support(h, phis, lam))
     u_total = u_phi(h, sum(phis))
     plus, minus = plus_minus_states(h, lam)
     return _certificate(state, h, n, u_total @ plus, u_total @ minus)
@@ -340,8 +341,9 @@ def generalized_strategy_certificate(
     Naive iteration of U' does not accumulate phase in general, but the
     per-probe operator M = W^dag U' V^dag does: it equals e^{i phi H}, so the
     parallel strategy on M is the ordinary one.  Returns max|M - e^{i phi H}|
-    and the certificate of the GHZ-type state evolved by the phase mask of n
-    boxes e^{i phi H}, graded against M^n |+-> normalized.
+    and the certificate of the GHZ-type state evolved on its two-level support
+    by n boxes e^{i phi H} (states.ghz_phase_support), graded against
+    M^n |+-> normalized.
     """
     w = as_matrix(w)
     v = as_matrix(v)
@@ -353,7 +355,7 @@ def generalized_strategy_certificate(
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     u = u_phi(h, phi)
     m = w.conj().T @ (w @ u @ v) @ v.conj().T
-    state = ghz_like(h, n) * phase_mask(h, [phi] * n)
+    state = ghz_register(h, n, ghz_phase_support(h, [phi] * n))
     m_n = np.linalg.matrix_power(m, n)
     plus, minus = plus_minus_states(h)
     cert = _certificate(state, h, n, normalized(m_n @ plus), normalized(m_n @ minus))

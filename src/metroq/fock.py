@@ -7,7 +7,10 @@ is the single-mode number operator (Generator.number, spread n); for NOON,
 (|n, 0> + |0, n>)/sqrt(2), it is the two-mode number difference on the
 n-photon subspace indexed by the photon count of mode a
 (Generator.number_difference, spread 2n).  Both generators are diagonal in
-the number basis, so the phase box is the one-probe register phase mask.
+the number basis, so a phase box keeps each state on its two levels: the
+certificates' qubit registers and the fringe zeros' probe are evolved on that
+support (states.ghz_phase_support), and fringe applies the one-probe phase
+mask to any probe it is given.
 """
 
 from __future__ import annotations
@@ -17,8 +20,14 @@ import math
 import numpy as np
 
 from .linalg import fidelity_up_to_phase
-from .simulate import evolve_parallel_entangled
-from .states import Generator, ghz_like, ghz_state, phase_mask
+from .states import (
+    Generator,
+    ghz_like,
+    ghz_phase_support,
+    ghz_register,
+    ghz_state,
+    phase_mask,
+)
 
 
 def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
@@ -47,17 +56,24 @@ def noon_equivalence_certificate(n: int) -> float:
 
 def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     """Largest |fringe of ghz_like(make_generator(n), 1) at phi - qubit GHZ
-    fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi]."""
+    fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi].
+
+    The qubit registers of the whole grid are evolved by one stacked
+    ghz_phase_support call; each is put on the 2^n register and graded only
+    when its grid point comes up, so no (100, 2^n) stack is built.
+    """
     if not 1 <= n <= 12:
         raise ValueError("n must lie in 1..12")
     h = make_generator(n)
     probe = ghz_like(h, 1)
     qubit = Generator.qubit()
     ghz = ghz_state(n)
+    grid = np.linspace(0.0, math.pi, 100)
+    supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
     worst = 0.0
-    for phi in np.linspace(0.0, math.pi, 100):
-        final = evolve_parallel_entangled(qubit, qubit_scale * phi, n, 0.0)
-        worst = max(worst, abs(fringe(h, probe, phi) - fidelity_up_to_phase(ghz, final)))
+    for phi, support in zip(grid, supports):
+        qubit_p = fidelity_up_to_phase(ghz, ghz_register(qubit, n, support))
+        worst = max(worst, abs(fringe(h, probe, phi) - qubit_p))
     return worst
 
 
@@ -74,7 +90,7 @@ def noon_fringe_zeros(n: int, count: int) -> list[float]:
     probe = ghz_like(h, 1)
 
     def overlap(phi: float) -> float:
-        return float(np.real(np.vdot(probe, probe * phase_mask(h, [phi]))))
+        return float(np.real(np.vdot(probe, ghz_register(h, 1, ghz_phase_support(h, [phi])))))
 
     zeros = []
     for k in range(count):

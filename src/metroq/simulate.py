@@ -23,7 +23,8 @@ from .states import (
     StrategyKind,
     StrategySpec,
     ghz_like,
-    phase_mask,
+    ghz_phase_support,
+    ghz_register,
     plus_minus_states,
     u_phi,
 )
@@ -76,13 +77,15 @@ def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
 def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0) -> np.ndarray:
     """Apply the n-fold tensor-product unitary to the GHZ-type initial state.
 
-    Each probe's phase box is still applied, as one factor of the register's
-    phase mask (states.phase_mask), not replaced by the analytic closed form
+    Each probe's phase box is still applied, as one factor exp(i phi
+    eigenvalue) multiplied into the register's two nonzero entries
+    (states.ghz_phase_support), not replaced by the analytic closed form
     e^{i n phi} on the extreme pair, so the phase-accumulation claim is
-    something tests can check rather than assume.  Tests check the mask
-    against u_phi applied to one register factor at a time.
+    something tests can check rather than assume.  Tests check the support
+    bit for bit against the register's phase mask (states.phase_mask), and
+    the mask against u_phi applied to one register factor at a time.
     """
-    return ghz_like(h, n, lam) * phase_mask(h, [phi] * n)
+    return ghz_register(h, n, ghz_phase_support(h, [phi] * n, lam))
 
 
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:

@@ -111,12 +111,46 @@ def repeated_index(d: int, n: int, j: int) -> int:
 
 def ghz_like(h: Generator, n: int, lam: float = 0.0) -> np.ndarray:
     """Normalized (|min>^n + e^{i lam} |max>^n)/sqrt(2) on the n-probe register."""
+    return ghz_register(h, n, _ghz_amplitudes(lam))
+
+
+def ghz_register(h: Generator, n: int, support) -> np.ndarray:
+    """The n-probe register holding support[0] on |min...min>, support[1] on
+    |max...max> and zeros elsewhere."""
     if n < 1:
         raise ValueError("need at least one probe")
     state = np.zeros(h.dim**n, dtype=np.complex128)
-    state[repeated_index(h.dim, n, h.min_index)] = 1 / math.sqrt(2)
-    state[repeated_index(h.dim, n, h.max_index)] = np.exp(1j * lam) / math.sqrt(2)
+    state[repeated_index(h.dim, n, h.min_index)] = support[0]
+    state[repeated_index(h.dim, n, h.max_index)] = support[1]
     return state
+
+
+def _ghz_amplitudes(lam: float) -> np.ndarray:
+    """(1, e^{i lam})/sqrt(2): the amplitudes of ghz_like on its two levels."""
+    return np.array([1 / math.sqrt(2), np.exp(1j * lam) / math.sqrt(2)])
+
+
+def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
+    """Support of ghz_like(h, N, lam) after one phase box per probe.
+
+    phis is a phase vector (N,), phis[j] the phase of probe j's box, or a
+    stack (..., N) of them.  Diagonal boxes keep a GHZ-type register on its
+    two entries |min...min> and |max...max>, so only those are evolved: the
+    result, shape (..., 2), holds their amplitudes, and ghz_register(h, N,
+    row) puts one row back on the register.  Each probe's factor
+    exp(i phi_j eigenvalue) is multiplied in from the last probe outward, as
+    phase_mask orders its products, so both amplitudes are bitwise those of
+    ghz_like(h, N, lam) * phase_mask(h, phis) without its d^N mask.
+    """
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim < 1 or phis.shape[-1] < 1:
+        raise ValueError("need at least one probe")
+    levels = h.eigenvalues[[h.min_index, h.max_index]]
+    factors = np.exp(1j * np.multiply.outer(phis, levels))
+    boxes = np.ones(phis.shape[:-1] + (2,), dtype=np.complex128)
+    for j in reversed(range(phis.shape[-1])):
+        boxes = factors[..., j, :] * boxes
+    return _ghz_amplitudes(lam) * boxes
 
 
 def ghz_state(n: int, lam: float = 0.0) -> np.ndarray:

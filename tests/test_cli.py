@@ -26,6 +26,16 @@ from helpers import (
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text())
 
 
+def strict_json(text):
+    """Parse a report, rejecting the non-standard constants NaN and Infinity
+    that json.loads accepts by default."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -161,10 +171,7 @@ def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch):
     # main returns instead of raising: no traceback
     code, out = run_cli(capsys, ["verify", "--n-max", "4", "--seed", "7"])
 
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    report = json.loads(out, parse_constant=reject)
+    report = strict_json(out)
     jsonschema.validate(report, SCHEMA)
     verdicts = {rec["name"]: rec for rec in report["results"]}
     assert code == 1 and report["pass"] is False
@@ -670,6 +677,6 @@ def test_argv_fuzz(command, capsys, tmp_path, monkeypatch):
         assert broken is None, f"invalid {broken} accepted: {argv}"
         assert code in (0, 1, 3), argv
         if code != 3 and "text" not in argv:
-            jsonschema.validate(json.loads(out), SCHEMA)
+            jsonschema.validate(strict_json(out), SCHEMA)
 
     run()

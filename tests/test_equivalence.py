@@ -33,7 +33,15 @@ from metroq.linalg import (
     trace_distance,
     vec,
 )
-from metroq.states import PAULI_X, Generator, ghz_like, phase_mask, plus_minus_states, u_phi
+from metroq.states import (
+    PAULI_X,
+    Generator,
+    ghz_like,
+    ghz_phase_support,
+    phase_mask,
+    plus_minus_states,
+    u_phi,
+)
 
 from helpers import (
     apply_on_factor,
@@ -206,11 +214,11 @@ def test_verify_conversion_fails_on_a_dropped_phase(capsys, monkeypatch):
     code, rec = _conversion_check(capsys)
     assert code == 0 and rec["pass"]
 
-    def drop_last_phase(h, phis):
+    def drop_last_phase(h, phis, lam=0.0):
         phis = list(phis)
-        return phase_mask(h, phis[:-1] + [0.0])
+        return ghz_phase_support(h, phis[:-1] + [0.0], lam)
 
-    monkeypatch.setattr(equivalence, "phase_mask", drop_last_phase)
+    monkeypatch.setattr(equivalence, "ghz_phase_support", drop_last_phase)
     code, rec = _conversion_check(capsys)
     assert code == 1 and not rec["pass"]
     assert rec["residual"] > 1e-3
@@ -548,11 +556,11 @@ def test_verify_generalized_fails_on_a_dropped_phase(capsys, monkeypatch):
     code, rec = _conversion_check(capsys, "generalized-strategy")
     assert code == 0 and rec["pass"]
 
-    def drop_last_phase(h, phis):
+    def drop_last_phase(h, phis, lam=0.0):
         phis = list(phis)
-        return phase_mask(h, phis[:-1] + [0.0])
+        return ghz_phase_support(h, phis[:-1] + [0.0], lam)
 
-    monkeypatch.setattr(equivalence, "phase_mask", drop_last_phase)
+    monkeypatch.setattr(equivalence, "ghz_phase_support", drop_last_phase)
     code, rec = _conversion_check(capsys, "generalized-strategy")
     assert code == 1 and not rec["pass"]
     assert rec["residual"] > 1e-3

@@ -1,8 +1,12 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from metroq import fock
+from metroq.cli import main
 from metroq.fock import (
     fringe,
     n0_equivalence_certificate,
@@ -111,6 +115,40 @@ def test_certificates_detect_a_generator_one_photon_short(monkeypatch, n):
     assert Generator.number(n).gap == n - 1
     assert n0_equivalence_certificate(n) > 1e-3
     assert noon_equivalence_certificate(n) > 1e-3
+
+
+def test_noon_fails_when_the_qubit_grid_is_off_by_one(capsys, monkeypatch):
+    # Mutant: each Fock fringe point is paired with the qubit register of the
+    # next grid point (the last with the first), as an off-by-one between the
+    # stacked qubit grid and the per-point fringe loop would do.
+    real = fock.ghz_phase_support
+
+    def next_grid_point(h, phis, lam=0.0):
+        support = real(h, phis, lam)
+        return np.roll(support, -1, axis=0) if np.ndim(phis) == 2 else support
+
+    monkeypatch.setattr(fock, "ghz_phase_support", next_grid_point)
+    code = main(["noon", "--n", "12"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["pass"] is False
+    assert [rec["pass"] for rec in report["results"]] == [False, False]
+    assert all(rec["max_deviation"] > 1e-3 for rec in report["results"])
+
+
+@pytest.mark.parametrize("certificate", [noon_equivalence_certificate,
+                                         n0_equivalence_certificate])
+def test_certificate_allocates_no_register_stack(certificate):
+    # The qubit side is evolved as one (100, 2) support stack and put on the
+    # 4096-entry register one grid point at a time; a (100, 4096) register
+    # stack would peak at about 6.5 MB.
+    certificate(12)
+    tracemalloc.start()
+    try:
+        certificate(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 def test_noon_equivalent_to_multipass():

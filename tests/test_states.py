@@ -16,7 +16,10 @@ from metroq.states import (
     StrategySpec,
     classical_corr_state,
     ghz_like,
+    ghz_phase_support,
+    ghz_register,
     ghz_state,
+    phase_mask,
     plus_minus_states,
     repeated_index,
     u_phi,
@@ -92,6 +95,51 @@ def test_ghz_like_uses_extreme_indices():
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
 
 
+# (generator, probe counts): the qubit up to the 12-probe cap, a qutrit with a
+# middle eigenvalue, a 3-level generator whose extreme levels are not (0, 1),
+# and the one-probe bosonic generators of metroq.fock
+SUPPORT_CASES = [
+    (Generator.qubit(), range(1, 13)),
+    (Generator(np.array([-0.3, 0.45, 1.2]), 0, 2), range(1, 7)),
+    (Generator(np.array([0.5, -1.0, 2.0]), 1, 2), range(1, 7)),
+    *[(Generator.number(n), [1]) for n in (1, 5, 12)],
+    *[(Generator.number_difference(n), [1]) for n in (1, 5, 12)],
+]
+
+
+def test_ghz_phase_support_is_bitwise_the_phase_mask_evolution():
+    # Oracle: the full-register evolution ghz_like * phase_mask.  The two
+    # support amplitudes must agree bit for bit; off the support both are
+    # zero, up to the sign of a zero.
+    rng = np.random.default_rng(61)
+    for h, ns in SUPPORT_CASES:
+        for n in ns:
+            support_index = [repeated_index(h.dim, n, h.min_index),
+                             repeated_index(h.dim, n, h.max_index)]
+            for phis in (rng.uniform(-7, 7, size=n), np.full(n, rng.uniform(-7, 7))):
+                lam = rng.uniform(-7, 7)
+                oracle = ghz_like(h, n, lam) * phase_mask(h, phis)
+                support = ghz_phase_support(h, phis, lam)
+                assert support.shape == (2,)
+                assert support.tobytes() == oracle[support_index].tobytes(), (h.eigenvalues, n)
+                assert np.array_equal(ghz_register(h, n, support), oracle)
+            # a stack (..., N) of phase vectors: each row is its single call
+            stack = rng.uniform(-7, 7, size=(3, 4, n))
+            lam = rng.uniform(-7, 7)
+            rows = ghz_phase_support(h, stack, lam)
+            assert rows.shape == (3, 4, 2)
+            for g in np.ndindex(3, 4):
+                assert rows[g].tobytes() == ghz_phase_support(h, stack[g], lam).tobytes()
+
+
+def test_ghz_phase_support_rejects_no_probes():
+    for phis in ([], 0.3, np.zeros((4, 0))):
+        with pytest.raises(ValueError):
+            ghz_phase_support(Generator.qubit(), phis)
+    with pytest.raises(ValueError):
+        ghz_register(Generator.qubit(), 0, [1.0, 0.0])
+
+
 def test_repeated_index_matches_ravel_multi_index():
     for d in (2, 3, 4):
         n = 1
@@ -103,7 +151,8 @@ def test_repeated_index_matches_ravel_multi_index():
 
 def test_tensor_products_and_register_indices_have_one_helper():
     # kron ordering lives in linalg.kron, the |j...j> index in repeated_index,
-    # and phase boxes act through states.phase_mask, never per factor
+    # and phase boxes act through states.phase_mask (or, on a GHZ-type
+    # register, states.ghz_phase_support), never per factor
     paths = sorted(Path(metroq.__file__).parent.glob("*.py"))
     assert len(paths) > 1
     for path in paths:
