@@ -50,8 +50,8 @@ class KrausChannel:
         acc = sum(k @ k.conj().T for k in self.ops)
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
-    def is_trace_preserving(self, atol: float = ATOL_PREDICATE) -> bool:
-        return self.completeness_residual() < atol
+    def is_trace_preserving(self) -> bool:
+        return self.completeness_residual() < ATOL_PREDICATE
 
 
 def _trace_preserving(ops) -> KrausChannel:
@@ -85,18 +85,17 @@ def amplitude_damping(g: float) -> KrausChannel:
     return _trace_preserving([k0, k1])
 
 
-def is_unital(ch: KrausChannel, atol: float = ATOL_PREDICATE) -> bool:
-    return ch.unital_residual() < atol
+def is_unital(ch: KrausChannel) -> bool:
+    return ch.unital_residual() < ATOL_PREDICATE
 
 
-def is_diag_or_antidiag(ch: KrausChannel, atol: float = ATOL_PREDICATE) -> bool:
+def is_diag_or_antidiag(ch: KrausChannel) -> bool:
     """True when the Kraus family is structurally homogeneous: every operator
     diagonal, or every operator anti-diagonal.
 
     A mixed family (e.g. amplitude damping, whose two operators have different
     structure) returns False: only the homogeneous families keep the two-level
     subspace of the conversion argument invariant under all operator pairs.
+    `metroq noise` reports it as both diag_or_antidiag and valid_beyond_n2.
     """
-    return all(is_diagonal(k, atol) for k in ch.ops) or all(
-        is_antidiagonal(k, atol) for k in ch.ops
-    )
+    return all(is_diagonal(k) for k in ch.ops) or all(is_antidiagonal(k) for k in ch.ops)

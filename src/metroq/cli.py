@@ -32,17 +32,16 @@ from .information import (
 )
 from .linalg import haar_unitary, trace_distance, vec_identity_residual
 from .simulate import STREAM_VERSION, rmse_stderr, scaling_experiment
-from .states import Generator, PAULI_X, StrategyKind, StrategySpec, ghz_state, u_phi
+from .states import MAX_PROBES, PAULI_X, Generator, StrategyKind, StrategySpec, ghz_like, u_phi
 
-MAX_N = 12
 MAX_NU = 100_000
 MAX_ROUNDS = 1_000
 
 # Closed ranges of the numeric flags, by argparse dest.  Every bound is finite
 # and a comparison with NaN is false, so NaN and +-inf fall outside them too.
 FLAG_RANGES = {
-    "n_max": (2, MAX_N),
-    "n": (1, MAX_N),
+    "n_max": (2, MAX_PROBES),
+    "n": (1, MAX_PROBES),
     "nu": (1, MAX_NU),
     "rounds": (1, MAX_ROUNDS),
     "p": (0.0, 1.0),
@@ -142,8 +141,8 @@ def _validate(args, parser) -> None:
             args.n_values = [int(part) for part in text.split(",")]
         except ValueError:
             parser.error(f"--n-values must be a comma-separated integer list, got {text!r}")
-        if not all(1 <= n <= MAX_N for n in args.n_values):
-            parser.error(f"--n-values entries must lie in 1..{MAX_N}, got {text!r}")
+        if not all(1 <= n <= MAX_PROBES for n in args.n_values):
+            parser.error(f"--n-values entries must lie in 1..{MAX_PROBES}, got {text!r}")
         if len(set(args.n_values)) < len(args.n_values):
             parser.error(f"--n-values lists an entry more than once: {text!r}")
     if "strategies" in flags:
@@ -223,7 +222,7 @@ def check_unaveraged_fisher(rng, n_max: int) -> tuple[float, float]:
     worst = 0.0
     singular = 0
     for phi in (0.3, math.pi / 4, 1.1):
-        fisher, vanishing = equivalence.unaveraged_counterexample_fisher("hadamard", phi)
+        fisher, vanishing = equivalence.unaveraged_counterexample_fisher(phi)
         worst = max(worst, abs(fisher - 2.0 * cfi_binary(1, phi)))
         singular += vanishing
     return worst, float(singular)
@@ -373,16 +372,17 @@ def cmd_noise(args) -> Report:
     report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
     channel = CHANNELS[args.channel](args.p)
     unital = is_unital(channel)
+    structured = is_diag_or_antidiag(channel)
     residual = equivalence.noise_conversion_residual(channel, channel)
     _, trace_preserving = equivalence.effective_sequential_channel(channel, channel)
     report.add(
         f"noise-{args.channel}",
         residual < 1e-12 and trace_preserving == unital,
         unital=unital,
-        diag_or_antidiag=is_diag_or_antidiag(channel),
+        diag_or_antidiag=structured,
         eq_residual=residual,
         trace_preserving=trace_preserving,
-        valid_beyond_n2=equivalence.noisy_conversion_valid_beyond_n2(channel, channel),
+        valid_beyond_n2=structured,
     )
     return report
 
@@ -442,7 +442,7 @@ def cmd_fisher(args) -> Report:
     rows = []
     for n in args.n_values:
         h_total = collective_generator(QUBIT, n)
-        qfi_ghz = qfi_pure(ghz_state(n), h_total)
+        qfi_ghz = qfi_pure(ghz_like(QUBIT, n), h_total)
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
         qfi_prod = qfi_pure(product, h_total)
         cfi = cfi_binary(n, operating_phase(n))

@@ -18,27 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .linalg import (
-    as_matrix,
-    is_antidiagonal,
-    is_diagonal,
-    is_unitary,
-    kron,
-    normalized,
-    partial_trace,
-    vec,
-)
+from .linalg import as_matrix, is_unitary, kron, normalized, partial_trace, vec
 from .states import (
+    MAX_PROBES,
     PAULI_X,
     Generator,
     classical_corr_state,
     ghz_phase_support,
     ghz_register,
+    phase_box,
     plus_minus_states,
     u_phi,
 )
-
-MAX_PROBES = 12  # branch enumeration is exhaustive; 2^(N-1) branches
 
 
 @dataclass(frozen=True)
@@ -178,9 +169,9 @@ def counterexample(basis: str, phis) -> np.ndarray:
     h = Generator.qubit()
     rho = classical_corr_state(basis)
     phis = np.asarray(phis, dtype=float)
-    # u[g] = u_phi(h, phis[g]): the same exp of the same products, on the diagonal
+    # u[g] = u_phi(h, phis[g]): the same phase box, on the diagonal
     u = np.zeros(phis.shape + (2, 2), dtype=np.complex128)
-    u[..., [0, 1], [0, 1]] = np.exp(1j * phis[..., None] * h.eigenvalues)
+    u[..., [0, 1], [0, 1]] = phase_box(h, phis)
     u2 = kron(u, u)
     evolved = u2 @ rho @ u2.conj().swapaxes(-1, -2)
     acc = np.zeros(evolved.shape, dtype=np.complex128)
@@ -190,8 +181,9 @@ def counterexample(basis: str, phis) -> np.ndarray:
     return partial_trace(acc, [2, 2], keep=[0])
 
 
-def unaveraged_counterexample_fisher(basis: str, phi: float) -> tuple[float, int]:
-    """Fisher information of the counterexample when nothing is discarded.
+def unaveraged_counterexample_fisher(phi: float) -> tuple[float, int]:
+    """Fisher information of the hadamard-basis counterexample when nothing is
+    discarded.
 
     Keeps the full record: the classical preparation label (which of the two
     equally weighted pure components was prepared), the probe-2 +- outcome and
@@ -206,8 +198,6 @@ def unaveraged_counterexample_fisher(basis: str, phi: float) -> tuple[float, int
     probabilities cannot do (|dp| <= sqrt(F p)), so a correct computation
     counts 0.
     """
-    if basis != "hadamard":
-        raise ValueError("the record-keeping counterexample is defined for the hadamard basis")
     h = Generator.qubit()
     plus, minus = plus_minus_states(h)
     # equally weighted pure components of the hadamard-correlated mixture
@@ -274,22 +264,6 @@ def effective_sequential_channel(cha: KrausChannel, chb: KrausChannel) -> tuple[
     return effective, effective.is_trace_preserving()
 
 
-def noisy_conversion_valid_beyond_n2(cha: KrausChannel, chb: KrausChannel) -> bool:
-    """Whether the conversion survives induction past two probes.
-
-    Requires every product A_k (x) B_j to be diagonal or anti-diagonal, so the
-    two-level subspace stays invariant under the noisy evolution.
-    """
-    if cha.dim != 2 or chb.dim != 2:
-        raise ValueError("the induction predicate is defined for qubit channels")
-    for a in cha.ops:
-        for b in chb.ops:
-            prod = kron(a, b)
-            if not (is_diagonal(prod) or is_antidiagonal(prod)):
-                return False
-    return True
-
-
 def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     """Decide whether a 2x2 seed operator yields a working entangled strategy.
 
@@ -322,7 +296,7 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     starts = np.stack(plus_minus_states(h))
     phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
     # boxes[g] is the diagonal of e^{i phi_g H}; axes below are (phase, start, entry)
-    boxes = np.exp(1j * np.multiply.outer(phis, h.eigenvalues))[:, None, :]
+    boxes = phase_box(h, phis)[:, None, :]
     v = boxes * ((boxes * starts) @ e.T)
     nv = np.linalg.norm(v, axis=2)
     if np.any(nv < 1e-12):

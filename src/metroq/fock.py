@@ -9,8 +9,8 @@ n-photon subspace indexed by the photon count of mode a
 (Generator.number_difference, spread 2n).  Both generators are diagonal in
 the number basis, so a phase box keeps each state on its two levels: the
 certificates' qubit registers and the fringe zeros' probe are evolved on that
-support (states.ghz_phase_support), and fringe applies the one-probe phase
-mask to any probe it is given.
+support (states.ghz_phase_support), and fringe multiplies any probe it is
+given by one phase box (states.phase_box).
 """
 
 from __future__ import annotations
@@ -20,19 +20,12 @@ import math
 import numpy as np
 
 from .linalg import fidelity_up_to_phase
-from .states import (
-    Generator,
-    ghz_like,
-    ghz_phase_support,
-    ghz_register,
-    ghz_state,
-    phase_mask,
-)
+from .states import MAX_PROBES, Generator, ghz_like, ghz_phase_support, ghz_register, phase_box
 
 
 def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
     """Coincidence probability |<probe| e^{i phi H} |probe>|^2 of one phase box."""
-    return fidelity_up_to_phase(probe, probe * phase_mask(h, [phi]))
+    return fidelity_up_to_phase(probe, probe * phase_box(h, phi))
 
 
 def n0_equivalence_certificate(n: int) -> float:
@@ -62,12 +55,12 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     ghz_phase_support call; each is put on the 2^n register and graded only
     when its grid point comes up, so no (100, 2^n) stack is built.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("n must lie in 1..12")
+    if not 1 <= n <= MAX_PROBES:
+        raise ValueError(f"n must lie in 1..{MAX_PROBES}")
     h = make_generator(n)
     probe = ghz_like(h, 1)
     qubit = Generator.qubit()
-    ghz = ghz_state(n)
+    ghz = ghz_like(qubit, n)
     grid = np.linspace(0.0, math.pi, 100)
     supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
     worst = 0.0

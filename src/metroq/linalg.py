@@ -112,18 +112,19 @@ def vec_identity_residual(a, b, c) -> float | np.ndarray:
     return float(residual) if residual.ndim == 0 else residual
 
 
-def is_density_matrix(rho, atol: float = ATOL_PREDICATE) -> bool:
+def is_density_matrix(rho) -> bool:
     """Whether rho, or every matrix of a stack (..., d, d), is Hermitian,
-    of unit trace and positive semidefinite to within atol."""
+    of unit trace and positive semidefinite to within ATOL_PREDICATE."""
     m = _as_stack(rho)
     if m.shape[-2] != m.shape[-1]:
         return False
-    if np.max(np.abs(m - _dagger(m))) > atol:
+    if np.max(np.abs(m - _dagger(m))) > ATOL_PREDICATE:
         return False
     tr = np.trace(m, axis1=-2, axis2=-1)
-    if np.any(np.abs(tr.real - 1.0) > atol) or np.any(np.abs(tr.imag) > atol):
+    if (np.any(np.abs(tr.real - 1.0) > ATOL_PREDICATE)
+            or np.any(np.abs(tr.imag) > ATOL_PREDICATE)):
         return False
-    return float(np.min(np.linalg.eigvalsh((m + _dagger(m)) / 2))) > -atol
+    return float(np.min(np.linalg.eigvalsh((m + _dagger(m)) / 2))) > -ATOL_PREDICATE
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -179,30 +180,31 @@ def fidelity_up_to_phase(v1, v2) -> float:
     return min(f, 1.0)
 
 
-def is_unitary(m, atol: float = ATOL_PREDICATE) -> bool:
+def is_unitary(m) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) < atol
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) < ATOL_PREDICATE
 
 
-def is_diagonal(m, atol: float = ATOL_PREDICATE) -> bool:
+def is_diagonal(m) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     off = m - np.diag(np.diag(m))
-    return float(np.max(np.abs(off))) < atol if off.size else True
+    return float(np.max(np.abs(off))) < ATOL_PREDICATE if off.size else True
 
 
-def is_antidiagonal(m, atol: float = ATOL_PREDICATE) -> bool:
-    """True when all entries off the anti-diagonal (i, d-1-i) are below atol."""
+def is_antidiagonal(m) -> bool:
+    """True when all entries off the anti-diagonal (i, d-1-i) are below
+    ATOL_PREDICATE."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     d = m.shape[0]
     mask = np.ones_like(m, dtype=bool)
     mask[np.arange(d), d - 1 - np.arange(d)] = False
-    return float(np.max(np.abs(m[mask]))) < atol if d > 0 else True
+    return float(np.max(np.abs(m[mask]))) < ATOL_PREDICATE if d > 0 else True
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

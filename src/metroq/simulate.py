@@ -82,8 +82,8 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
     (states.ghz_phase_support), not replaced by the analytic closed form
     e^{i n phi} on the extreme pair, so the phase-accumulation claim is
     something tests can check rather than assume.  Tests check the support
-    bit for bit against the register's phase mask (states.phase_mask), and
-    the mask against u_phi applied to one register factor at a time.
+    bit for bit against the register's d^N diagonal of phase boxes, and that
+    diagonal against u_phi applied to one register factor at a time.
     """
     return ghz_register(h, n, ghz_phase_support(h, [phi] * n, lam))
 
@@ -145,15 +145,14 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
 def estimate_phase(k: int, nu: int, n: int) -> float:
     """Invert the empirical fringe: phi_hat = (2/n) arccos(sqrt(k/nu)).
 
-    Clamped to the branch [0, pi/n] (k=nu gives 0, k=0 gives pi/n) and
+    Lies on the branch [0, pi/n] (k=nu gives 0, k=0 gives pi/n) and is
     monotone decreasing in k.
     """
     if not 0 <= k <= nu:
         raise ValueError("k must lie in [0, nu]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    ratio = min(max(k / nu, 0.0), 1.0)
-    return (2.0 / n) * math.acos(math.sqrt(ratio))
+    return (2.0 / n) * math.acos(math.sqrt(k / nu))
 
 
 def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -> int:

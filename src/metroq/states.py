@@ -15,6 +15,10 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
+# Desk-scale cap on the probes of one register: branch enumeration is
+# exhaustive (2^(N-1) branches) and the qubit register has 2^N entries.
+MAX_PROBES = 12
+
 
 @dataclass(frozen=True, eq=False)
 class Generator:
@@ -69,26 +73,20 @@ class Generator:
         return Generator(2 * np.arange(n + 1) - n, 0, n)
 
 
+def phase_box(h: Generator, phis) -> np.ndarray:
+    """Diagonal of the phase box e^{i phi H}: entries exp(i phi eigenvalue).
+
+    One phase gives shape (d,); an array of phases gives phis.shape + (d,),
+    one diagonal per phase.  This is the one place a generator's eigenvalues
+    are exponentiated: every box of every strategy and certificate is built
+    here.
+    """
+    return np.exp(1j * np.multiply.outer(phis, h.eigenvalues))
+
+
 def u_phi(h: Generator, phi: float) -> np.ndarray:
     """Diagonal phase unitary with entries exp(i * phi * eigenvalue)."""
-    return np.diag(np.exp(1j * phi * h.eigenvalues))
-
-
-def phase_mask(h: Generator, phis) -> np.ndarray:
-    """Diagonal of u_phi(h, phis[0]) (x) ... (x) u_phi(h, phis[-1]).
-
-    Every phase box is diagonal, so the register's N-box evolution is an
-    elementwise multiply by this mask.  It is built as the outer product of
-    the per-probe factors exp(i phi_j eigenvalues), probe 1 on the most
-    significant axis as in np.kron: one exp per probe instead of one per
-    register entry.  The product runs from the last probe outward, so each
-    step scales the contiguous mask built so far by d scalars.
-    """
-    factors = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), h.eigenvalues))
-    mask = np.ones(1, dtype=np.complex128)
-    for factor in factors[::-1]:
-        mask = np.multiply.outer(factor, mask).reshape(-1)
-    return mask
+    return np.diag(phase_box(h, phi))
 
 
 def plus_minus_states(h: Generator, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -137,25 +135,20 @@ def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
     stack (..., N) of them.  Diagonal boxes keep a GHZ-type register on its
     two entries |min...min> and |max...max>, so only those are evolved: the
     result, shape (..., 2), holds their amplitudes, and ghz_register(h, N,
-    row) puts one row back on the register.  Each probe's factor
-    exp(i phi_j eigenvalue) is multiplied in from the last probe outward, as
-    phase_mask orders its products, so both amplitudes are bitwise those of
-    ghz_like(h, N, lam) * phase_mask(h, phis) without its d^N mask.
+    row) puts one row back on the register.  Each probe's factor, the
+    phase_box entries of the two extreme levels, is multiplied in from the
+    last probe outward, so both amplitudes are bitwise those of
+    ghz_like(h, N, lam) times the d^N outer product of the per-probe
+    diagonals built in the same order.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim < 1 or phis.shape[-1] < 1:
         raise ValueError("need at least one probe")
-    levels = h.eigenvalues[[h.min_index, h.max_index]]
-    factors = np.exp(1j * np.multiply.outer(phis, levels))
+    factors = phase_box(h, phis)[..., [h.min_index, h.max_index]]
     boxes = np.ones(phis.shape[:-1] + (2,), dtype=np.complex128)
     for j in reversed(range(phis.shape[-1])):
         boxes = factors[..., j, :] * boxes
     return _ghz_amplitudes(lam) * boxes
-
-
-def ghz_state(n: int, lam: float = 0.0) -> np.ndarray:
-    """Qubit GHZ family (|0...0> + e^{i lam} |1...1>)/sqrt(2)."""
-    return ghz_like(Generator.qubit(), n, lam)
 
 
 def classical_corr_state(basis: str) -> np.ndarray:

@@ -51,9 +51,26 @@ def random_cptp_channel(rng, d, n_ops):
     return KrausChannel(tuple(g @ s_inv_sqrt for g in gs))
 
 
+def phase_mask(h, phis):
+    """Reference for states.ghz_phase_support and states.phase_box: the
+    diagonal of u_phi(h, phis[0]) (x) ... (x) u_phi(h, phis[-1]) on the whole
+    d^N register.
+
+    Built as the outer product of the per-probe factors exp(i phi_j
+    eigenvalues), probe 1 on the most significant axis as in np.kron; the
+    product runs from the last probe outward, the order ghz_phase_support
+    multiplies its two entries in.
+    """
+    factors = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), h.eigenvalues))
+    mask = np.ones(1, dtype=np.complex128)
+    for factor in factors[::-1]:
+        mask = np.multiply.outer(factor, mask).reshape(-1)
+    return mask
+
+
 def apply_on_factor(state, dims, k, op):
-    """Reference for states.phase_mask: a matrix applied to subsystem k of a
-    state vector on a tensor-product space."""
+    """Reference for phase_mask: a matrix applied to subsystem k of a state
+    vector on a tensor-product space."""
     state = as_vector(state)
     op = as_matrix(op)
     dims = list(dims)

@@ -35,7 +35,7 @@ from metroq.information import (
     qfi_pure,
 )
 from metroq.simulate import rmse_stderr, scaling_experiment
-from metroq.states import Generator, StrategyKind, StrategySpec, ghz_state
+from metroq.states import Generator, StrategyKind, StrategySpec, ghz_like
 
 from helpers import random_cptp_channel
 
@@ -121,7 +121,7 @@ def test_criterion_06_fisher_and_crb():
     ok = True
     for n in range(1, 13):
         h_total = collective_generator(H, n)
-        ok = ok and abs(qfi_pure(ghz_state(n), h_total) - n * n) < 1e-10
+        ok = ok and abs(qfi_pure(ghz_like(H, n), h_total) - n * n) < 1e-10
         product = np.full(2**n, 2 ** (-n / 2), dtype=complex)
         ok = ok and abs(qfi_pure(product, h_total) - n) < 1e-10
     for n in (1, 2, 4, 8, 12):

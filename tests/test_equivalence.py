@@ -20,7 +20,6 @@ from metroq.equivalence import (
     effective_sequential_channel,
     generalized_strategy_certificate,
     noise_conversion_residual,
-    noisy_conversion_valid_beyond_n2,
     unaveraged_counterexample_fisher,
     useful_entanglement_check,
 )
@@ -38,7 +37,6 @@ from metroq.states import (
     Generator,
     ghz_like,
     ghz_phase_support,
-    phase_mask,
     plus_minus_states,
     u_phi,
 )
@@ -47,6 +45,7 @@ from helpers import (
     apply_on_factor,
     branch_amplitudes_tensordot,
     counterexample_per_phase,
+    phase_mask,
     project_subsystem,
     random_cptp_channel,
     useful_entanglement_check_per_phase,
@@ -119,10 +118,8 @@ def test_convert_general_three_probe_branches():
     # independent enumeration oracle: full tensor-product unitary applied as a
     # matrix, probes projected one at a time; every conditional must be
     # |0> +- e^{1.6 i}|1> with the parity sign of the - outcomes
-    from metroq.states import ghz_state
-
     boxes = np.kron(np.kron(u_phi(H, 0.2), u_phi(H, 0.5)), u_phi(H, 0.9))
-    evolved = boxes @ ghz_state(3)
+    evolved = boxes @ ghz_like(H, 3)
     for signs in itertools.product((1, -1), repeat=2):
         p2, cond = project_subsystem(evolved, [2, 2, 2], 2, PLUS if signs[1] == 1 else MINUS)
         p1, cond = project_subsystem(cond, [2, 2], 1, PLUS if signs[0] == 1 else MINUS)
@@ -326,7 +323,7 @@ def _record_distribution(phi):
 
 def test_unaveraged_fisher_matches_classical_parallel():
     for phi in (math.pi / 4, 0.3, 1.2):
-        fisher, singular = unaveraged_counterexample_fisher("hadamard", phi)
+        fisher, singular = unaveraged_counterexample_fisher(phi)
         assert abs(fisher - 2.0 * cfi_binary(1, phi)) < 1e-9 and singular == 0
 
 
@@ -336,12 +333,12 @@ def test_unaveraged_fisher_against_finite_difference_oracle():
     dp = (_record_distribution(phi + step) - _record_distribution(phi - step)) / (2 * step)
     mask = p0 > 1e-12
     oracle = float(np.sum(dp[mask] ** 2 / p0[mask]))
-    assert abs(oracle - unaveraged_counterexample_fisher("hadamard", phi)[0]) < 1e-6
+    assert abs(oracle - unaveraged_counterexample_fisher(phi)[0]) < 1e-6
 
 
 def test_unaveraged_fisher_near_zero_phase():
     phi = 1e-3
-    fisher, singular = unaveraged_counterexample_fisher("hadamard", phi)
+    fisher, singular = unaveraged_counterexample_fisher(phi)
     assert abs(fisher - 2.0 * cfi_binary(1, phi)) < 1e-9 and singular == 0
 
 
@@ -365,19 +362,14 @@ def test_verify_reports_a_singular_fisher_outcome_as_a_fail(capsys, monkeypatch)
         m.setattr(equivalence, "u_phi", lambda h, phi: np.diag([1.0, np.exp(1e-9j)]))
         code, rec = _fisher_check(capsys)
         assert code == 1 and not rec["pass"] and rec["residual"] >= 1.0
-        assert unaveraged_counterexample_fisher("hadamard", 0.3)[1] > 0
+        assert unaveraged_counterexample_fisher(0.3)[1] > 0
     # A singular outcome fails the check even when the Fisher sum is right.
     exact = equivalence.unaveraged_counterexample_fisher
     monkeypatch.setattr(
-        equivalence, "unaveraged_counterexample_fisher", lambda basis, phi: (exact(basis, phi)[0], 1)
+        equivalence, "unaveraged_counterexample_fisher", lambda phi: (exact(phi)[0], 1)
     )
     code, rec = _fisher_check(capsys)
     assert code == 1 and not rec["pass"] and rec["residual"] == 3.0
-
-
-def test_unaveraged_fisher_requires_hadamard_basis():
-    with pytest.raises(ValueError):
-        unaveraged_counterexample_fisher("computational", 0.3)
 
 
 def test_averaged_state_carries_no_information():
@@ -437,14 +429,6 @@ def test_trace_preservation_iff_second_unital():
         for chb in zoo:
             _, tp = effective_sequential_channel(cha, chb)
             assert tp == is_unital(chb), (cha, chb)
-
-
-def test_noisy_conversion_beyond_two_probes():
-    assert noisy_conversion_valid_beyond_n2(dephasing(0.25), dephasing(0.4))
-    assert noisy_conversion_valid_beyond_n2(bit_phase_flip(0.25), bit_phase_flip(0.7))
-    assert not noisy_conversion_valid_beyond_n2(dephasing(0.25), amplitude_damping(0.3))
-    # mixing a diagonal with an anti-diagonal family breaks the subspace
-    assert not noisy_conversion_valid_beyond_n2(dephasing(0.25), bit_phase_flip(0.25))
 
 
 # --------------------------------------------------------- useful entanglement

@@ -15,7 +15,7 @@ from metroq.fock import (
 )
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import evolve_parallel_entangled, evolve_sequential
-from metroq.states import Generator, ghz_like, ghz_state, phase_mask, plus_minus_states
+from metroq.states import Generator, ghz_like, phase_box, plus_minus_states
 
 H = Generator.qubit()
 
@@ -35,7 +35,7 @@ def test_generators_of_the_bosonic_probes():
 
 
 def test_n0_state_and_evolution():
-    state = ghz_like(Generator.number(3), 1) * phase_mask(Generator.number(3), [0.5])
+    state = ghz_like(Generator.number(3), 1) * phase_box(Generator.number(3), 0.5)
     expected = np.zeros(4, dtype=complex)
     expected[0], expected[3] = 1 / math.sqrt(2), np.exp(1.5j) / math.sqrt(2)
     np.testing.assert_allclose(state, expected, atol=1e-15)
@@ -44,7 +44,7 @@ def test_n0_state_and_evolution():
 def test_zero_phase_is_identity():
     for h in (Generator.number(4), Generator.number_difference(4)):
         probe = ghz_like(h, 1)
-        np.testing.assert_array_equal(probe * phase_mask(h, [0.0]), probe)
+        np.testing.assert_array_equal(probe * phase_box(h, 0.0), probe)
         assert abs(fringe(h, probe, 0.0) - 1.0) < 1e-15
 
 
@@ -52,7 +52,7 @@ def test_single_mode_evolution_is_unitary():
     rng = np.random.default_rng(31)
     amp = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     amp /= np.linalg.norm(amp)
-    out = amp * phase_mask(Generator.number(5), [1.234])
+    out = amp * phase_box(Generator.number(5), 1.234)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -61,13 +61,13 @@ def test_n0_phase_matches_entangled_register():
     n, phi = 3, 0.5
     h = Generator.number(n)
     fock_p = fringe(h, ghz_like(h, 1), phi)
-    qubit_p = fidelity_up_to_phase(ghz_state(n), evolve_parallel_entangled(H, phi, n, 0.0))
+    qubit_p = fidelity_up_to_phase(ghz_like(H, n), evolve_parallel_entangled(H, phi, n, 0.0))
     assert abs(fock_p - qubit_p) < 1e-12
 
 
 def test_noon_relative_phase():
     h = Generator.number_difference(2)
-    state = ghz_like(h, 1) * phase_mask(h, [0.3])
+    state = ghz_like(h, 1) * phase_box(h, 0.3)
     # branches pick up e^{+-i 2 * 0.3}; relative phase 1.2
     ratio = state[2] / state[0]
     assert abs(np.angle(ratio) - 1.2) < 1e-12

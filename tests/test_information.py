@@ -14,7 +14,7 @@ from metroq.information import (
     qfi_pure,
 )
 from metroq.simulate import scaling_experiment
-from metroq.states import Generator, StrategyKind, StrategySpec, ghz_state
+from metroq.states import Generator, StrategyKind, StrategySpec, ghz_like
 
 
 def product_plus_state(n):
@@ -25,7 +25,7 @@ def test_qfi_ghz_is_n_squared():
     h = Generator.qubit()
     for n in range(1, 13):
         for lam in (0.0, 0.9, -2.2):
-            got = qfi_pure(ghz_state(n, lam), collective_generator(h, n))
+            got = qfi_pure(ghz_like(h, n, lam), collective_generator(h, n))
             assert abs(got - n * n) < 1e-10
 
 
@@ -75,7 +75,7 @@ def test_measurement_optimality_cfi_matches_qfi():
     h = Generator.qubit()
     for n in (1, 2, 4, 8):
         cfi = cfi_binary(n, operating_phase(n))
-        qfi = qfi_pure(ghz_state(n), collective_generator(h, n))
+        qfi = qfi_pure(ghz_like(h, n), collective_generator(h, n))
         assert abs(cfi - qfi) < 1e-9
 
 

@@ -51,3 +51,32 @@ def test_unused_import_finder_sees_an_orphan():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def _exponentiating_functions(tree: ast.Module) -> set[str]:
+    """Functions that both call an `exp` and read an `.eigenvalues` attribute:
+    the ones that exponentiate a generator's eigenvalues themselves."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        calls_exp = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "exp" for n in nodes)
+        reads_eigenvalues = any(isinstance(n, ast.Attribute) and n.attr == "eigenvalues"
+                                for n in nodes)
+        if calls_exp and reads_eigenvalues:
+            found.add(fn.name)
+    return found
+
+
+def test_exponent_finder_sees_a_hand_built_box():
+    tree = ast.parse("def box(h, phi):\n    return np.diag(np.exp(1j * phi * h.eigenvalues))\n"
+                     "def amplitude(lam):\n    return np.exp(1j * lam)\n")
+    assert _exponentiating_functions(tree) == {"box"}
+
+
+def test_phase_box_is_the_one_exponential_of_a_generator():
+    found = {(path.stem, name) for path in MODULES
+             for name in _exponentiating_functions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("states", "phase_box")}

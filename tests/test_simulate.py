@@ -18,7 +18,7 @@ from metroq.states import (
     Generator,
     StrategyKind,
     StrategySpec,
-    ghz_state,
+    ghz_like,
     plus_minus_states,
     u_phi,
 )
@@ -58,7 +58,7 @@ def test_parallel_entangled_examples():
     assert np.max(np.abs(par - seq)) < 1e-12
 
     np.testing.assert_allclose(
-        evolve_parallel_entangled(H, 0.0, 4, 0.3), ghz_state(4, 0.3), atol=1e-15
+        evolve_parallel_entangled(H, 0.0, 4, 0.3), ghz_like(H, 4, 0.3), atol=1e-15
     )
 
 
@@ -78,7 +78,7 @@ def test_sequential_and_parallel_fringes_agree():
         worst = 0.0
         for phi in np.linspace(0.0, math.pi / n, 100):
             p_seq = fidelity_up_to_phase(PLUS, evolve_sequential(H, phi, n, PLUS))
-            p_par = fidelity_up_to_phase(ghz_state(n), evolve_parallel_entangled(H, phi, n, 0.0))
+            p_par = fidelity_up_to_phase(ghz_like(H, n), evolve_parallel_entangled(H, phi, n, 0.0))
             worst = max(worst, abs(p_seq - p_par))
         assert worst < 1e-12
 
@@ -91,7 +91,7 @@ def test_coincidence_values():
     final = evolve_sequential(H, math.pi / 6, 3, PLUS)
     assert abs(fidelity_up_to_phase(PLUS, final) - 0.5) < 1e-12
     with pytest.raises(ValueError):
-        fidelity_up_to_phase(ghz_state(2), PLUS)
+        fidelity_up_to_phase(ghz_like(H, 2), PLUS)
 
 
 def test_run_trials_degenerate_probabilities():

@@ -18,12 +18,13 @@ from metroq.states import (
     ghz_like,
     ghz_phase_support,
     ghz_register,
-    ghz_state,
-    phase_mask,
+    phase_box,
     plus_minus_states,
     repeated_index,
     u_phi,
 )
+
+from helpers import phase_mask
 
 
 def test_generator_validation():
@@ -35,6 +36,41 @@ def test_generator_validation():
         Generator(np.array([1.0, 1.0]), 0, 1)  # degenerate spread
     h = Generator(np.array([-0.5, 0.25, 1.5]), 0, 2)
     assert h.dim == 3 and h.gap == 2.0
+
+
+# the qubit, a qutrit with a middle eigenvalue, and the bosonic generators
+BOX_GENERATORS = [
+    Generator.qubit(),
+    Generator(np.array([-0.3, 0.45, 1.2]), 0, 2),
+    *[Generator.number(n) for n in (1, 5, 12)],
+    *[Generator.number_difference(n) for n in (1, 5, 12)],
+]
+
+
+def test_u_phi_is_bitwise_the_phase_box_on_the_diagonal():
+    rng = np.random.default_rng(71)
+    for h in BOX_GENERATORS:
+        for phi in (0.0, math.pi, *rng.uniform(-7, 7, size=5)):
+            box = phase_box(h, phi)
+            assert box.shape == (h.dim,)
+            assert u_phi(h, phi).tobytes() == np.diag(box).tobytes()
+
+
+def test_stacked_phase_box_rows_are_bitwise_single_calls():
+    rng = np.random.default_rng(72)
+    for h in BOX_GENERATORS:
+        phis = rng.uniform(-7, 7, size=(3, 4))
+        boxes = phase_box(h, phis)
+        assert boxes.shape == (3, 4, h.dim)
+        for g in np.ndindex(3, 4):
+            assert boxes[g].tobytes() == phase_box(h, phis[g]).tobytes()
+
+
+def test_one_probe_phase_mask_is_bitwise_the_phase_box():
+    rng = np.random.default_rng(73)
+    for h in BOX_GENERATORS:
+        for phi in (0.0, math.pi, *rng.uniform(-7, 7, size=5)):
+            assert phase_mask(h, [phi]).tobytes() == phase_box(h, phi).tobytes()
 
 
 def test_u_phi_at_zero_and_pi():
@@ -75,14 +111,15 @@ def test_u_phi_affine_shift_is_global_phase():
 
 
 def test_ghz_small_cases():
-    plus, _ = plus_minus_states(Generator.qubit())
-    np.testing.assert_allclose(ghz_state(1, 0.0), plus, atol=1e-15)
+    h = Generator.qubit()
+    plus, _ = plus_minus_states(h)
+    np.testing.assert_allclose(ghz_like(h, 1, 0.0), plus, atol=1e-15)
     np.testing.assert_allclose(
-        ghz_state(2, 0.0), vec(np.eye(2)) / math.sqrt(2), atol=1e-15
+        ghz_like(h, 2, 0.0), vec(np.eye(2)) / math.sqrt(2), atol=1e-15
     )
     expected = np.zeros(8, dtype=complex)
     expected[0], expected[7] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    np.testing.assert_allclose(ghz_state(3, math.pi), expected, atol=1e-12)
+    np.testing.assert_allclose(ghz_like(h, 3, math.pi), expected, atol=1e-12)
 
 
 def test_ghz_like_uses_extreme_indices():
@@ -151,8 +188,8 @@ def test_repeated_index_matches_ravel_multi_index():
 
 def test_tensor_products_and_register_indices_have_one_helper():
     # kron ordering lives in linalg.kron, the |j...j> index in repeated_index,
-    # and phase boxes act through states.phase_mask (or, on a GHZ-type
-    # register, states.ghz_phase_support), never per factor
+    # and phase boxes act through states.phase_box (on a GHZ-type register,
+    # states.ghz_phase_support), never per factor
     paths = sorted(Path(metroq.__file__).parent.glob("*.py"))
     assert len(paths) > 1
     for path in paths:
