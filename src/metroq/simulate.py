@@ -1,16 +1,19 @@
 """Seeded Monte Carlo phase-estimation experiments over the estimation strategies.
 
 Each round draws its success count as one binomial variate from its own
-counter-based Philox stream.  Per-round seeds are derived from the experiment
-seed by numpy's SeedSequence, with the entropy of SeedSequence(seed,
-spawn_key=(strategy index, N, round_index)), so every strategy samples
-independently and reports are pure functions of their arguments, independent
-of any execution order.  STREAM_VERSION names this sampling scheme; it
-changes whenever the same arguments would draw different numbers.
+counter-based Philox stream.  A round's seed is the one numpy's
+SeedSequence(seed, spawn_key=(strategy index, N, round_index)) generates, so
+every strategy samples independently and reports are pure functions of their
+arguments, independent of any execution order.  numpy hashes the seed and
+the first two key words into a pool once per (strategy, N) row; the round
+word is hashed in here, with numpy's SeedSequence arithmetic (see
+derive_round_seed).  STREAM_VERSION names this sampling scheme; it changes
+whenever the same arguments would draw different numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +22,7 @@ import numpy as np
 from .information import crb, operating_phase
 from .linalg import as_vector, fidelity_up_to_phase
 from .states import (
+    MAX_PROBES,
     Generator,
     StrategyKind,
     StrategySpec,
@@ -33,7 +37,23 @@ from .states import (
 # on streams keyed on (N, round); version 2 is the scheme described above.
 STREAM_VERSION = 2
 
-_WORD = 0xFFFFFFFF  # SeedSequence entropy is a sequence of uint32 words
+_MASK32 = 0xFFFFFFFF  # SeedSequence entropy is a sequence of uint32 words
+
+# SeedSequence's hash constants, named as in numpy's bit_generator.pyx.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+# hashmix's constant once a row's six entropy words are in the pool of 4:
+# 4 hashmixes fill it, 12 mix it pairwise and each key word past the pool
+# (strategy index, N) takes 4.  The round word's hashmixes into pool words 0
+# and 1 then start from _A24 and _A25.
+_A24, _A25, _A26 = (_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in (24, 25, 26))
+# generate_state's constant before and after its first and second output word
+_B1, _B2 = (_INIT_B * pow(_MULT_B, k, 2**32) & _MASK32 for k in (1, 2))
 
 # Fixed stream index per strategy, so reordering StrategyKind keeps the streams.
 _STREAM_INDEX = {
@@ -137,7 +157,7 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError("p must lie in [0, 1]")
     trials = strategy.n_probes * nu if strategy.kind is StrategyKind.CLASSICAL_PARALLEL else nu
-    words = np.array([seed & _WORD, seed >> 32], dtype=np.uint32)
+    words = np.array([seed & _MASK32, seed >> 32], dtype=np.uint32)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
     return int(rng.binomial(trials, p))
 
@@ -155,26 +175,49 @@ def estimate_phase(k: int, nu: int, n: int) -> float:
     return (2.0 / n) * math.acos(math.sqrt(k / nu))
 
 
+@functools.lru_cache(maxsize=len(_STREAM_INDEX) * MAX_PROBES)  # the rows of one run
+def _row_pool(seed: int, index: int, n: int) -> tuple[int, int]:
+    """Pool words 0 and 1 of SeedSequence([seed mod 2^32, seed div 2^32, 0, 0,
+    index, n]): the pool numpy has built from a row's seed and key words when
+    it reaches the round word."""
+    words = np.array([seed & _MASK32, seed >> 32, 0, 0, index, n], dtype=np.uint32)
+    pool = np.random.SeedSequence(words).pool
+    return int(pool[0]), int(pool[1])
+
+
 def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -> int:
     """Per-round child seed of one strategy at N = n.
 
     The seed of SeedSequence(seed, spawn_key=(strategy index, n,
     round_index)): the strategy is part of the key, so strategies with the
-    same success probability still draw from independent streams.
+    same success probability still draw from independent streams.  It is the
+    first uint64 that SeedSequence generates from the uint32 entropy numpy
+    assembles for that call: the two words of the 64-bit seed, low first,
+    zero-padded to the pool size of 4 because a spawn key is present, then
+    the key.
 
-    The SeedSequence is built from the uint32 entropy numpy assembles for
-    that call: the two words of the 64-bit seed, low first, zero-padded to
-    the pool size of 4 because a spawn key is present, then the key.
-    Passing these words as one array gives the same pool and the same child
-    seed, and skips numpy's per-call coercion of a Python int and a key
-    tuple into uint32 words.
+    Only the last word, round_index, changes from round to round.  The pool
+    after the first six words comes from numpy once per row (_row_pool);
+    each round hashes its word into pool words 0 and 1, the two that
+    generate_state(1, np.uint64) reads, and hashes those into the low and
+    high output words, with numpy's uint32 arithmetic.  Raises ValueError
+    unless the seed is a 64-bit unsigned integer and n and round_index are
+    32-bit ones.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    words = np.array(
-        [seed & _WORD, seed >> 32, 0, 0, _STREAM_INDEX[kind], n, round_index], dtype=np.uint32
-    )
-    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+    if not (0 <= n <= _MASK32 and 0 <= round_index <= _MASK32):
+        raise ValueError("n and round_index must be 32-bit unsigned integers")
+    pool0, pool1 = _row_pool(seed, _STREAM_INDEX[kind], n)
+    # mix_entropy's last step: hashmix(round_index) mixed into pool words 0, 1
+    h0 = (round_index ^ _A24) * _A25 & _MASK32
+    h1 = (round_index ^ _A25) * _A26 & _MASK32
+    m0 = (_MIX_MULT_L * pool0 - _MIX_MULT_R * (h0 ^ h0 >> _XSHIFT)) & _MASK32
+    m1 = (_MIX_MULT_L * pool1 - _MIX_MULT_R * (h1 ^ h1 >> _XSHIFT)) & _MASK32
+    # generate_state: each pool word hashed into one output word, low first
+    lo = ((m0 ^ m0 >> _XSHIFT) ^ _INIT_B) * _B1 & _MASK32
+    hi = ((m1 ^ m1 >> _XSHIFT) ^ _B1) * _B2 & _MASK32
+    return (hi ^ hi >> _XSHIFT) << 32 | lo ^ lo >> _XSHIFT
 
 
 def rmse_stderr(rmse: float, rounds: int) -> float:

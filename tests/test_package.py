@@ -30,6 +30,16 @@ def test_module_import_loads_only_its_own_dependencies():
     assert proc.stdout.strip() == "['metroq', 'metroq.linalg']"
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first draw.  A module-level SeedSequence,
+    # Philox or pre-filled seed cache would load it at import, into the
+    # start-up of every command, those that draw nothing included.
+    code = "import metroq.cli, sys; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env())
+    assert proc.stdout.strip() == "False"
+
+
 def _unused_imports(tree: ast.Module) -> set[str]:
     """Names bound by an import statement but never loaded in the module."""
     imported = set()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from metroq.simulate import (
     strategy_success_probability,
 )
 from metroq.states import (
+    MAX_PROBES,
     Generator,
     StrategyKind,
     StrategySpec,
@@ -225,30 +227,45 @@ def test_seed_must_be_unsigned_64_bit():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             derive_round_seed(seed, StrategyKind.SEQUENTIAL, 2, 0)
+    # the round word is hashed as one uint32 word, and so is N
+    for n, round_index in ((2, -1), (2, 2**32), (-1, 0), (2**32, 0)):
+        with pytest.raises(ValueError):
+            derive_round_seed(1, StrategyKind.SEQUENTIAL, n, round_index)
 
 
 # Seeds where a word of the 64-bit seed is 0 or all ones, and where the high
 # word starts, then a few hundred random 64-bit seeds.
-ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+ORACLE_SEEDS = EDGE_SEEDS + [
     int(s) for s in np.random.default_rng(14).integers(0, 2**64, size=300, dtype=np.uint64)
 ]
+# Round words at both ends of the uint32 range and two in between.
+ORACLE_ROUNDS = (0, 1, 999, 2**32 - 1)
 
 
 @pytest.mark.parametrize("kind", list(StrategyKind))
 def test_round_seed_and_draw_match_the_spawn_key_form(kind):
-    # derive_round_seed hands SeedSequence the words numpy assembles for the
-    # spawn-key call, and run_trials the words Philox(int) hashes: child
-    # seeds and counts must equal numpy's own int-and-tuple forms.
+    # derive_round_seed hashes the round word into a pool numpy builds once
+    # per (seed, strategy, N) row, and run_trials hands Philox the words
+    # Philox(int) hashes: child seeds and counts must equal numpy's own
+    # int-and-tuple forms.  Rounds of every N, and at the edge seeds of every
+    # strategy, come in shuffled order, so a pool cached for another row shows.
     spec = StrategySpec(kind, 3)
     p, nu = 0.3, 100_000
     trials = 3 * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
     for seed in ORACLE_SEEDS:
         assert run_trials(spec, p, nu, seed) == binomial_from_int_seed(trials, p, seed), seed
-        for n in (1, 12):
-            for r in (0, 1, 999):
-                child = derive_round_seed(seed, kind, n, r)
-                assert child == derive_round_seed_spawn_key(seed, kind, n, r), (seed, n, r)
-                assert run_trials(spec, p, nu, child) == binomial_from_int_seed(trials, p, child)
+    rounds = [(seed, k, n, r)
+              for seed in ORACLE_SEEDS
+              for k in (StrategyKind if seed in EDGE_SEEDS else (kind,))
+              for n in range(1, MAX_PROBES + 1)
+              for r in ORACLE_ROUNDS]
+    random.Random(18).shuffle(rounds)
+    for seed, k, n, r in rounds:
+        child = derive_round_seed(seed, k, n, r)
+        assert child == derive_round_seed_spawn_key(seed, k, n, r), (seed, k, n, r)
+        if k is kind and n in (1, 3, 12):  # spec's own N and the ends of the range
+            assert run_trials(spec, p, nu, child) == binomial_from_int_seed(trials, p, child)
 
 
 @pytest.mark.parametrize(
