@@ -3,7 +3,9 @@
 The central construction: evolve a GHZ-type state by one phase box per probe,
 measure every probe but the first in the (|min> +- |max>)/sqrt(2) basis, and
 check that each measurement branch leaves probe 1 in the state a sequential
-strategy would have produced, up to a global phase and a known +- sign.  The
+strategy would have produced, up to a global phase and a known +- sign.  Both
+the phase boxes and the measurement act on the state's two nonzero amplitudes,
+on |min...min> and |max...max>, so a certificate builds no d^N register.  The
 same machinery certifies the classical-correlation counterexamples, the noise
 conversion with its unitality condition, the characterization of useful
 entanglement, and the generalized W e^{i phi H} V boxes.
@@ -11,6 +13,7 @@ entanglement, and the generalized W e^{i phi H} V boxes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +28,6 @@ from .states import (
     Generator,
     classical_corr_state,
     ghz_phase_support,
-    ghz_register,
     phase_box,
     plus_minus_states,
     u_phi,
@@ -83,43 +85,59 @@ class ConversionCertificate:
         )
 
 
-def _branch_amplitudes(state: np.ndarray, h: Generator, n: int) -> np.ndarray:
-    """Rotate probes 2..n into the +- basis and return the amplitude matrix.
-
-    Output shape (d, 2^(n-1)): column b is the unnormalized conditional
-    probe-1 vector of branch b, whose bits, most significant first, are the
-    outcomes of probes 2..n (0 for +, 1 for -).
-
-    Each probe costs one np.dot of the (2, d) projector with the register
-    unfolded to a (d, rest) matrix: that probe's axis on the rows, every other
-    axis in register order on the columns.  np.tensordot over that axis forms
-    this same matrix (same values, same memory layout) and hands it to the same
-    np.dot, so the amplitudes are bitwise those of the tensordot/moveaxis
-    cascade.  Between probes the product stays as (new outcome, probe 1 and
-    earlier outcomes, later probes); the next unfolding moves the new outcome
-    behind the earlier ones in the same copy that brings the next probe to the
-    rows.
-    """
+@functools.lru_cache(maxsize=8)  # keyed by generator object: Generator compares by identity
+def _support_columns(h: Generator) -> np.ndarray:
+    """The +- projector's columns at the two extreme levels, read-only:
+    entry [s, o] multiplies support entry s (0 for |min>, 1 for |max>) into
+    outcome o (0 for +, 1 for -)."""
     proj = np.array(plus_minus_states(h)).conj()
-    d = h.dim
-    t = state.reshape(1, d, -1)
+    columns = proj[:, [h.min_index, h.max_index]].T
+    columns.setflags(write=False)
+    return columns
+
+
+@functools.lru_cache(maxsize=MAX_PROBES)  # one entry per N
+def _branch_parity(n: int) -> np.ndarray:
+    """Parity of each of the 2^(n-1) branches' - outcomes, the set bits of
+    its index; read-only."""
+    parity = np.bitwise_count(np.arange(2 ** (n - 1))) & 1
+    parity.setflags(write=False)
+    return parity
+
+
+def _support_branch_amplitudes(support, h: Generator, n: int) -> np.ndarray:
+    """Measure probes 2..n of ghz_register(h, n, support) in the +- basis.
+
+    Returns the amplitude matrix, shape (d, 2^(n-1)): column b is the
+    unnormalized conditional probe-1 vector of branch b, whose bits, most
+    significant first, are the outcomes of probes 2..n (0 for +, 1 for -).
+    Only rows min_index and max_index are nonzero: a probe measured on
+    |min...min> or |max...max> multiplies that amplitude by the projector's
+    entry at the same level.  One broadcast product per probe appends its
+    outcome as the new least significant bit.  Every probe meets the same two
+    columns, so a column depends only on how many - outcomes its branch
+    holds: the bit order is a labelling convention.  The factors go in in the order
+    a probe-by-probe contraction of the whole register applies them, and the
+    register's other entries add only exact zeros there, so the matrix is
+    bitwise that contraction's.
+    """
+    columns = _support_columns(h)
+    branches = np.asarray(support)[:, None]
     for _ in range(n - 1):
-        outcome, before, rest = t.shape
-        unfolded = t.reshape(outcome, before, d, rest // d).transpose(2, 1, 0, 3).reshape(d, -1)
-        t = np.dot(proj, unfolded).reshape(2, before * outcome, rest // d)
-    return t.reshape(t.shape[0], -1).T.reshape(d, -1)
+        branches = (branches[:, :, None] * columns[:, None, :]).reshape(2, -1)
+    amps = np.zeros((h.dim, branches.shape[1]), dtype=np.complex128)
+    amps[h.min_index], amps[h.max_index] = branches
+    return amps
 
 
-def _certificate(evolved: np.ndarray, h: Generator, n: int,
+def _certificate(support: np.ndarray, h: Generator, n: int,
                  ref_plus: np.ndarray, ref_minus: np.ndarray) -> ConversionCertificate:
-    """Grade every +- branch of probes 2..n at once against the sign-matched
-    sequential reference state: ref_minus when the branch has an odd number
-    of - outcomes, ref_plus otherwise."""
-    amps = _branch_amplitudes(evolved, h, n)
+    """Grade every +- branch of probes 2..n of ghz_register(h, n, support) at
+    once against the sign-matched sequential reference state: ref_minus when
+    the branch has an odd number of - outcomes, ref_plus otherwise."""
+    amps = _support_branch_amplitudes(support, h, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real
-    # branch b's - outcomes are the set bits of b
-    parity = np.bitwise_count(np.arange(amps.shape[1])) & 1
-    refs = np.array([ref_plus, ref_minus])[parity]
+    refs = np.array([ref_plus, ref_minus])[_branch_parity(n)]
     # a dead branch (probability below 1e-15) is divided by 1 and graded 0
     live = probs >= 1e-15
     cond = amps / np.sqrt(np.where(live, probs, 1.0))
@@ -145,10 +163,9 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError("need at least 2 probes for a conversion certificate")
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
-    state = ghz_register(h, n, ghz_phase_support(h, phis, lam))
     u_total = u_phi(h, sum(phis))
     plus, minus = plus_minus_states(h, lam)
-    return _certificate(state, h, n, u_total @ plus, u_total @ minus)
+    return _certificate(ghz_phase_support(h, phis, lam), h, n, u_total @ plus, u_total @ minus)
 
 
 def counterexample(basis: str, phis) -> np.ndarray:
@@ -329,8 +346,8 @@ def generalized_strategy_certificate(
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     u = u_phi(h, phi)
     m = w.conj().T @ (w @ u @ v) @ v.conj().T
-    state = ghz_register(h, n, ghz_phase_support(h, [phi] * n))
     m_n = np.linalg.matrix_power(m, n)
     plus, minus = plus_minus_states(h)
-    cert = _certificate(state, h, n, normalized(m_n @ plus), normalized(m_n @ minus))
+    cert = _certificate(ghz_phase_support(h, [phi] * n), h, n,
+                        normalized(m_n @ plus), normalized(m_n @ minus))
     return float(np.max(np.abs(m - u))), cert

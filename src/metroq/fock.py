@@ -52,8 +52,9 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi].
 
     The qubit registers of the whole grid are evolved by one stacked
-    ghz_phase_support call; each is put on the 2^n register and graded only
-    when its grid point comes up, so no (100, 2^n) stack is built.
+    ghz_phase_support call.  One 2^n register is built per certificate; at
+    each grid point its two support entries, |0...0> first and |1...1> last,
+    are rewritten and it is graded, so no (100, 2^n) stack is built.
     """
     if not 1 <= n <= MAX_PROBES:
         raise ValueError(f"n must lie in 1..{MAX_PROBES}")
@@ -63,9 +64,11 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     ghz = ghz_like(qubit, n)
     grid = np.linspace(0.0, math.pi, 100)
     supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
+    register = np.zeros(2**n, dtype=np.complex128)
     worst = 0.0
     for phi, support in zip(grid, supports):
-        qubit_p = fidelity_up_to_phase(ghz, ghz_register(qubit, n, support))
+        register[0], register[-1] = support
+        qubit_p = fidelity_up_to_phase(ghz, register)
         worst = max(worst, abs(fringe(h, probe, phi) - qubit_p))
     return worst
 

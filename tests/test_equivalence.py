@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -37,6 +38,7 @@ from metroq.states import (
     Generator,
     ghz_like,
     ghz_phase_support,
+    ghz_register,
     plus_minus_states,
     u_phi,
 )
@@ -167,38 +169,67 @@ def test_phase_mask_matches_per_factor_boxes_and_record_order():
 
 
 def test_branch_cascade_is_bitwise_the_tensordot_cascade():
+    # the support's per-probe products against the whole register contracted
+    # probe by probe, byte for byte
     rng = np.random.default_rng(32)
     qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
-    for h, n_max in ((H, 8), (qutrit, 5)):
-        for n in range(2, n_max + 1):
-            state = rng.standard_normal(h.dim**n) + 1j * rng.standard_normal(h.dim**n)
-            amps = equivalence._branch_amplitudes(state, h, n)
-            oracle = branch_amplitudes_tensordot(state, h, n)
+    ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0)
+    for h, n_max in ((H, 12), (qutrit, 7), (ququart, 5)):
+        for n in range(1, n_max + 1):
+            support = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            amps = equivalence._support_branch_amplitudes(support, h, n)
+            oracle = branch_amplitudes_tensordot(ghz_register(h, n, support), h, n)
             assert amps.shape == oracle.shape == (h.dim, 2 ** (n - 1))
             assert amps.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
 def _conversion_inputs(phis, lam):
-    """Evolved GHZ-type register and the (+, -) sequential references of
+    """Evolved GHZ-type support and the (+, -) sequential references of
     convert_general_n, built here from the same pieces."""
     n = len(phis)
-    evolved = ghz_like(H, n, lam) * phase_mask(H, phis)
+    support = (ghz_like(H, n, lam) * phase_mask(H, phis))[[0, -1]]
     u_total = u_phi(H, sum(phis))
     refs = [u_total @ normalized(np.array([1.0, s * np.exp(1j * lam)])) for s in (1, -1)]
-    return evolved, refs
+    return support, refs
 
 
 def test_grading_fails_on_a_dropped_phase_or_swapped_references():
     phis, lam = [0.4, 1.3, 0.9, 2.2], 0.7
     n = len(phis)
-    evolved, (ref_plus, ref_minus) = _conversion_inputs(phis, lam)
-    assert equivalence._certificate(evolved, H, n, ref_plus, ref_minus).min_fidelity > 1 - 1e-12
+    support, (ref_plus, ref_minus) = _conversion_inputs(phis, lam)
+    assert equivalence._certificate(support, H, n, ref_plus, ref_minus).min_fidelity > 1 - 1e-12
     dropped, _ = _conversion_inputs(phis[:-1] + [0.0], lam)
     assert equivalence._certificate(dropped, H, n, ref_plus, ref_minus).min_fidelity < 0.9
-    swapped = equivalence._certificate(evolved, H, n, ref_minus, ref_plus)
+    swapped = equivalence._certificate(support, H, n, ref_minus, ref_plus)
     assert swapped.min_fidelity < 1e-12
     # probabilities do not see the references; only the fidelities fail
     assert swapped.max_prob_error < 1e-12
+
+
+# sha256 of the probabilities and fidelities of a fixed seeded set of
+# certificates (numpy 2.4.6).  The verify goldens print only each check's
+# worst residual, so this is the pin that sees a last-bit change in any branch
+# of any certificate.  Qudit cases include a generator whose max index comes
+# first.
+CERTIFICATE_DIGEST = "fbd88434a01ae8c3de446737e1ba57fb3f97c0849e5049ec8205309d874a775b"
+
+
+def test_certificate_digest():
+    rng = np.random.default_rng(19)
+    qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
+    ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0)
+    digest = hashlib.sha256()
+    for h, n_max in ((H, 12), (qutrit, 7), (ququart, 5), (Generator.number(3), 5)):
+        for n in range(2, n_max + 1):
+            cert = convert_general_n(h, rng.uniform(0, 2 * math.pi, size=n),
+                                     rng.uniform(0, 2 * math.pi))
+            digest.update(cert.probabilities.tobytes() + cert.fidelities.tobytes())
+    for h, n_max in ((H, 12), (qutrit, 7), (ququart, 5)):
+        for n in range(1, n_max + 1):
+            w, v = haar_unitary(h.dim, rng), haar_unitary(h.dim, rng)
+            _, cert = generalized_strategy_certificate(w, v, h, rng.uniform(0.1, 1.4), n)
+            digest.update(cert.probabilities.tobytes() + cert.fidelities.tobytes())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
 
 
 def _conversion_check(capsys, name="conversion-general-n"):
@@ -224,8 +255,8 @@ def test_verify_conversion_fails_on_a_dropped_phase(capsys, monkeypatch):
 def test_verify_conversion_fails_on_swapped_references(capsys, monkeypatch):
     grade = equivalence._certificate
 
-    def swapped(evolved, h, n, ref_plus, ref_minus):
-        return grade(evolved, h, n, ref_minus, ref_plus)
+    def swapped(support, h, n, ref_plus, ref_minus):
+        return grade(support, h, n, ref_minus, ref_plus)
 
     monkeypatch.setattr(equivalence, "_certificate", swapped)
     code, rec = _conversion_check(capsys)

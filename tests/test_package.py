@@ -90,3 +90,30 @@ def test_phase_box_is_the_one_exponential_of_a_generator():
     found = {(path.stem, name) for path in MODULES
              for name in _exponentiating_functions(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {("states", "phase_box")}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module imports, loads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_name_finder_sees_an_aliased_import_and_an_attribute_call():
+    for code in ("from .states import ghz_register as put\n",
+                 "states.ghz_register(h, n, support)\n"):
+        assert "ghz_register" in _referenced_names(ast.parse(code))
+
+
+def test_certificates_build_no_register():
+    # conversion certificates measure the GHZ support itself, so equivalence
+    # names neither constructor of a whole d^N register
+    path = Path(metroq.__file__).parent / "equivalence.py"
+    names = _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not {"ghz_register", "ghz_like"} & names
