@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from metroq.information import operating_phase
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import (
     derive_round_seed,
@@ -132,6 +133,39 @@ def test_strategy_probability_forms():
     assert strategy_success_probability(
         StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 5), phi
     ) == pytest.approx(math.cos(phi / 2) ** 2, abs=1e-12)
+
+
+# float.hex of strategy_success_probability at operating_phase(N), N = 1..12.
+# At the operating phase p is 1/2 up to roundoff, and numpy's binomial samples
+# 1 - p once p > 1/2, so a last-bit drift of p mirrors every count of a row;
+# no CSV digest reaches most of these N.
+OPERATING_P_HEX = {
+    StrategyKind.SEQUENTIAL: [
+        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2",
+        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.0000000000001p-1",
+        "0x1.ffffffffffffep-2", "0x1.ffffffffffffep-2", "0x1.ffffffffffffcp-2",
+        "0x1.0000000000001p-1", "0x1.ffffffffffff6p-2", "0x1.ffffffffffff9p-2",
+    ],
+    StrategyKind.CLASSICAL_PARALLEL: [
+        "0x1.ffffffffffffcp-2", "0x1.b504f333f9de4p-1", "0x1.ddb3d742c2652p-1",
+        "0x1.ec835e799469fp-1", "0x1.f378709a22a7dp-1", "0x1.f746ea3a45f88p-1",
+        "0x1.f994e02ac74b1p-1", "0x1.fb14be7fbae55p-1", "0x1.fc1c5c6408e08p-1",
+        "0x1.fcd924a17f22cp-1", "0x1.fd64f021c2175p-1", "0x1.fdcf54976344bp-1",
+    ],
+    StrategyKind.ENTANGLED_PARALLEL: [
+        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2", "0x1.ffffffffffffep-2",
+        "0x1.ffffffffffff9p-2", "0x1.ffffffffffffcp-2", "0x1.0000000000001p-1",
+        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2",
+        "0x1.0000000000001p-1", "0x1.ffffffffffff6p-2", "0x1.ffffffffffffcp-2",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_operating_point_probabilities_are_pinned_bit_for_bit(kind):
+    got = [strategy_success_probability(StrategySpec(kind, n), operating_phase(n)).hex()
+           for n in range(1, MAX_PROBES + 1)]
+    assert got == OPERATING_P_HEX[kind]
 
 
 def test_estimate_phase_inversion():
