@@ -32,7 +32,7 @@ from .information import (
 )
 from .linalg import haar_unitary, trace_distance, vec_identity_residual
 from .simulate import STREAM_VERSION, rmse_stderr, scaling_experiment
-from .states import MAX_PROBES, PAULI_X, Generator, StrategyKind, StrategySpec, ghz_like, u_phi
+from .states import MAX_PROBES, PAULI_X, Generator, StrategyKind, StrategySpec, ghz_like, phase_box
 
 MAX_NU = 100_000
 MAX_ROUNDS = 1_000
@@ -256,7 +256,7 @@ def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, floa
             worst = max(worst, residual, 1.0 - cert.min_fidelity)
     # With V = sigma_x naive iteration is phase-free; only tracking W, V works.
     phi = 0.6
-    squared = np.linalg.matrix_power(u_phi(QUBIT, phi) @ PAULI_X, 2)
+    squared = np.linalg.matrix_power(phase_box(QUBIT, phi)[:, None] * PAULI_X, 2)
     frozen = float(np.max(np.abs(squared / squared[0, 0] - np.eye(2))))
     residual, tracked = equivalence.generalized_strategy_certificate(
         np.eye(2), PAULI_X, QUBIT, phi, 2

@@ -30,7 +30,6 @@ from .states import (
     ghz_phase_support,
     phase_box,
     plus_minus_states,
-    u_phi,
 )
 
 
@@ -163,9 +162,9 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError("need at least 2 probes for a conversion certificate")
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
-    u_total = u_phi(h, sum(phis))
+    box = phase_box(h, sum(phis))
     plus, minus = plus_minus_states(h, lam)
-    return _certificate(ghz_phase_support(h, phis, lam), h, n, u_total @ plus, u_total @ minus)
+    return _certificate(ghz_phase_support(h, phis, lam), h, n, box * plus, box * minus)
 
 
 def counterexample(basis: str, phis) -> np.ndarray:
@@ -181,12 +180,15 @@ def counterexample(basis: str, phis) -> np.ndarray:
     A scalar phase gives one 2x2 state, an array of phases a stack of them,
     one per phase.  The whole stack goes through each matrix product at once;
     matmul runs the same BLAS call on every matrix of a stack, so each state
-    is bitwise the one its phase gives alone.
+    is bitwise the one its phase gives alone.  The boxes enter as dense 4x4
+    matrices, not as diagonals: scaling rows and columns by the diagonal
+    instead rounds differently, by about 1e-16, and the stack would no longer
+    be bitwise the per-phase matrix products.
     """
     h = Generator.qubit()
     rho = classical_corr_state(basis)
     phis = np.asarray(phis, dtype=float)
-    # u[g] = u_phi(h, phis[g]): the same phase box, on the diagonal
+    # u[g] = diag(phase_box(h, phis[g]))
     u = np.zeros(phis.shape + (2, 2), dtype=np.complex128)
     u[..., [0, 1], [0, 1]] = phase_box(h, phis)
     u2 = kron(u, u)
@@ -220,17 +222,17 @@ def unaveraged_counterexample_fisher(phi: float) -> tuple[float, int]:
     # equally weighted pure components of the hadamard-correlated mixture
     comp_id = normalized(vec(np.eye(2)))
     comp_x = normalized(vec(PAULI_X))
-    u = u_phi(h, phi)
-    du = 1j * np.diag(h.eigenvalues) @ u
-    uu = kron(u, u)
-    duu = kron(du, u) + kron(u, du)
+    box = phase_box(h, phi)
+    dbox = 1j * h.eigenvalues * box
+    uu = kron(box, box)
+    duu = kron(dbox, box) + kron(box, dbox)
     outs = [kron(o1, o2) for o2 in (plus, minus) for o1 in (plus, minus)]
 
     fisher = 0.0
     singular = 0
     for comp in (comp_id, comp_x):
-        psi = uu @ comp
-        dpsi = duu @ comp
+        psi = uu * comp
+        dpsi = duu * comp
         for out in outs:
             amp = np.vdot(out, psi)
             damp = np.vdot(out, dpsi)
@@ -334,7 +336,8 @@ def generalized_strategy_certificate(
     parallel strategy on M is the ordinary one.  Returns max|M - e^{i phi H}|
     and the certificate of the GHZ-type state evolved on its two-level support
     by n boxes e^{i phi H} (states.ghz_phase_support), graded against
-    M^n |+-> normalized.
+    M^n |+-> normalized.  M is compared with the box entry by entry, off the
+    diagonal too, so here the box is the dense matrix diag(phase_box(h, phi)).
     """
     w = as_matrix(w)
     v = as_matrix(v)
@@ -344,7 +347,7 @@ def generalized_strategy_certificate(
         raise ValueError("n must be >= 1")
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
-    u = u_phi(h, phi)
+    u = np.diag(phase_box(h, phi))
     m = w.conj().T @ (w @ u @ v) @ v.conj().T
     m_n = np.linalg.matrix_power(m, n)
     plus, minus = plus_minus_states(h)

@@ -29,8 +29,8 @@ from .states import (
     ghz_like,
     ghz_phase_support,
     ghz_register,
+    phase_box,
     plus_minus_states,
-    u_phi,
 )
 
 # Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
@@ -84,13 +84,13 @@ class ScalingReport:
 
 
 def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
-    """Run one probe through n boxes: apply u_phi(h, phi) n times."""
+    """Run one probe through n boxes: multiply by phase_box(h, phi) n times."""
     state = as_vector(initial)
     if state.size != h.dim:
         raise ValueError("initial state dimension does not match generator")
-    u = u_phi(h, phi)
+    box = phase_box(h, phi)
     for _ in range(n):
-        state = u @ state
+        state = box * state
     return state
 
 
@@ -103,7 +103,7 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
     e^{i n phi} on the extreme pair, so the phase-accumulation claim is
     something tests can check rather than assume.  Tests check the support
     bit for bit against the register's d^N diagonal of phase boxes, and that
-    diagonal against u_phi applied to one register factor at a time.
+    diagonal against a dense box applied to one register factor at a time.
     """
     return ghz_register(h, n, ghz_phase_support(h, [phi] * n, lam))
 

@@ -84,11 +84,6 @@ def phase_box(h: Generator, phis) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(phis, h.eigenvalues))
 
 
-def u_phi(h: Generator, phi: float) -> np.ndarray:
-    """Diagonal phase unitary with entries exp(i * phi * eigenvalue)."""
-    return np.diag(phase_box(h, phi))
-
-
 def plus_minus_states(h: Generator, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Equal superpositions (|min> +- e^{i lam} |max>)/sqrt(2) of the extreme
     eigenstates: the basis probes 2..N are measured in (lam = 0) and the

@@ -18,13 +18,7 @@ from metroq.linalg import (
     kron,
     normalized,
 )
-from metroq.states import (
-    Generator,
-    StrategyKind,
-    classical_corr_state,
-    plus_minus_states,
-    u_phi,
-)
+from metroq.states import Generator, StrategyKind, classical_corr_state, plus_minus_states
 
 
 def random_complex_matrix(rng, d):
@@ -49,6 +43,12 @@ def random_cptp_channel(rng, d, n_ops):
     w, v = np.linalg.eigh(s)
     s_inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return KrausChannel(tuple(g @ s_inv_sqrt for g in gs))
+
+
+def u_phi(h, phi):
+    """Reference for states.phase_box at one phase: the box e^{i phi H} as a
+    dense diagonal matrix."""
+    return np.diag(np.exp(1j * (phi * h.eigenvalues)))
 
 
 def phase_mask(h, phis):

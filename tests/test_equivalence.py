@@ -40,7 +40,6 @@ from metroq.states import (
     ghz_phase_support,
     ghz_register,
     plus_minus_states,
-    u_phi,
 )
 
 from helpers import (
@@ -50,6 +49,7 @@ from helpers import (
     phase_mask,
     project_subsystem,
     random_cptp_channel,
+    u_phi,
     useful_entanglement_check_per_phase,
 )
 
@@ -390,7 +390,9 @@ def test_verify_reports_a_singular_fisher_outcome_as_a_fail(capsys, monkeypatch)
     steep = Generator(np.array([0.0, 1e3]), 0, 1)
     with monkeypatch.context() as m:
         m.setattr(equivalence.Generator, "qubit", staticmethod(lambda: steep))
-        m.setattr(equivalence, "u_phi", lambda h, phi: np.diag([1.0, np.exp(1e-9j)]))
+        stuck = np.array([1.0, np.exp(1e-9j)])
+        m.setattr(equivalence, "phase_box",
+                  lambda h, phis: np.broadcast_to(stuck, np.shape(phis) + stuck.shape))
         code, rec = _fisher_check(capsys)
         assert code == 1 and not rec["pass"] and rec["residual"] >= 1.0
         assert unaveraged_counterexample_fisher(0.3)[1] > 0

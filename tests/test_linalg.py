@@ -19,7 +19,7 @@ from metroq.linalg import (
     vec,
     vec_identity_residual,
 )
-from metroq.states import PAULI_Z, Generator, u_phi
+from metroq.states import PAULI_Z, Generator
 
 from helpers import (
     project_subsystem,
@@ -27,6 +27,7 @@ from helpers import (
     random_density_matrix,
     random_state,
     trace_distance_per_pair,
+    u_phi,
     vec_identity_residual_per_triple,
 )
 

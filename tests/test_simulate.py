@@ -23,10 +23,9 @@ from metroq.states import (
     StrategySpec,
     ghz_like,
     plus_minus_states,
-    u_phi,
 )
 
-from helpers import binomial_from_int_seed, derive_round_seed_spawn_key
+from helpers import binomial_from_int_seed, derive_round_seed_spawn_key, u_phi
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
