@@ -120,7 +120,7 @@ def _resolve_seed(args, parser) -> int:
 
 def _parse_strategies(text: str, parser) -> list[StrategyKind]:
     names = [name.strip() for name in text.split(",")]
-    if not set(names) <= {"sequential", "classical", "entangled"}:
+    if not set(names) <= {kind.value for kind in StrategyKind}:
         parser.error(f"--strategies entries must be sequential, classical or entangled: {text!r}")
     if len(set(names)) < len(names):
         parser.error(f"--strategies lists a strategy more than once: {text!r}")

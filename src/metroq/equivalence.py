@@ -180,15 +180,12 @@ def counterexample(basis: str, phis) -> np.ndarray:
     A scalar phase gives one 2x2 state, an array of phases a stack of them,
     one per phase.  The whole stack goes through each matrix product at once;
     matmul runs the same BLAS call on every matrix of a stack, so each state
-    is bitwise the one its phase gives alone.  The boxes enter as dense 4x4
-    matrices, not as diagonals: scaling rows and columns by the diagonal
-    instead rounds differently, by about 1e-16, and the stack would no longer
-    be bitwise the per-phase matrix products.
+    is bitwise the one its phase gives alone.  The boxes stay dense 4x4
+    matrices: scaling by their diagonals rounds differently, by about 1e-16.
     """
     h = Generator.qubit()
     rho = classical_corr_state(basis)
     phis = np.asarray(phis, dtype=float)
-    # u[g] = diag(phase_box(h, phis[g]))
     u = np.zeros(phis.shape + (2, 2), dtype=np.complex128)
     u[..., [0, 1], [0, 1]] = phase_box(h, phis)
     u2 = kron(u, u)
@@ -336,8 +333,8 @@ def generalized_strategy_certificate(
     parallel strategy on M is the ordinary one.  Returns max|M - e^{i phi H}|
     and the certificate of the GHZ-type state evolved on its two-level support
     by n boxes e^{i phi H} (states.ghz_phase_support), graded against
-    M^n |+-> normalized.  M is compared with the box entry by entry, off the
-    diagonal too, so here the box is the dense matrix diag(phase_box(h, phi)).
+    M^n |+-> normalized.  M is compared with the box off the diagonal too,
+    so the box is a dense matrix here.
     """
     w = as_matrix(w)
     v = as_matrix(v)

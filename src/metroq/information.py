@@ -78,22 +78,20 @@ def cfi_binary(n: int, phi: float) -> float:
 
 def crb(strategy: StrategySpec, nu: int) -> float:
     """Per-strategy Cramér-Rao bound 1/sqrt(nu F), with the Fisher information F
-    computed from qfi/cfi on the qubit generator rather than hardcoded.
-
-    Sequential and entangled-parallel carry per-repetition information N^2,
-    the classical-parallel strategy N across its N probe uses, giving
-    1/(N sqrt(nu)) and 1/sqrt(N nu) respectively.
+    computed on the qubit generator rather than hardcoded: the QFI of the
+    entangled strategy's GHZ state, else trials_per_repetition binary fringes
+    of order fringe_order.  F is N^2 per repetition, or N for the classical
+    strategy, giving 1/(N sqrt(nu)) and 1/sqrt(N nu) respectively.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     n = strategy.n_probes
-    if strategy.kind is StrategyKind.CLASSICAL_PARALLEL:
-        fisher = n * cfi_binary(1, operating_phase(n))
-    elif strategy.kind is StrategyKind.SEQUENTIAL:
-        fisher = cfi_binary(n, operating_phase(n))
-    else:
+    if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
         h = Generator.qubit()
         fisher = qfi_pure(ghz_like(h, n, strategy.lam), collective_generator(h, n))
+    else:
+        order = strategy.fringe_order
+        fisher = strategy.trials_per_repetition * cfi_binary(order, operating_phase(n))
     return 1.0 / math.sqrt(nu * fisher)
 
 

@@ -26,9 +26,7 @@ from .states import (
     Generator,
     StrategyKind,
     StrategySpec,
-    ghz_like,
     ghz_phase_support,
-    ghz_register,
     phase_box,
     plus_minus_states,
 )
@@ -95,35 +93,36 @@ def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
 
 
 def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0) -> np.ndarray:
-    """Apply the n-fold tensor-product unitary to the GHZ-type initial state.
+    """Apply one phase box per probe to the n-probe GHZ-type initial state.
 
-    Each probe's phase box is still applied, as one factor exp(i phi
-    eigenvalue) multiplied into the register's two nonzero entries
-    (states.ghz_phase_support), not replaced by the analytic closed form
-    e^{i n phi} on the extreme pair, so the phase-accumulation claim is
-    something tests can check rather than assume.  Tests check the support
-    bit for bit against the register's d^N diagonal of phase boxes, and that
-    diagonal against a dense box applied to one register factor at a time.
+    Returns its support, shape (2,): the amplitudes on |min...min> and
+    |max...max>, the only entries diagonal boxes leave nonzero
+    (states.ghz_phase_support).  Each probe's box is still applied, as one
+    factor exp(i phi eigenvalue) per entry, not replaced by the closed form
+    e^{i n phi}, so tests can check the phase accumulation rather than assume
+    it: bit for bit against the register's d^N diagonal of phase boxes, and
+    that diagonal against a dense box applied to one factor at a time.
     """
-    return ghz_register(h, n, ghz_phase_support(h, [phi] * n, lam))
+    return ghz_phase_support(h, [phi] * n, lam)
 
 
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     """Per-trial Bernoulli success probability of one repetition.
 
-    Every strategy runs on the qubit generator.  The sequential strategy
-    sends one probe through N boxes; for the classical-parallel strategy this
-    is the single-probe (N=1) probability: its N probes are independent
-    trials.  The probability is the Born probability |<initial|final>|^2 that
-    the evolved state passes the projection back onto the initial one.
+    Every strategy runs on the qubit generator through its fringe_order
+    boxes: N on one probe (sequential), one (classical: its N probes are
+    independent trials), or one on each of N probes of a GHZ state, graded
+    on its support (entangled).  The probability is the Born probability
+    |<initial|final>|^2 that the evolved state passes the projection back
+    onto the initial one.
     """
     h = Generator.qubit()
+    boxes = strategy.fringe_order
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        initial = ghz_like(h, strategy.n_probes, strategy.lam)
-        final = evolve_parallel_entangled(h, phi, strategy.n_probes, strategy.lam)
+        initial = ghz_phase_support(h, [0.0] * boxes, strategy.lam)
+        final = evolve_parallel_entangled(h, phi, boxes, strategy.lam)
     else:
         initial, _ = plus_minus_states(h)
-        boxes = strategy.n_probes if strategy.kind is StrategyKind.SEQUENTIAL else 1
         final = evolve_sequential(h, phi, boxes, initial)
     return fidelity_up_to_phase(initial, final)
 
@@ -131,9 +130,9 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
 def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     """Return the success count of one round of the strategy's Bernoulli trials.
 
-    Sequential/entangled rounds make nu trials at the N-fold fringe; the
-    classical-parallel strategy makes N*nu single-probe trials, consuming the
-    same N*nu box samplings per experiment.  The count of independent trials
+    A round makes trials_per_repetition * nu trials: nu at the N-fold fringe,
+    or N*nu single-probe ones for the classical-parallel strategy, consuming
+    the same N*nu box samplings per experiment.  The count of independent trials
     with a common success probability p is exactly Binomial(trials, p), so it
     is drawn as one binomial variate instead of trial by trial.
     Deterministic for a fixed seed (Philox counter-based stream).
@@ -156,7 +155,7 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
         raise ValueError("seed must be a 64-bit unsigned integer")
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError("p must lie in [0, 1]")
-    trials = strategy.n_probes * nu if strategy.kind is StrategyKind.CLASSICAL_PARALLEL else nu
+    trials = strategy.trials_per_repetition * nu
     words = np.array([seed & _MASK32, seed >> 32], dtype=np.uint32)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
     return int(rng.binomial(trials, p))
@@ -257,15 +256,13 @@ def scaling_experiment(
 
     For each N the success probability p is computed once, by one
     strategy_success_probability call, and every round of the row draws
-    from that same p: the fringe is fixed by (strategy, N, phi), and at the
-    operating phase p is 1/2 up to roundoff, where numpy's binomial mirrors
-    the counts (k -> trials - k) under a last-bit change of p (see
-    run_trials).  Each round draws its success count from its own Philox
-    stream (see derive_round_seed), estimates the phase by fringe inversion,
-    and contributes to the per-N RMSE about the operating phase.  Rows carry
-    the matching Cramér-Rao bound and the number of saturated rounds.  The
-    fitted slope and its standard error are None when some N has zero RMSE.
-    The report also counts the streams opened and the trials drawn.
+    from that same p (see run_trials).  Each round draws its success count
+    from its own Philox stream (see derive_round_seed), estimates the phase
+    by inverting the fringe of the strategy's order, and contributes to the
+    per-N RMSE about the operating phase.  Rows carry the matching Cramér-Rao
+    bound and the number of saturated rounds.  The fitted slope and its
+    standard error are None when some N has zero RMSE.  The report also
+    counts the streams opened and the trials drawn.
     """
     if nu < 1 or rounds < 1:
         raise ValueError("nu and rounds must be >= 1")
@@ -274,20 +271,19 @@ def scaling_experiment(
     n_values = sorted(n_values)
     if len(n_values) < 3 or n_values[0] < 1 or len(set(n_values)) < len(n_values):
         raise ValueError("n_values must list at least 3 distinct positive integers")
-    classical = kind is StrategyKind.CLASSICAL_PARALLEL
     rows = []
     streams = draws = 0
     for n in n_values:
         strat = StrategySpec(kind, n)
         phi = operating_phase(n)
         p = strategy_success_probability(strat, phi)
-        trials = n * nu if classical else nu
+        trials = strat.trials_per_repetition * nu
         errors = np.empty(rounds)
         saturated = 0
         for r in range(rounds):
             k = run_trials(strat, p, nu, derive_round_seed(seed, kind, n, r))
             saturated += k in (0, trials)
-            errors[r] = estimate_phase(k, trials, 1 if classical else n) - phi
+            errors[r] = estimate_phase(k, trials, strat.fringe_order) - phi
         streams += rounds
         draws += rounds * trials
         rows.append(

@@ -173,9 +173,9 @@ class StrategyKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class StrategySpec:
-    """One estimation strategy on the qubit generator: what is prepared and
-    how many probes.  lam is the relative phase of the entangled strategy's
-    GHZ state."""
+    """One estimation strategy on the qubit generator: what is prepared, how
+    many probes, and the resources they make one repetition of.  lam is the
+    relative phase of the entangled strategy's GHZ state."""
 
     kind: StrategyKind
     n_probes: int
@@ -184,3 +184,13 @@ class StrategySpec:
     def __post_init__(self):
         if self.n_probes < 1:
             raise ValueError("n_probes must be >= 1")
+
+    @property
+    def fringe_order(self) -> int:
+        """n of each trial's fringe cos^2(n phi / 2): N, or 1 if classical."""
+        return 1 if self.kind is StrategyKind.CLASSICAL_PARALLEL else self.n_probes
+
+    @property
+    def trials_per_repetition(self) -> int:
+        """Bernoulli trials of one repetition: N if classical, else 1."""
+        return self.n_probes if self.kind is StrategyKind.CLASSICAL_PARALLEL else 1

@@ -15,7 +15,7 @@ from metroq.fock import (
 )
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import evolve_parallel_entangled, evolve_sequential
-from metroq.states import Generator, ghz_like, phase_box, plus_minus_states
+from metroq.states import Generator, ghz_like, ghz_register, phase_box, plus_minus_states
 
 H = Generator.qubit()
 
@@ -61,7 +61,8 @@ def test_n0_phase_matches_entangled_register():
     n, phi = 3, 0.5
     h = Generator.number(n)
     fock_p = fringe(h, ghz_like(h, 1), phi)
-    qubit_p = fidelity_up_to_phase(ghz_like(H, n), evolve_parallel_entangled(H, phi, n, 0.0))
+    qubit = ghz_register(H, n, evolve_parallel_entangled(H, phi, n, 0.0))
+    qubit_p = fidelity_up_to_phase(ghz_like(H, n), qubit)
     assert abs(fock_p - qubit_p) < 1e-12
 
 

@@ -14,7 +14,10 @@ import metroq
 
 from helpers import child_env
 
-MODULES = sorted(p for p in Path(metroq.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(metroq.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# tests/helpers.py, whose imports follow the names moved into it
+HELPERS = Path(__file__).parent / "helpers.py"
 
 
 def test_package_reexports_nothing():
@@ -58,7 +61,7 @@ def test_unused_import_finder_sees_an_orphan():
     assert _unused_imports(tree) == {"math", "kron"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + [HELPERS], ids=[p.name for p in MODULES + [HELPERS]])
 def test_module_has_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
 
@@ -111,9 +114,26 @@ def test_name_finder_sees_an_aliased_import_and_an_attribute_call():
         assert "ghz_register" in _referenced_names(ast.parse(code))
 
 
+def _module_names(name: str) -> set[str]:
+    return _referenced_names(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
+
+
 def test_certificates_build_no_register():
     # conversion certificates measure the GHZ support itself, so equivalence
     # names neither constructor of a whole d^N register
-    path = Path(metroq.__file__).parent / "equivalence.py"
-    names = _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-    assert not {"ghz_register", "ghz_like"} & names
+    assert not {"ghz_register", "ghz_like"} & _module_names("equivalence")
+
+
+def test_monte_carlo_builds_no_register():
+    # the entangled strategy is evolved and graded on its GHZ support
+    assert not {"ghz_register", "ghz_like"} & _module_names("simulate")
+
+
+def test_no_module_names_a_dense_phase_box():
+    # a phase box is its diagonal, states.phase_box; the dense u_phi is only
+    # a reference in the tests
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "u_phi" not in _referenced_names(tree) | defined, path.name

@@ -22,6 +22,7 @@ from metroq.states import (
     StrategyKind,
     StrategySpec,
     ghz_like,
+    ghz_register,
     plus_minus_states,
 )
 
@@ -49,18 +50,19 @@ def test_sequential_three_boxes_accumulate():
 
 
 def test_parallel_entangled_examples():
-    final = evolve_parallel_entangled(H, 0.7, 2, 0.0)
+    final = ghz_register(H, 2, evolve_parallel_entangled(H, 0.7, 2, 0.0))
     expected = np.zeros(4, dtype=complex)
     expected[0], expected[3] = 1 / math.sqrt(2), np.exp(1.4j) / math.sqrt(2)
     assert fidelity_up_to_phase(final, expected) > 1 - 1e-12
 
     # single probe coincides with the sequential strategy
-    par = evolve_parallel_entangled(H, 0.5, 1, 0.0)
+    par = ghz_register(H, 1, evolve_parallel_entangled(H, 0.5, 1, 0.0))
     seq = evolve_sequential(H, 0.5, 1, PLUS)
     assert np.max(np.abs(par - seq)) < 1e-12
 
     np.testing.assert_allclose(
-        evolve_parallel_entangled(H, 0.0, 4, 0.3), ghz_like(H, 4, 0.3), atol=1e-15
+        ghz_register(H, 4, evolve_parallel_entangled(H, 0.0, 4, 0.3)), ghz_like(H, 4, 0.3),
+        atol=1e-15,
     )
 
 
@@ -68,7 +70,7 @@ def test_parallel_entangled_matches_analytic_form():
     rng = np.random.default_rng(9)
     for n in range(1, 13):
         phi, lam = rng.uniform(0, 2 * math.pi, size=2)
-        final = evolve_parallel_entangled(H, phi, n, lam)
+        final = ghz_register(H, n, evolve_parallel_entangled(H, phi, n, lam))
         expected = np.zeros(2**n, dtype=complex)
         expected[0] = 1 / math.sqrt(2)
         expected[-1] = np.exp(1j * (n * phi + lam)) / math.sqrt(2)
@@ -80,7 +82,8 @@ def test_sequential_and_parallel_fringes_agree():
         worst = 0.0
         for phi in np.linspace(0.0, math.pi / n, 100):
             p_seq = fidelity_up_to_phase(PLUS, evolve_sequential(H, phi, n, PLUS))
-            p_par = fidelity_up_to_phase(ghz_like(H, n), evolve_parallel_entangled(H, phi, n, 0.0))
+            par = ghz_register(H, n, evolve_parallel_entangled(H, phi, n, 0.0))
+            p_par = fidelity_up_to_phase(ghz_like(H, n), par)
             worst = max(worst, abs(p_seq - p_par))
         assert worst < 1e-12
 
