@@ -427,12 +427,28 @@ def cmd_frequency(args) -> Report:
     return report
 
 
+def check_noon_fringe_zeros(n: int, count: int) -> float:
+    """Worst distance of the first `count` NOON fringe zeros, found by
+    bisection on the number-difference generator itself, from their closed
+    forms pi (2k + 1) / (2n).  The fringe comparisons pass when the qubit
+    and bosonic paths share a fault; this analytic anchor does not."""
+    zeros = fock.noon_fringe_zeros(n, count)
+    return max(abs(z - math.pi * (2 * k + 1) / (2 * n)) for k, z in enumerate(zeros))
+
+
 def cmd_noon(args) -> Report:
     report = Report("noon", {"n": args.n, "format": args.format})
     noon_dev = fock.noon_equivalence_certificate(args.n)
     report.add("noon-fringe-equivalence", noon_dev < 1e-12, max_deviation=noon_dev)
     n0_dev = fock.n0_equivalence_certificate(args.n)
     report.add("n0-fringe-equivalence", n0_dev < 1e-12, max_deviation=n0_dev)
+    try:
+        zero_dev = check_noon_fringe_zeros(args.n, 1)
+        outcome = {"max_deviation": zero_dev}
+    except (RuntimeError, ValueError) as exc:
+        # no bracketed sign change, or a fringe that cannot be evaluated
+        zero_dev, outcome = math.inf, {"max_deviation": None, "error": str(exc)}
+    report.add("noon-fringe-zeros", zero_dev < 1e-9, **outcome)
     return report
 
 

@@ -17,16 +17,13 @@ from metroq.cli import (
     check_conversion_n2,
     check_counterexample,
     check_generalized_strategy,
+    check_noon_fringe_zeros,
     check_phase_bound_sqrt_n,
     check_unaveraged_fisher,
     check_vectorization,
 )
 from metroq.equivalence import effective_sequential_channel, noise_conversion_residual
-from metroq.fock import (
-    n0_equivalence_certificate,
-    noon_equivalence_certificate,
-    noon_fringe_zeros,
-)
+from metroq.fock import n0_equivalence_certificate, noon_equivalence_certificate
 from metroq.information import (
     cfi_binary,
     collective_generator,
@@ -182,12 +179,10 @@ def test_criterion_09_bosonic_equivalence():
     worst = 0.0
     for n in range(1, 13):
         worst = max(worst, n0_equivalence_certificate(n), noon_equivalence_certificate(n))
-    zeros_ok = True
-    for n in (1, 3, 8, 12):
-        for k, z in enumerate(noon_fringe_zeros(n, 3)):
-            zeros_ok = zeros_ok and abs(z - math.pi * (2 * k + 1) / (2 * n)) < 1e-9
-    ok = worst < 1e-12 and zeros_ok
-    report(9, ok, f"N0/NOON fringe deviation {worst:.3e}, zeros at pi(2k+1)/(2n)")
+    zero_dev = max(check_noon_fringe_zeros(n, 3) for n in (1, 3, 8, 12))
+    ok = worst < 1e-12 and zero_dev < 1e-9
+    report(9, ok, f"N0/NOON fringe deviation {worst:.3e}, "
+                  f"zeros within {zero_dev:.1e} of pi(2k+1)/(2n)")
 
 
 def test_criterion_10_generalized_boxes():

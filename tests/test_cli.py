@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metroq import cli, equivalence
+from metroq import cli, equivalence, fock, states
 from metroq.cli import main
-from metroq.states import Generator, plus_minus_states
+from metroq.states import Generator, phase_box, plus_minus_states
 
 from helpers import (
     BLAS_THREAD_VARS,
@@ -103,7 +103,7 @@ RESULT_COUNTS = {
     ("scaling", "--nu", "200", "--rounds", "20", "--seed", "1"): 3,
     ("noise", "--channel", "dephasing", "--p", "0.25"): 1,
     ("frequency", "--gamma", "1"): 2,
-    ("noon", "--n", "4"): 2,
+    ("noon", "--n", "4"): 3,
     ("fisher",): 1,
 }
 
@@ -460,6 +460,49 @@ def test_noon_reports(capsys):
     with pytest.raises(SystemExit) as err:
         main(["noon", "--n", "13"])
     assert err.value.code == 2
+
+
+def _double_phase_box(m):
+    # every box turns by 2 phi, patched where both states and fock bind it
+    for module in (states, fock):
+        m.setattr(module, "phase_box", lambda h, phis: phase_box(h, 2 * np.asarray(phis)))
+
+
+def _support_without_level_selection(m):
+    # ghz_phase_support multiplying in every level's factor, not the extremes'
+    def support(h, phis, lam=0.0):
+        phis = np.asarray(phis, dtype=float)
+        factors = phase_box(h, phis)
+        boxes = np.ones(phis.shape[:-1] + (2,), dtype=np.complex128)
+        for j in reversed(range(phis.shape[-1])):
+            boxes = factors[..., j, :] * boxes
+        return np.array([1.0, np.exp(1j * lam)]) / math.sqrt(2) * boxes
+
+    for module in (states, fock):
+        m.setattr(module, "ghz_phase_support", support)
+
+
+@pytest.mark.parametrize("mutate", [_double_phase_box, _support_without_level_selection])
+def test_noon_fringe_zeros_catch_what_the_fringe_comparisons_miss(capsys, monkeypatch, mutate):
+    # Both faults act on the qubit and the bosonic path alike, so the two
+    # fringe comparisons still pass; only the analytic zero fails.
+    mutate(monkeypatch)
+    code, report = run_json(capsys, ["noon", "--n", "12"])
+    verdicts = {rec["name"]: rec["pass"] for rec in report["results"]}
+    assert code == 1
+    assert verdicts == {"noon-fringe-equivalence": True, "n0-fringe-equivalence": True,
+                        "noon-fringe-zeros": False}
+
+
+def test_noon_reports_a_failed_zero_search_as_a_fail(capsys, monkeypatch):
+    def no_sign_change(n, count):
+        raise RuntimeError("overlap does not change sign")
+
+    monkeypatch.setattr(fock, "noon_fringe_zeros", no_sign_change)
+    code, report = run_json(capsys, ["noon", "--n", "3"])
+    rec = report["results"][-1]
+    assert code == 1 and rec["name"] == "noon-fringe-zeros" and not rec["pass"]
+    assert rec["max_deviation"] is None and rec["error"] == "overlap does not change sign"
 
 
 def test_fisher_reports(capsys):
