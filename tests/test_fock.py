@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -101,6 +102,22 @@ def test_n0_certificates():
 def test_noon_certificates():
     for n in (1, 4, 12):
         assert noon_equivalence_certificate(n) < 1e-12
+
+
+# sha256 over the float.hex of noon_fringe_zeros(n, 3) and the NOON and N0
+# certificates, one line per n = 1..12.  No golden transcript holds a zero past
+# the first, nor most of these n.
+FOCK_HEX_DIGEST = "f89fab5ba8ba83c7938cac345d447c698d115fec1b13eea6d421f043b8a90f9f"
+
+
+def test_zeros_and_certificates_are_pinned_bit_for_bit():
+    lines = []
+    for n in range(1, 13):
+        values = noon_fringe_zeros(n, 3) + [noon_equivalence_certificate(n),
+                                            n0_equivalence_certificate(n)]
+        lines.append(",".join(v.hex() for v in values))
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == FOCK_HEX_DIGEST
 
 
 @pytest.mark.parametrize("n", [2, 4, 12])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,6 +87,26 @@ def test_crb_values():
     assert abs(cls - 0.05) < 1e-12
     seq = crb(StrategySpec(StrategyKind.SEQUENTIAL, 4), 100)
     assert abs(seq - ent) < 1e-12
+
+
+# sha256 over the float.hex of crb, one value a line: each strategy at
+# N = 1..12 and nu in {1, 7, 4000, 1e5}, the entangled one at lam = 0, 0.7 and
+# -2.1.  Every scaling CSV carries the crb column, and no CSV digest reaches
+# N = 3, 5-7 or 9-12; the entangled value is the QFI of the GHZ support, bit
+# for bit that of the whole register.
+CRB_HEX_DIGEST = "b9f65fe42a72840d6d89b4a9b2d26de6a293d1d3862626b26af41b304b9d5a43"
+
+
+def test_crb_is_pinned_bit_for_bit():
+    lines = []
+    for kind in StrategyKind:
+        lams = (0.0, 0.7, -2.1) if kind is StrategyKind.ENTANGLED_PARALLEL else (0.0,)
+        for lam in lams:
+            for n in range(1, 13):
+                for nu in (1, 7, 4000, 100_000):
+                    lines.append(crb(StrategySpec(kind, n, lam), nu).hex())
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == CRB_HEX_DIGEST
 
 
 def test_crb_strategies_coincide_at_single_probe():
