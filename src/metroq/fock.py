@@ -1,16 +1,16 @@
 """Indistinguishable-probe (bosonic) states: N0 and NOON interferometry.
 
 Both states are put on the distinguishable-probe register: each is the
-one-probe GHZ-type state ghz_like(h, 1) of a generator whose extreme levels
-are the vacuum and the n-photon occupation.  For N0, (|0> + |n>)/sqrt(2), h
-is the single-mode number operator (Generator.number, spread n); for NOON,
+one-probe GHZ-type state plus_minus_states(h)[0] of a generator whose extreme
+levels are the vacuum and the n-photon occupation.  For N0, (|0> + |n>)/sqrt(2),
+h is the single-mode number operator (Generator.number, spread n); for NOON,
 (|n, 0> + |0, n>)/sqrt(2), it is the two-mode number difference on the
 n-photon subspace indexed by the photon count of mode a
 (Generator.number_difference, spread 2n).  Both generators are diagonal in
 the number basis, so a phase box keeps each state on its two levels: the
-certificates' qubit registers and the fringe zeros' probe are evolved on that
-support (states.ghz_phase_support), and fringe multiplies any probe it is
-given by one phase box (states.phase_box).
+fringe zeros and the certificates' qubit side are evolved on that support
+(states.ghz_phase_support), and fringe multiplies any probe it is given by
+one phase box (states.phase_box).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .linalg import fidelity_up_to_phase
-from .states import MAX_PROBES, Generator, ghz_like, ghz_phase_support, ghz_register, phase_box
+from .states import MAX_PROBES, Generator, ghz_like, ghz_phase_support, phase_box, plus_minus_states
 
 
 def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
@@ -48,18 +48,19 @@ def noon_equivalence_certificate(n: int) -> float:
 
 
 def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
-    """Largest |fringe of ghz_like(make_generator(n), 1) at phi - qubit GHZ
+    """Largest |fringe of the + state of make_generator(n) at phi - qubit GHZ
     fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi].
 
     The qubit registers of the whole grid are evolved by one stacked
-    ghz_phase_support call.  One 2^n register is built per certificate; at
-    each grid point its two support entries, |0...0> first and |1...1> last,
-    are rewritten and it is graded, so no (100, 2^n) stack is built.
+    ghz_phase_support call.  They are graded on one 2^n register per
+    certificate, whose two support entries, |0...0> first and |1...1> last,
+    are rewritten at each grid point, so no (100, 2^n) stack is built.  The
+    register is the reference: a grade on the support sums in another order.
     """
     if not 1 <= n <= MAX_PROBES:
         raise ValueError(f"n must lie in 1..{MAX_PROBES}")
     h = make_generator(n)
-    probe = ghz_like(h, 1)
+    probe, _ = plus_minus_states(h)
     qubit = Generator.qubit()
     ghz = ghz_like(qubit, n)
     grid = np.linspace(0.0, math.pi, 100)
@@ -83,10 +84,10 @@ def noon_fringe_zeros(n: int, count: int) -> list[float]:
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
     h = Generator.number_difference(n)
-    probe = ghz_like(h, 1)
+    initial = ghz_phase_support(h, [0.0])
 
     def overlap(phi: float) -> float:
-        return float(np.real(np.vdot(probe, ghz_register(h, 1, ghz_phase_support(h, [phi])))))
+        return float(np.real(np.vdot(initial, ghz_phase_support(h, [phi]))))
 
     zeros = []
     for k in range(count):

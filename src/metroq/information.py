@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import ATOL_PREDICATE, as_vector
-from .states import Generator, StrategyKind, StrategySpec, ghz_like, repeated_index
+from .states import Generator, StrategyKind, StrategySpec, ghz_phase_support, repeated_index
 
 
 # Golden-section step: the inner points split the bracket at 1 - R and R.
@@ -33,7 +33,8 @@ def operating_phase(n: int) -> float:
 
 
 def collective_generator(h: Generator, n: int) -> Generator:
-    """Sum of one generator per probe, as a diagonal on the d^n register."""
+    """Sum of one generator per probe, as a diagonal on the d^n register: the
+    reference `fisher` takes the register QFI on, sharing no code with crb."""
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = h.eigenvalues
@@ -79,16 +80,18 @@ def cfi_binary(n: int, phi: float) -> float:
 def crb(strategy: StrategySpec, nu: int) -> float:
     """Per-strategy Cramér-Rao bound 1/sqrt(nu F), with the Fisher information F
     computed on the qubit generator rather than hardcoded: the QFI of the
-    entangled strategy's GHZ state, else trials_per_repetition binary fringes
-    of order fringe_order.  F is N^2 per repetition, or N for the classical
-    strategy, giving 1/(N sqrt(nu)) and 1/sqrt(N nu) respectively.
+    entangled strategy's GHZ support (one probe of N-fold spread), else
+    trials_per_repetition binary fringes of order fringe_order.  F is N^2 per
+    repetition, or N for the classical strategy, giving 1/(N sqrt(nu)) and
+    1/sqrt(N nu) respectively.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     n = strategy.n_probes
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
         h = Generator.qubit()
-        fisher = qfi_pure(ghz_like(h, n, strategy.lam), collective_generator(h, n))
+        levels = Generator(n * h.eigenvalues[[h.min_index, h.max_index]], 0, 1)
+        fisher = qfi_pure(ghz_phase_support(h, [0.0] * n, strategy.lam), levels)
     else:
         order = strategy.fringe_order
         fisher = strategy.trials_per_repetition * cfi_binary(order, operating_phase(n))

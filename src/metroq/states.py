@@ -103,18 +103,13 @@ def repeated_index(d: int, n: int, j: int) -> int:
 
 
 def ghz_like(h: Generator, n: int, lam: float = 0.0) -> np.ndarray:
-    """Normalized (|min>^n + e^{i lam} |max>^n)/sqrt(2) on the n-probe register."""
-    return ghz_register(h, n, _ghz_amplitudes(lam))
-
-
-def ghz_register(h: Generator, n: int, support) -> np.ndarray:
-    """The n-probe register holding support[0] on |min...min>, support[1] on
-    |max...max> and zeros elsewhere."""
+    """Normalized (|min>^n + e^{i lam} |max>^n)/sqrt(2) on the n-probe register:
+    the reference for `fisher`'s register QFI and the fock certificates' qubit
+    side.  Every other path computes on its support, ghz_phase_support."""
     if n < 1:
         raise ValueError("need at least one probe")
     state = np.zeros(h.dim**n, dtype=np.complex128)
-    state[repeated_index(h.dim, n, h.min_index)] = support[0]
-    state[repeated_index(h.dim, n, h.max_index)] = support[1]
+    state[[repeated_index(h.dim, n, j) for j in (h.min_index, h.max_index)]] = _ghz_amplitudes(lam)
     return state
 
 
@@ -129,8 +124,7 @@ def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
     phis is a phase vector (N,), phis[j] the phase of probe j's box, or a
     stack (..., N) of them.  Diagonal boxes keep a GHZ-type register on its
     two entries |min...min> and |max...max>, so only those are evolved: the
-    result, shape (..., 2), holds their amplitudes, and ghz_register(h, N,
-    row) puts one row back on the register.  Each probe's factor, the
+    result, shape (..., 2), holds their amplitudes.  Each probe's factor, the
     phase_box entries of the two extreme levels, is multiplied in from the
     last probe outward, so both amplitudes are bitwise those of
     ghz_like(h, N, lam) times the d^N outer product of the per-probe

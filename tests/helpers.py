@@ -18,7 +18,13 @@ from metroq.linalg import (
     kron,
     normalized,
 )
-from metroq.states import Generator, StrategyKind, classical_corr_state, plus_minus_states
+from metroq.states import (
+    Generator,
+    StrategyKind,
+    classical_corr_state,
+    plus_minus_states,
+    repeated_index,
+)
 
 
 def random_complex_matrix(rng, d):
@@ -66,6 +72,16 @@ def phase_mask(h, phis):
     for factor in factors[::-1]:
         mask = np.multiply.outer(factor, mask).reshape(-1)
     return mask
+
+
+def ghz_register(h, n, support):
+    """Reference for states.ghz_phase_support: the d^n register holding
+    support[0] on |min...min>, support[1] on |max...max> and zeros elsewhere,
+    the whole state the support stands for."""
+    state = np.zeros(h.dim**n, dtype=np.complex128)
+    state[repeated_index(h.dim, n, h.min_index)] = support[0]
+    state[repeated_index(h.dim, n, h.max_index)] = support[1]
+    return state
 
 
 def apply_on_factor(state, dims, k, op):

@@ -38,7 +38,6 @@ from metroq.states import (
     Generator,
     ghz_like,
     ghz_phase_support,
-    ghz_register,
     plus_minus_states,
 )
 
@@ -46,6 +45,7 @@ from helpers import (
     apply_on_factor,
     branch_amplitudes_tensordot,
     counterexample_per_phase,
+    ghz_register,
     phase_mask,
     project_subsystem,
     random_cptp_channel,

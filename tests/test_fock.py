@@ -16,7 +16,9 @@ from metroq.fock import (
 )
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import evolve_parallel_entangled, evolve_sequential
-from metroq.states import Generator, ghz_like, ghz_register, phase_box, plus_minus_states
+from metroq.states import Generator, ghz_like, phase_box, plus_minus_states
+
+from helpers import ghz_register
 
 H = Generator.qubit()
 
@@ -31,8 +33,16 @@ def test_generators_of_the_bosonic_probes():
     # N0 and NOON are the one-probe GHZ-type states: vacuum and n photons
     expected = np.zeros(4, dtype=complex)
     expected[0] = expected[3] = 1 / math.sqrt(2)
-    np.testing.assert_array_equal(ghz_like(number, 1), expected)
-    np.testing.assert_array_equal(ghz_like(difference, 1), expected)
+    np.testing.assert_array_equal(plus_minus_states(number)[0], expected)
+    np.testing.assert_array_equal(plus_minus_states(difference)[0], expected)
+
+
+def test_plus_state_is_bitwise_the_one_probe_ghz_register():
+    for make_generator in (Generator.number, Generator.number_difference):
+        for n in range(1, 13):
+            h = make_generator(n)
+            for lam in (0.0, 0.7, -2.1):
+                assert plus_minus_states(h, lam)[0].tobytes() == ghz_like(h, 1, lam).tobytes()
 
 
 def test_n0_state_and_evolution():

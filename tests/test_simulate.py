@@ -22,11 +22,10 @@ from metroq.states import (
     StrategyKind,
     StrategySpec,
     ghz_like,
-    ghz_register,
     plus_minus_states,
 )
 
-from helpers import binomial_from_int_seed, derive_round_seed_spawn_key, u_phi
+from helpers import binomial_from_int_seed, derive_round_seed_spawn_key, ghz_register, u_phi
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)

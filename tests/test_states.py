@@ -17,13 +17,12 @@ from metroq.states import (
     classical_corr_state,
     ghz_like,
     ghz_phase_support,
-    ghz_register,
     phase_box,
     plus_minus_states,
     repeated_index,
 )
 
-from helpers import phase_mask, u_phi
+from helpers import ghz_register, phase_mask, u_phi
 
 
 def test_generator_validation():
@@ -173,7 +172,7 @@ def test_ghz_phase_support_rejects_no_probes():
         with pytest.raises(ValueError):
             ghz_phase_support(Generator.qubit(), phis)
     with pytest.raises(ValueError):
-        ghz_register(Generator.qubit(), 0, [1.0, 0.0])
+        ghz_like(Generator.qubit(), 0)
 
 
 def test_repeated_index_matches_ravel_multi_index():
