@@ -1,6 +1,6 @@
 """The package's shape: `import metroq` itself only sets the BLAS default,
-every name is imported from its own module, and no module keeps an import it
-does not use."""
+every name is imported from its own module, and no module, of the package or
+of the tests, keeps an import it does not use."""
 
 import ast
 import inspect
@@ -16,8 +16,8 @@ from helpers import child_env
 
 PACKAGE = Path(metroq.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# tests/helpers.py, whose imports follow the names moved into it
-HELPERS = Path(__file__).parent / "helpers.py"
+# the test modules too: a name moved into tests/helpers.py moves its imports
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_package_reexports_nothing():
@@ -61,7 +61,8 @@ def test_unused_import_finder_sees_an_orphan():
     assert _unused_imports(tree) == {"math", "kron"}
 
 
-@pytest.mark.parametrize("path", MODULES + [HELPERS], ids=[p.name for p in MODULES + [HELPERS]])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES + TEST_MODULES])
 def test_module_has_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
 
@@ -129,11 +130,28 @@ def test_monte_carlo_builds_no_register():
     assert not {"ghz_register", "ghz_like"} & _module_names("simulate")
 
 
+def test_bounds_and_bosonic_probes_build_no_register():
+    # crb takes the entangled QFI on the GHZ support, and the N0/NOON probe is
+    # the + state of plus_minus_states
+    assert not {"ghz_register", "ghz_like"} & _module_names("information")
+    assert "ghz_register" not in _module_names("fock")
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_no_module_names_a_dense_phase_box():
     # a phase box is its diagonal, states.phase_box; the dense u_phi is only
     # a reference in the tests
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined = {node.name for node in ast.walk(tree)
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        assert "u_phi" not in _referenced_names(tree) | defined, path.name
+        assert "u_phi" not in _referenced_names(tree) | _defined_names(tree), path.name
+
+
+def test_no_module_defines_ghz_register():
+    # a support goes back on the register only in the tests' reference
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "ghz_register" not in _defined_names(tree), path.name
