@@ -335,7 +335,13 @@ def _scaling_csv(args, report: Report) -> str:
     report and return the CSV text."""
     csv_lines = ["strategy,N,nu,rounds,empirical_rmse,crb,seed"]
     for kind in args.strategies:
-        result = scaling_experiment(kind, args.n_values, args.nu, args.rounds, args.seed)
+        try:
+            result = scaling_experiment(kind, args.n_values, args.nu, args.rounds, args.seed)
+        except ValueError as exc:
+            # an experiment that rejects its own intermediate value (say, a
+            # success probability outside [0, 1]) has no rows and no slope: FAIL
+            report.add(f"scaling-{kind.value}", False, fitted_slope=None, error=str(exc))
+            continue
         for row in result.rows:
             csv_lines.append(
                 f"{kind.value},{row.n},{args.nu},{args.rounds},"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metroq import cli, equivalence, fock, states
+from metroq import cli, equivalence, fock, simulate, states
 from metroq.cli import main
 from metroq.states import Generator, phase_box, plus_minus_states
 
@@ -316,6 +316,33 @@ def test_scaling_saturated_rounds_fail(capsys, tmp_path):
     for rec in report["results"]:
         assert rec["pass"] is False
         assert rec["rows"][0]["saturated_rounds"] == 1
+
+
+def test_scaling_reports_a_raising_experiment_as_fail(capsys, tmp_path, monkeypatch):
+    # Mutant: p scaled by 1.03 and left unclamped.  The classical p at N = 12
+    # is then about 1.0256, which run_trials rejects with a ValueError.
+    real = simulate.strategy_success_probability
+    monkeypatch.setattr(simulate, "strategy_success_probability",
+                        lambda strategy, phi: 1.03 * real(strategy, phi))
+    out_csv = tmp_path / "scaling.csv"
+    # main returns instead of raising: no traceback
+    code, out = run_cli(capsys, [
+        "scaling", "--strategies", "classical,entangled", "--n-values", "1,2,12",
+        "--nu", "100", "--rounds", "5", "--out", str(out_csv),
+    ])
+
+    report = strict_json(out)
+    jsonschema.validate(report, SCHEMA)
+    classical, entangled = report["results"]
+    assert code == 1 and report["pass"] is False
+    assert classical["name"] == "scaling-classical" and classical["pass"] is False
+    assert classical["fitted_slope"] is None
+    assert classical["error"] == "p must lie in [0, 1]"
+    assert entangled["name"] == "scaling-entangled"
+    assert [row["N"] for row in entangled["rows"]] == [1, 2, 12]
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("entangled", "1"), ("entangled", "2"),
+                                                 ("entangled", "12")]
 
 
 # sha256 of the scaling CSV at fixed flags (numpy 2.4.6).  The digests belong
