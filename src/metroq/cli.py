@@ -463,6 +463,7 @@ def cmd_fisher(args) -> Report:
     ok = True
     rows = []
     for n in args.n_values:
+        # the whole register: a reference sharing no code with crb's support QFI
         h_total = collective_generator(QUBIT, n)
         qfi_ghz = qfi_pure(ghz_like(QUBIT, n), h_total)
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)

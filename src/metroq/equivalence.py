@@ -76,7 +76,8 @@ class ConversionCertificate:
 
     @property
     def records(self) -> tuple[BranchRecord, ...]:
-        """One BranchRecord per branch, built on request."""
+        """One BranchRecord per branch, built on request (perfbench counts
+        branches through it)."""
         outcomes = itertools.product("+-", repeat=self.n_probes - 1)
         return tuple(
             BranchRecord("".join(o), float(p), float(f))
@@ -105,7 +106,7 @@ def _branch_parity(n: int) -> np.ndarray:
 
 
 def _support_branch_amplitudes(support, h: Generator, n: int) -> np.ndarray:
-    """Measure probes 2..n of ghz_register(h, n, support) in the +- basis.
+    """Measure probes 2..n of the GHZ-type register with this support in the +- basis.
 
     Returns the amplitude matrix, shape (d, 2^(n-1)): column b is the
     unnormalized conditional probe-1 vector of branch b, whose bits, most
@@ -131,8 +132,8 @@ def _support_branch_amplitudes(support, h: Generator, n: int) -> np.ndarray:
 
 def _certificate(support: np.ndarray, h: Generator, n: int,
                  ref_plus: np.ndarray, ref_minus: np.ndarray) -> ConversionCertificate:
-    """Grade every +- branch of probes 2..n of ghz_register(h, n, support) at
-    once against the sign-matched sequential reference state: ref_minus when
+    """Grade every +- branch of probes 2..n of the GHZ-type register with this
+    support at once against the sign-matched sequential reference state: ref_minus when
     the branch has an odd number of - outcomes, ref_plus otherwise."""
     amps = _support_branch_amplitudes(support, h, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real

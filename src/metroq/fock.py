@@ -24,7 +24,8 @@ from .states import MAX_PROBES, Generator, ghz_like, ghz_phase_support, phase_bo
 
 
 def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
-    """Coincidence probability |<probe| e^{i phi H} |probe>|^2 of one phase box."""
+    """Coincidence probability |<probe| e^{i phi H} |probe>|^2 of one phase box,
+    one call per grid point, the count perfbench's traced run checks."""
     return fidelity_up_to_phase(probe, probe * phase_box(h, phi))
 
 

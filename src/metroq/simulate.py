@@ -101,7 +101,8 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
     factor exp(i phi eigenvalue) per entry, not replaced by the closed form
     e^{i n phi}, so tests can check the phase accumulation rather than assume
     it: bit for bit against the register's d^N diagonal of phase boxes, and
-    that diagonal against a dense box applied to one factor at a time.
+    that diagonal against a dense box applied to one factor at a time.  It
+    stays a function of its own because perfbench's traced run reports its calls.
     """
     return ghz_phase_support(h, [phi] * n, lam)
 

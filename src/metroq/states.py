@@ -169,7 +169,8 @@ class StrategyKind(str, Enum):
 class StrategySpec:
     """One estimation strategy on the qubit generator: what is prepared, how
     many probes, and the resources they make one repetition of.  lam is the
-    relative phase of the entangled strategy's GHZ state."""
+    relative phase of the entangled strategy's GHZ state: 0 in `scaling`, set
+    by the tests, and read by perfbench's success-probability hook."""
 
     kind: StrategyKind
     n_probes: int
