@@ -133,8 +133,9 @@ def _support_branch_amplitudes(support, h: Generator, n: int) -> np.ndarray:
 def _certificate(support: np.ndarray, h: Generator, n: int,
                  ref_plus: np.ndarray, ref_minus: np.ndarray) -> ConversionCertificate:
     """Grade every +- branch of probes 2..n of the GHZ-type register with this
-    support at once against the sign-matched sequential reference state: ref_minus when
-    the branch has an odd number of - outcomes, ref_plus otherwise."""
+    support at once against the sign-matched sequential reference state:
+    ref_minus when the branch has an odd number of - outcomes, ref_plus
+    otherwise."""
     amps = _support_branch_amplitudes(support, h, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real
     refs = np.array([ref_plus, ref_minus])[_branch_parity(n)]
