@@ -85,15 +85,12 @@ class ConversionCertificate:
         )
 
 
-@functools.lru_cache(maxsize=8)  # keyed by generator object: Generator compares by identity
-def _support_columns(h: Generator) -> np.ndarray:
-    """The +- projector's columns at the two extreme levels, read-only:
-    entry [s, o] multiplies support entry s (0 for |min>, 1 for |max>) into
-    outcome o (0 for +, 1 for -)."""
-    proj = np.array(plus_minus_states(h)).conj()
-    columns = proj[:, [h.min_index, h.max_index]].T
-    columns.setflags(write=False)
-    return columns
+# The +- projector's columns at the two extreme levels, read-only: entry
+# [s, o] multiplies support entry s (0 for |min>, 1 for |max>) into outcome o
+# (0 for +, 1 for -).  They are the same for every generator, so the qubit's
+# conjugated +- pair gives them, signed zeros included.
+_PLUS_MINUS_COLUMNS = np.array(plus_minus_states(Generator.qubit())).conj().T
+_PLUS_MINUS_COLUMNS.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=MAX_PROBES)  # one entry per N
@@ -105,38 +102,35 @@ def _branch_parity(n: int) -> np.ndarray:
     return parity
 
 
-def _support_branch_amplitudes(support, h: Generator, n: int) -> np.ndarray:
+def _support_branch_amplitudes(support, n: int) -> np.ndarray:
     """Measure probes 2..n of the GHZ-type register with this support in the +- basis.
 
-    Returns the amplitude matrix, shape (d, 2^(n-1)): column b is the
-    unnormalized conditional probe-1 vector of branch b, whose bits, most
-    significant first, are the outcomes of probes 2..n (0 for +, 1 for -).
-    Only rows min_index and max_index are nonzero: a probe measured on
+    Returns the amplitude matrix, shape (2, 2^(n-1)): column b holds branch
+    b's unnormalized conditional probe-1 amplitudes on |min> and |max>, its
+    other levels being exactly zero; the bits of b, most significant first,
+    are the outcomes of probes 2..n (0 for +, 1 for -).  A probe measured on
     |min...min> or |max...max> multiplies that amplitude by the projector's
-    entry at the same level.  One broadcast product per probe appends its
+    entry at the same level, one broadcast product per probe appending its
     outcome as the new least significant bit.  Every probe meets the same two
     columns, so a column depends only on how many - outcomes its branch
-    holds: the bit order is a labelling convention.  The factors go in in the order
-    a probe-by-probe contraction of the whole register applies them, and the
-    register's other entries add only exact zeros there, so the matrix is
-    bitwise that contraction's.
+    holds: the bit order is a labelling convention.  The factors go in in the
+    order a probe-by-probe contraction of the whole register applies them,
+    whose other entries add only exact zeros there, so the matrix is bitwise
+    that contraction's rows min_index and max_index.
     """
-    columns = _support_columns(h)
     branches = np.asarray(support)[:, None]
     for _ in range(n - 1):
-        branches = (branches[:, :, None] * columns[:, None, :]).reshape(2, -1)
-    amps = np.zeros((h.dim, branches.shape[1]), dtype=np.complex128)
-    amps[h.min_index], amps[h.max_index] = branches
-    return amps
+        branches = (branches[:, :, None] * _PLUS_MINUS_COLUMNS[:, None, :]).reshape(2, -1)
+    return branches
 
 
-def _certificate(support: np.ndarray, h: Generator, n: int,
+def _certificate(support: np.ndarray, n: int,
                  ref_plus: np.ndarray, ref_minus: np.ndarray) -> ConversionCertificate:
     """Grade every +- branch of probes 2..n of the GHZ-type register with this
-    support at once against the sign-matched sequential reference state:
-    ref_minus when the branch has an odd number of - outcomes, ref_plus
-    otherwise."""
-    amps = _support_branch_amplitudes(support, h, n)
+    support at once against the sign-matched sequential reference, a probe-1
+    support like it: ref_minus when the branch has an odd number of -
+    outcomes, ref_plus otherwise."""
+    amps = _support_branch_amplitudes(support, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real
     refs = np.array([ref_plus, ref_minus])[_branch_parity(n)]
     # a dead branch (probability below 1e-15) is divided by 1 and graded 0
@@ -153,10 +147,10 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
     Evolves (|min>^N + e^{i lam} |max>^N)/sqrt(2) by one phase box per probe
     (phase phis[j] on probe j, applied on the state's two-level support by
     states.ghz_phase_support), measures probes 2..N in the +- basis, and
-    compares every one of the 2^(N-1) conditional probe-1 states against
-    e^{i (sum phis) H} (|min> +- e^{i lam} |max>)/sqrt(2), the sign being the
-    parity of - outcomes.  All branches should be uniform with probability
-    2^-(N-1) and fidelity 1 up to roundoff.
+    compares every one of the 2^(N-1) conditional probe-1 supports against
+    that of e^{i (sum phis) H} (|min> +- e^{i lam} |max>)/sqrt(2), the sign
+    being the parity of - outcomes.  All branches should be uniform with
+    probability 2^-(N-1) and fidelity 1 up to roundoff.
     """
     phis = [float(p) for p in phis]
     n = len(phis)
@@ -164,9 +158,11 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError("need at least 2 probes for a conversion certificate")
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
-    box = phase_box(h, sum(phis))
-    plus, minus = plus_minus_states(h, lam)
-    return _certificate(ghz_phase_support(h, phis, lam), h, n, box * plus, box * minus)
+    box = phase_box(h, sum(phis))[[h.min_index, h.max_index]]
+    plus = ghz_phase_support(h, [0.0], lam)
+    # box first: ghz_phase_support(h, [sum(phis)], lam) puts the amplitude
+    # first in the product, which rounds differently in the last bit
+    return _certificate(ghz_phase_support(h, phis, lam), n, box * plus, box * (plus * [1, -1]))
 
 
 def counterexample(basis: str, phis) -> np.ndarray:
@@ -334,9 +330,9 @@ def generalized_strategy_certificate(
     per-probe operator M = W^dag U' V^dag does: it equals e^{i phi H}, so the
     parallel strategy on M is the ordinary one.  Returns max|M - e^{i phi H}|
     and the certificate of the GHZ-type state evolved on its two-level support
-    by n boxes e^{i phi H} (states.ghz_phase_support), graded against
-    M^n |+-> normalized.  M is compared with the box off the diagonal too,
-    so the box is a dense matrix here.
+    by n boxes e^{i phi H} (states.ghz_phase_support), graded against the
+    extreme-level entries of M^n |+-> normalized.  M is compared with the box
+    off the diagonal too, so the box is a dense matrix here.
     """
     w = as_matrix(w)
     v = as_matrix(v)
@@ -349,7 +345,7 @@ def generalized_strategy_certificate(
     u = np.diag(phase_box(h, phi))
     m = w.conj().T @ (w @ u @ v) @ v.conj().T
     m_n = np.linalg.matrix_power(m, n)
-    plus, minus = plus_minus_states(h)
-    cert = _certificate(ghz_phase_support(h, [phi] * n), h, n,
-                        normalized(m_n @ plus), normalized(m_n @ minus))
+    levels = [h.min_index, h.max_index]
+    refs = [normalized(m_n @ s)[levels] for s in plus_minus_states(h)]
+    cert = _certificate(ghz_phase_support(h, [phi] * n), n, *refs)
     return float(np.max(np.abs(m - u))), cert

@@ -91,7 +91,7 @@ def crb(strategy: StrategySpec, nu: int) -> float:
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
         h = Generator.qubit()
         levels = Generator(n * h.eigenvalues[[h.min_index, h.max_index]], 0, 1)
-        fisher = qfi_pure(ghz_phase_support(h, [0.0] * n, strategy.lam), levels)
+        fisher = qfi_pure(ghz_phase_support(h, [0.0], strategy.lam), levels)
     else:
         order = strategy.fringe_order
         fisher = strategy.trials_per_repetition * cfi_binary(order, operating_phase(n))

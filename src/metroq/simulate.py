@@ -28,7 +28,6 @@ from .states import (
     StrategySpec,
     ghz_phase_support,
     phase_box,
-    plus_minus_states,
 )
 
 # Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
@@ -110,20 +109,19 @@ def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     """Per-trial Bernoulli success probability of one repetition.
 
-    Every strategy runs on the qubit generator through its fringe_order
-    boxes: N on one probe (sequential), one (classical: its N probes are
-    independent trials), or one on each of N probes of a GHZ state, graded
-    on its support (entangled).  The probability is the Born probability
-    |<initial|final>|^2 that the evolved state passes the projection back
-    onto the initial one.
+    Every strategy starts from the one-probe GHZ support on the qubit,
+    ghz_phase_support(h, [0.0], lam), and runs through its fringe_order boxes:
+    N on that probe (sequential), one (classical: its N probes are independent
+    trials), or one on each of N probes of a GHZ state, graded on its support
+    (entangled).  The probability is the Born probability |<initial|final>|^2
+    that the evolved state passes the projection back onto the initial one.
     """
     h = Generator.qubit()
     boxes = strategy.fringe_order
+    initial = ghz_phase_support(h, [0.0], strategy.lam)
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        initial = ghz_phase_support(h, [0.0] * boxes, strategy.lam)
         final = evolve_parallel_entangled(h, phi, boxes, strategy.lam)
     else:
-        initial, _ = plus_minus_states(h)
         final = evolve_sequential(h, phi, boxes, initial)
     return fidelity_up_to_phase(initial, final)
 

@@ -52,10 +52,6 @@ class Generator:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
-    @property
-    def gap(self) -> float:
-        return float(self.eigenvalues[self.max_index] - self.eigenvalues[self.min_index])
-
     @staticmethod
     def qubit() -> "Generator":
         """Default two-level generator diag(0, 1)."""
@@ -86,8 +82,7 @@ def phase_box(h: Generator, phis) -> np.ndarray:
 
 def plus_minus_states(h: Generator, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Equal superpositions (|min> +- e^{i lam} |max>)/sqrt(2) of the extreme
-    eigenstates: the basis probes 2..N are measured in (lam = 0) and the
-    states probe 1 is graded against."""
+    eigenstates: the basis probes 2..N are measured in (lam = 0)."""
     lo = basis_state(h.dim, h.min_index)
     hi = np.exp(1j * lam) * basis_state(h.dim, h.max_index)
     return (lo + hi) / math.sqrt(2), (lo - hi) / math.sqrt(2)
@@ -169,8 +164,9 @@ class StrategyKind(str, Enum):
 class StrategySpec:
     """One estimation strategy on the qubit generator: what is prepared, how
     many probes, and the resources they make one repetition of.  lam is the
-    relative phase of the entangled strategy's GHZ state: 0 in `scaling`, set
-    by the tests, and read by perfbench's success-probability hook."""
+    relative phase of the GHZ-type state every strategy starts from: 0 in
+    `scaling`, set by the tests, and read by perfbench's success-probability
+    hook."""
 
     kind: StrategyKind
     n_probes: int

@@ -131,7 +131,8 @@ def branch_amplitudes_tensordot(state, h, n):
     """Reference for equivalence._support_branch_amplitudes, given the whole
     register ghz_register(h, n, support): probes 2..n contracted with the +-
     projector one np.tensordot at a time, the outcome axis moved back into the
-    contracted probe's place; probe 1 on the rows."""
+    contracted probe's place; probe 1's d levels on the rows, of which the
+    support form keeps min_index and max_index."""
     plus, minus = plus_minus_states(h)
     proj = np.stack([plus.conj(), minus.conj()])
     t = state.reshape((h.dim,) * n)

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-PASS/FAIL lines as they are produced.  Criteria 01-04 and 10 run the same
-check functions as `metroq verify`, with their own seeds and sample counts;
+PASS/FAIL lines as they are produced.  Criteria 01-04, 08, 09 and 10 run
+the same check functions as the CLI, with their own seeds and sample counts;
 their tolerances are pinned here, not taken from the CLI's check table.
 """
 

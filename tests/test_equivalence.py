@@ -170,17 +170,32 @@ def test_phase_mask_matches_per_factor_boxes_and_record_order():
 
 def test_branch_cascade_is_bitwise_the_tensordot_cascade():
     # the support's per-probe products against the whole register contracted
-    # probe by probe, byte for byte
+    # probe by probe, byte for byte; the contraction's other rows are exactly
+    # zero, which is why a certificate is graded on the support alone
     rng = np.random.default_rng(32)
     qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
     ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0)
     for h, n_max in ((H, 12), (qutrit, 7), (ququart, 5)):
+        others = [i for i in range(h.dim) if i not in (h.min_index, h.max_index)]
         for n in range(1, n_max + 1):
             support = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            amps = equivalence._support_branch_amplitudes(support, h, n)
+            amps = equivalence._support_branch_amplitudes(support, n)
             oracle = branch_amplitudes_tensordot(ghz_register(h, n, support), h, n)
-            assert amps.shape == oracle.shape == (h.dim, 2 ** (n - 1))
-            assert amps.tobytes() == np.ascontiguousarray(oracle).tobytes()
+            assert amps.shape == (2, 2 ** (n - 1))
+            rows = oracle[[h.min_index, h.max_index]]
+            assert amps.tobytes() == np.ascontiguousarray(rows).tobytes()
+            assert not np.any(oracle[others])
+
+
+def test_plus_minus_columns_are_every_generators_extreme_columns():
+    columns = equivalence._PLUS_MINUS_COLUMNS
+    assert not columns.flags.writeable
+    for h in (H, Generator(np.array([-0.3, 0.45, 1.2]), 0, 2),
+              Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0),
+              Generator.number(3), Generator.number_difference(4)):
+        old = np.array(plus_minus_states(h)).conj()[:, [h.min_index, h.max_index]].T
+        assert columns.tobytes() == old.tobytes()
+        assert columns.dtype == old.dtype and columns.shape == old.shape
 
 
 def _conversion_inputs(phis, lam):
@@ -197,10 +212,10 @@ def test_grading_fails_on_a_dropped_phase_or_swapped_references():
     phis, lam = [0.4, 1.3, 0.9, 2.2], 0.7
     n = len(phis)
     support, (ref_plus, ref_minus) = _conversion_inputs(phis, lam)
-    assert equivalence._certificate(support, H, n, ref_plus, ref_minus).min_fidelity > 1 - 1e-12
+    assert equivalence._certificate(support, n, ref_plus, ref_minus).min_fidelity > 1 - 1e-12
     dropped, _ = _conversion_inputs(phis[:-1] + [0.0], lam)
-    assert equivalence._certificate(dropped, H, n, ref_plus, ref_minus).min_fidelity < 0.9
-    swapped = equivalence._certificate(support, H, n, ref_minus, ref_plus)
+    assert equivalence._certificate(dropped, n, ref_plus, ref_minus).min_fidelity < 0.9
+    swapped = equivalence._certificate(support, n, ref_minus, ref_plus)
     assert swapped.min_fidelity < 1e-12
     # probabilities do not see the references; only the fidelities fail
     assert swapped.max_prob_error < 1e-12
@@ -255,8 +270,8 @@ def test_verify_conversion_fails_on_a_dropped_phase(capsys, monkeypatch):
 def test_verify_conversion_fails_on_swapped_references(capsys, monkeypatch):
     grade = equivalence._certificate
 
-    def swapped(support, h, n, ref_plus, ref_minus):
-        return grade(support, h, n, ref_minus, ref_plus)
+    def swapped(support, n, ref_plus, ref_minus):
+        return grade(support, n, ref_minus, ref_plus)
 
     monkeypatch.setattr(equivalence, "_certificate", swapped)
     code, rec = _conversion_check(capsys)

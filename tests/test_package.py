@@ -1,6 +1,7 @@
 """The package's shape: `import metroq` itself only sets the BLAS default,
-every name is imported from its own module, and no module, of the package or
-of the tests, keeps an import it does not use."""
+every name is imported from its own module, no module, of the package or of
+the tests, keeps an import it does not use, and no package module keeps a
+private name it never reads."""
 
 import ast
 import inspect
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import metroq
+from metroq import equivalence
 
 from helpers import child_env
 
@@ -155,3 +157,52 @@ def test_no_module_defines_ghz_register():
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert "ghz_register" not in _defined_names(tree), path.name
+
+
+def test_no_module_defines_support_columns():
+    # the +- columns are the same for every generator: one module constant,
+    # no per-generator cache
+    for path in PACKAGE.glob("*.py"):
+        assert "_support_columns" not in _defined_names(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_certificate_functions_take_no_generator():
+    # a certificate grades two-entry supports against two-entry references
+    for fn in (equivalence._certificate, equivalence._support_branch_amplitudes):
+        params = inspect.signature(fn).parameters.values()
+        assert not [p for p in params if p.name == "h" or "Generator" in str(p.annotation)]
+
+
+def test_every_strategy_starts_from_the_ghz_support():
+    # the sequential and classical probe is the one-probe GHZ support too
+    assert "plus_minus_states" not in _module_names("simulate")
+
+
+def _unread_private_names(tree: ast.Module) -> set[str]:
+    """Private module-level functions, classes and constants that the module
+    never reads."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {name for name in defined
+            if name.startswith("_") and not name.startswith("__")} - read
+
+
+def test_unread_private_name_finder_sees_an_orphan():
+    tree = ast.parse("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                     "def _used():\n    return _A\n"
+                     "def _orphan():\n    _local = 1\n    return _local\n"
+                     "class _Gone:\n    pass\n"
+                     "def public():\n    return _used() + _C\n")
+    assert _unread_private_names(tree) == {"_B", "_orphan", "_Gone"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_keeps_no_unread_private_name(path):
+    assert _unread_private_names(ast.parse(path.read_text(encoding="utf-8"))) == set()

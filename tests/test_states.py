@@ -33,7 +33,7 @@ def test_generator_validation():
     with pytest.raises(ValueError):
         Generator(np.array([1.0, 1.0]), 0, 1)  # degenerate spread
     h = Generator(np.array([-0.5, 0.25, 1.5]), 0, 2)
-    assert h.dim == 3 and h.gap == 2.0
+    assert h.dim == 3 and np.ptp(h.eigenvalues) == 2.0
 
 
 # the qubit, a qutrit with a middle eigenvalue, and the bosonic generators
