@@ -9,6 +9,7 @@ overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -490,6 +491,8 @@ def cmd_fisher(args) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the six subcommands; main parses with one built once
+    per process (_parser)."""
     parser = argparse.ArgumentParser(
         prog="metroq",
         description="Verification suites and Monte Carlo experiments for "
@@ -506,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-12)
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scaling", help="Monte Carlo error-scaling experiment")
     p.add_argument("--strategies", default="sequential,classical,entangled")
@@ -515,31 +517,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--out", default="scaling.csv")
     common(p)
-    p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("noise", help="noise-conversion checks for one channel")
     p.add_argument("--channel", choices=sorted(CHANNELS), required=True)
     p.add_argument("--p", type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("frequency", help="dephasing frequency-bound optimization")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n-values", default="1,2,4,8")
     p.add_argument("--nu", type=int, default=1)
     common(p)
-    p.set_defaults(func=cmd_frequency)
 
     p = sub.add_parser("noon", help="bosonic N0/NOON fringe equivalence")
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_noon)
 
     p = sub.add_parser("fisher", help="Fisher information and precision-bound tables")
     p.add_argument("--n-values", default="1,2,4,8")
     p.add_argument("--nu", type=int, default=1)
     common(p)
-    p.set_defaults(func=cmd_fisher)
 
     return parser
 
@@ -558,13 +555,24 @@ def main(argv=None) -> int:
         return 3
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Parsing keeps no state in it: every
+    parse_args call fills a new namespace, and _resolve_seed reads
+    METROQ_SEED at each call."""
+    return build_parser()
+
+
 def _run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
+    # looked up at call time, so a cmd_* rebound in this module (a test's
+    # monkeypatch, a profiler's wrapper) is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     start = time.perf_counter()
     try:
-        report = args.func(args)
+        report = handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

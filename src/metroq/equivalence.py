@@ -66,6 +66,19 @@ class ConversionCertificate:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
+    @classmethod
+    def _adopt(cls, n_probes: int, probabilities: np.ndarray,
+               fidelities: np.ndarray) -> "ConversionCertificate":
+        """The certificate holding these float arrays themselves, made
+        read-only in place: for arrays that their builder shares with no one,
+        which then need no defensive copy."""
+        cert = object.__new__(cls)
+        object.__setattr__(cert, "n_probes", n_probes)
+        for name, a in (("probabilities", probabilities), ("fidelities", fidelities)):
+            a.setflags(write=False)
+            object.__setattr__(cert, name, a)
+        return cert
+
     @property
     def min_fidelity(self) -> float:
         return float(self.fidelities.min())
@@ -91,6 +104,21 @@ class ConversionCertificate:
 # conjugated +- pair gives them, signed zeros included.
 _PLUS_MINUS_COLUMNS = np.array(plus_minus_states(Generator.qubit())).conj().T
 _PLUS_MINUS_COLUMNS.setflags(write=False)
+
+
+# lam = 0, which verify's two-probe check and every default caller use, and a
+# few more; a conversion at a fresh random lam only cycles through it
+@functools.lru_cache(maxsize=8)
+def _start_supports(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-probe GHZ support ghz_phase_support(h, [0.0], lam) and its -
+    partner, the support times (1, -1); read-only.  A zero phase
+    exponentiates to exactly 1 at every eigenvalue, so both are the same for
+    every generator and the qubit's serve."""
+    plus = ghz_phase_support(Generator.qubit(), [0.0], lam)
+    minus = plus * [1, -1]
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    return plus, minus
 
 
 @functools.lru_cache(maxsize=MAX_PROBES)  # one entry per N
@@ -138,7 +166,7 @@ def _certificate(support: np.ndarray, n: int,
     cond = amps / np.sqrt(np.where(live, probs, 1.0))
     overlaps = np.einsum("ib,bi->b", cond.conj(), refs)
     fids = np.where(live, np.minimum(np.abs(overlaps) ** 2, 1.0), 0.0)
-    return ConversionCertificate(n, probs, fids)
+    return ConversionCertificate._adopt(n, probs, fids)
 
 
 def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertificate:
@@ -159,10 +187,10 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     box = phase_box(h, sum(phis))[[h.min_index, h.max_index]]
-    plus = ghz_phase_support(h, [0.0], lam)
+    plus, minus = _start_supports(float(lam))
     # box first: ghz_phase_support(h, [sum(phis)], lam) puts the amplitude
     # first in the product, which rounds differently in the last bit
-    return _certificate(ghz_phase_support(h, phis, lam), n, box * plus, box * (plus * [1, -1]))
+    return _certificate(ghz_phase_support(h, phis, lam), n, box * plus, box * minus)
 
 
 def counterexample(basis: str, phis) -> np.ndarray:
@@ -278,6 +306,21 @@ def effective_sequential_channel(cha: KrausChannel, chb: KrausChannel) -> tuple[
     return effective, effective.is_trace_preserving()
 
 
+@functools.lru_cache(maxsize=8)  # verify passes one generator, a test a few
+def _phase_grid(h: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """useful_entanglement_check's constants for one generator, read-only:
+    the diagonals of e^{i phi_g H} on its 50-point phase grid, shape
+    (50, 1, d), their products with the +- starts, (50, 2, d), and their
+    squares, (50, 1, d); axes are (phase, start, entry).  A Generator is
+    frozen and compares by identity, so it is its own key."""
+    phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
+    boxes = phase_box(h, phis)[:, None, :]
+    grid = boxes, boxes * np.stack(plus_minus_states(h)), boxes * boxes
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
 def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     """Decide whether a 2x2 seed operator yields a working entangled strategy.
 
@@ -291,8 +334,9 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
     too.
 
     The whole grid is evaluated at once from one (50, d) array of phase-box
-    diagonals.  A grid point rejects when an evolved vector's norm is below
-    1e-12 or its fidelity to the target is below 1 - 1e-12.
+    diagonals, built once per generator (_phase_grid).  A grid point rejects
+    when an evolved vector's norm is below 1e-12 or its fidelity to the
+    target is below 1 - 1e-12.
     """
     e = as_matrix(e)
     if e.shape != (2, 2) or h.dim != 2:
@@ -307,15 +351,12 @@ def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
     targets = np.stack(plus_minus_states(h, lam_hat))
-    starts = np.stack(plus_minus_states(h))
-    phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
-    # boxes[g] is the diagonal of e^{i phi_g H}; axes below are (phase, start, entry)
-    boxes = phase_box(h, phis)[:, None, :]
-    v = boxes * ((boxes * starts) @ e.T)
+    boxes, boxed_starts, boxes_squared = _phase_grid(h)
+    v = boxes * (boxed_starts @ e.T)
     nv = np.linalg.norm(v, axis=2)
     if np.any(nv < 1e-12):
         return False, None
-    overlaps = np.sum((v / nv[..., None]).conj() * (boxes * boxes * targets), axis=2)
+    overlaps = np.sum((v / nv[..., None]).conj() * (boxes_squared * targets), axis=2)
     if np.any(np.abs(overlaps) ** 2 < 1.0 - 1e-12):
         return False, None
     return True, lam_hat

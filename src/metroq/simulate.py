@@ -277,12 +277,13 @@ def scaling_experiment(
         phi = operating_phase(n)
         p = strategy_success_probability(strat, phi)
         trials = strat.trials_per_repetition * nu
+        order = strat.fringe_order
         errors = np.empty(rounds)
         saturated = 0
         for r in range(rounds):
             k = run_trials(strat, p, nu, derive_round_seed(seed, kind, n, r))
             saturated += k in (0, trials)
-            errors[r] = estimate_phase(k, trials, strat.fringe_order) - phi
+            errors[r] = estimate_phase(k, trials, order) - phi
         streams += rounds
         draws += rounds * trials
         rows.append(

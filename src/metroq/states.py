@@ -123,14 +123,18 @@ def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
     phase_box entries of the two extreme levels, is multiplied in from the
     last probe outward, so both amplitudes are bitwise those of
     ghz_like(h, N, lam) times the d^N outer product of the per-probe
-    diagonals built in the same order.
+    diagonals built in the same order.  The product starts from the last
+    probe's factor itself, not from ones times it: a factor's imaginary part
+    is never -0.0 (phase_box's exponent has imaginary part 0.0 + phi
+    eigenvalue, and sin of a nonzero double is nonzero), so multiplying by 1
+    would change no bit.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim < 1 or phis.shape[-1] < 1:
         raise ValueError("need at least one probe")
     factors = phase_box(h, phis)[..., [h.min_index, h.max_index]]
-    boxes = np.ones(phis.shape[:-1] + (2,), dtype=np.complex128)
-    for j in reversed(range(phis.shape[-1])):
+    boxes = factors[..., -1, :]
+    for j in reversed(range(phis.shape[-1] - 1)):
         boxes = factors[..., j, :] * boxes
     return _ghz_amplitudes(lam) * boxes
 

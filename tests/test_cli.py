@@ -218,6 +218,37 @@ def test_seed_env_must_be_integer(capsys, monkeypatch):
     assert err.value.code == 2
 
 
+def test_one_parser_per_process_reads_seed_and_handler_at_call_time(capsys, monkeypatch):
+    build = cli.build_parser
+    assert build() is not build()  # still a new parser per call
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    seeds = []
+    for env in ("5", "6"):
+        monkeypatch.setenv("METROQ_SEED", env)
+        _, report = run_json(capsys, ["verify", "--n-max", "2"])
+        seeds.append(report["config"]["seed"])
+    assert seeds == [5, 6]
+
+    # a handler rebound after the parser was built is the one that runs, as
+    # perfbench's span wrappers of cli.cmd_* are
+    def patched_noon(args):
+        report = cli.Report("noon", {"n": args.n, "format": args.format})
+        report.add("patched", True)
+        return report
+
+    monkeypatch.setattr(cli, "cmd_noon", patched_noon)
+    code, out = run_cli(capsys, ["noon", "--n", "2"])
+    assert code == 0 and [rec["name"] for rec in json.loads(out)["results"]] == ["patched"]
+    assert len(builds) == 1
+
+
 def test_negative_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--n-max", "4", "--seed", "-1"])

@@ -13,9 +13,10 @@ from metroq.channels import (
     dephasing,
     is_unital,
 )
-from metroq import equivalence
+from metroq import cli, equivalence
 from metroq.cli import main
 from metroq.equivalence import (
+    ConversionCertificate,
     convert_general_n,
     counterexample,
     effective_sequential_channel,
@@ -38,6 +39,7 @@ from metroq.states import (
     Generator,
     ghz_like,
     ghz_phase_support,
+    phase_box,
     plus_minus_states,
 )
 
@@ -52,9 +54,15 @@ from helpers import (
     u_phi,
     useful_entanglement_check_per_phase,
 )
+from test_golden import GOLDEN, transcript
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
+# the qubit, a qutrit with a middle eigenvalue, a ququart whose max index
+# comes first, and both bosonic generators
+GENERATORS = (H, Generator(np.array([-0.3, 0.45, 1.2]), 0, 2),
+              Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0),
+              Generator.number(3), Generator.number_difference(4))
 IDENTITY_CHANNEL = KrausChannel((np.eye(2),))
 
 
@@ -257,14 +265,74 @@ def test_verify_conversion_fails_on_a_dropped_phase(capsys, monkeypatch):
     code, rec = _conversion_check(capsys)
     assert code == 0 and rec["pass"]
 
-    def drop_last_phase(h, phis, lam=0.0):
-        phis = list(phis)
-        return ghz_phase_support(h, phis[:-1] + [0.0], lam)
-
-    monkeypatch.setattr(equivalence, "ghz_phase_support", drop_last_phase)
+    monkeypatch.setattr(equivalence, "ghz_phase_support", _drop_last_phase)
     code, rec = _conversion_check(capsys)
     assert code == 1 and not rec["pass"]
     assert rec["residual"] > 1e-3
+
+
+def _drop_last_phase(h, phis, lam=0.0):
+    phis = list(phis)
+    return ghz_phase_support(h, phis[:-1] + [0.0], lam)
+
+
+def test_a_patched_support_leaves_nothing_in_the_caches(capsys, monkeypatch):
+    # the mutant run fills every cache afresh; once it is undone, the golden
+    # verify must come out as if it had never run
+    for cache in (cli._parser, equivalence._start_supports, equivalence._phase_grid,
+                  equivalence._branch_parity):
+        cache.cache_clear()
+    monkeypatch.setattr(equivalence, "ghz_phase_support", _drop_last_phase)
+    code, rec = _conversion_check(capsys)
+    assert code == 1 and not rec["pass"]
+    monkeypatch.undo()
+    output = transcript(["verify", "--n-max", "12", "--seed", "0"])["json"]
+    assert output == (GOLDEN / "verify-n12-seed0.json").read_bytes()
+
+
+@pytest.mark.parametrize("lams", [(0.0, -0.0, 0.7, -2.1), (-0.0, 0.0, -2.1, 0.7)],
+                         ids=["zero-first", "minus-zero-first"])
+def test_start_supports_are_every_generators_start_read_only(lams):
+    # lru_cache keys 0.0 and -0.0 as one lam, so the entry either fills must
+    # serve both: the cache is emptied and filled in both orders
+    equivalence._start_supports.cache_clear()
+    for lam in lams:
+        plus, minus = equivalence._start_supports(lam)
+        for cached in (plus, minus):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        for h in GENERATORS:
+            fresh = ghz_phase_support(h, [0.0], lam)
+            for cached, built in ((plus, fresh), (minus, fresh * [1, -1])):
+                assert cached.dtype == built.dtype and cached.shape == built.shape
+                assert cached.tobytes() == built.tobytes(), (h.eigenvalues, lam)
+
+
+def test_phase_grid_is_a_read_only_fresh_build():
+    phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
+    for h in GENERATORS:
+        grid = equivalence._phase_grid(h)
+        assert equivalence._phase_grid(h) is grid
+        boxes = phase_box(h, phis)[:, None, :]
+        fresh = (boxes, boxes * np.stack(plus_minus_states(h)), boxes * boxes)
+        for cached, built in zip(grid, fresh, strict=True):
+            assert cached.dtype == built.dtype and cached.shape == built.shape
+            assert cached.tobytes() == built.tobytes()
+            with pytest.raises(ValueError):
+                cached[0, 0, 0] = 0.0
+
+
+def test_certificate_copies_what_it_is_given_and_adopts_what_it_builds():
+    probs, fids = np.full(4, 0.25), np.ones(4)
+    cert = ConversionCertificate(3, probs, fids)
+    assert not np.shares_memory(cert.probabilities, probs) and probs.flags.writeable
+    assert not np.shares_memory(cert.fidelities, fids) and fids.flags.writeable
+    built = convert_general_n(H, [0.3, 1.1, 2.0], 0.4)
+    for cert in (cert, built):
+        for grades in (cert.probabilities, cert.fidelities):
+            assert grades.dtype == float
+            with pytest.raises(ValueError):
+                grades[0] = 0.5
 
 
 def test_verify_conversion_fails_on_swapped_references(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """The package's shape: `import metroq` itself only sets the BLAS default,
 every name is imported from its own module, no module, of the package or of
 the tests, keeps an import it does not use, and no package module keeps a
-private name it never reads."""
+private name it never reads or a cache without a bound."""
 
 import ast
 import inspect
@@ -206,3 +206,63 @@ def test_unread_private_name_finder_sees_an_orphan():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_keeps_no_unread_private_name(path):
     assert _unread_private_names(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+FUNCTOOLS_CACHES = {"cache", "lru_cache"}
+
+
+def _unbounded_caches(tree: ast.Module) -> set[str]:
+    """Uses of functools' caches that can grow without bound: lru_cache with
+    no integer maxsize (None, or left to its default), cache on a function
+    that takes arguments, or either one outside a decorator."""
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names if alias.name in FUNCTOOLS_CACHES}
+
+    def cache_name(node):
+        if (isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            return node.attr
+        if isinstance(node, ast.Name):
+            return imported.get(node.id)
+        return None
+
+    bounded = set()  # ids of the name nodes of bounded cache decorators
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            name = dec.func if isinstance(dec, ast.Call) else dec
+            if cache_name(name) == "cache" and name is dec:
+                a = fn.args
+                if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                    bounded.add(id(name))
+            elif cache_name(name) == "lru_cache" and name is not dec:
+                sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+                if sizes and not (isinstance(sizes[0], ast.Constant)
+                                  and not isinstance(sizes[0].value, int)):
+                    bounded.add(id(name))
+    return {f"line {node.lineno}" for node in ast.walk(tree)
+            if cache_name(node) and id(node) not in bounded}
+
+
+def test_unbounded_cache_finder_sees_an_unbounded_cache():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache as memo\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(x):\n    return x\n"  # line 3
+        "@functools.cache\ndef b(x):\n    return x\n"  # line 6
+        "@memo\ndef c(x):\n    return x\n"  # line 9
+        "d = functools.lru_cache(maxsize=4)(len)\n"  # line 12
+        "@functools.lru_cache(maxsize=2 * N)\ndef e(x):\n    return x\n"
+        "@memo(4)\ndef f(x):\n    return x\n"
+        "@functools.cache\ndef g():\n    return 1\n"
+        "from functools import cache as keep\n"
+        "@keep\ndef h(x):\n    return x\n")  # line 23
+    assert _unbounded_caches(tree) == {"line 3", "line 6", "line 9", "line 12", "line 23"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_cache_is_bounded(path):
+    # a cache that grows with its inputs would hold every lam or generator
+    # a long-lived process ever passed
+    assert _unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))) == set()
