@@ -9,12 +9,19 @@ the first two key words into a pool once per (strategy, N) row; the round
 word is hashed in here, with numpy's SeedSequence arithmetic (see
 derive_round_seed).  STREAM_VERSION names this sampling scheme; it changes
 whenever the same arguments would draw different numbers.
+
+A round's stream is opened by re-keying one Generator(Philox) per thread
+(see run_trials): its whole bit-generator state is reset to the state a
+fresh Philox(SeedSequence(words)) starts in, with the key hashed out of the
+SeedSequence pool here rather than by generate_state, whose call overhead,
+and that of building a Generator, cost more than the draw itself.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +56,14 @@ _XSHIFT = 16
 # (strategy index, N) takes 4.  The round word's hashmixes into pool words 0
 # and 1 then start from _A24 and _A25.
 _A24, _A25, _A26 = (_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in (24, 25, 26))
-# generate_state's constant before and after its first and second output word
-_B1, _B2 = (_INIT_B * pow(_MULT_B, k, 2**32) & _MASK32 for k in (1, 2))
+# generate_state's hash constant before each of its first four output words,
+# and after the fourth: _B[k] = _INIT_B * _MULT_B**k
+_B = tuple(_INIT_B * pow(_MULT_B, k, 2**32) & _MASK32 for k in range(5))
+
+# Each thread's Generator(Philox), built on its first draw (not at import,
+# which would load numpy.random into every command's start-up) and re-keyed
+# by every run_trials call.
+_thread = threading.local()
 
 # Fixed stream index per strategy, so reordering StrategyKind keeps the streams.
 _STREAM_INDEX = {
@@ -76,7 +89,9 @@ class ScalingReport:
     rows: tuple[ScalingRow, ...]
     fitted_slope: float | None  # None when some row's RMSE is zero
     slope_stderr: float | None
-    streams: int  # Philox streams opened: one per round of each row
+    # Philox streams opened: one per round of each row, each a re-keying of
+    # the thread's one generator (run_trials)
+    streams: int
     draws: int  # Bernoulli trials drawn: the rounds' trials summed over rows
 
 
@@ -142,11 +157,19 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     samples 1 - p and returns trials - k once p > 1/2, so a p recomputed along
     a path that differs in the last bit could mirror every count.
 
-    The Philox key comes from SeedSequence([seed mod 2^32, seed div 2^32]),
-    the words numpy itself hashes for Philox(seed): a word missing from the
-    pool of 4 mixes as a zero word, so seeds below 2^32 agree too.  Passing
-    the words as a uint32 array skips numpy's per-call coercion of the
-    Python int.
+    The Philox key is the one Philox(seed) takes: the first two uint64s
+    that SeedSequence([seed mod 2^32, seed div 2^32]) generates, the words
+    numpy itself hashes for the int (a word missing from the pool of 4
+    mixes as a zero word, so seeds below 2^32 agree too).  Passing the
+    words as a uint32 array skips numpy's per-call coercion of the Python
+    int.  The key is hashed out of the SeedSequence's pool here
+    (_output_uint64) instead of by generate_state, and the draw comes from
+    this thread's one Generator(Philox), its bit generator's whole state
+    reset to the one a fresh Philox with that key starts in: counter 0, no
+    buffered output.  A fresh stream per round cost more in generate_state's
+    and the Generator's set-up than in the draw.  The count still depends
+    only on the arguments: nothing of an earlier draw survives the reset,
+    and numpy's cached binomial set-up is a function of (trials, p) alone.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -156,7 +179,22 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
         raise ValueError("p must lie in [0, 1]")
     trials = strategy.trials_per_repetition * nu
     words = np.array([seed & _MASK32, seed >> 32], dtype=np.uint32)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+    p0, p1, p2, p3 = np.random.SeedSequence(words).pool.tolist()
+    try:
+        rng = _thread.rng
+    except AttributeError:  # this thread's first draw
+        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": (0, 0, 0, 0),
+            "key": (_output_uint64(p0, p1, 0), _output_uint64(p2, p3, 1)),
+        },
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffer of 4 uint64s is used up
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return int(rng.binomial(trials, p))
 
 
@@ -171,6 +209,16 @@ def estimate_phase(k: int, nu: int, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (2.0 / n) * math.acos(math.sqrt(k / nu))
+
+
+def _output_uint64(lo_word: int, hi_word: int, i: int) -> int:
+    """uint64 number i of SeedSequence.generate_state(n, np.uint64), n > i,
+    from the mixed pool words 2i and 2i+1: each hashed into one uint32 output
+    word with numpy's arithmetic, the low one first."""
+    k = 2 * i
+    lo = (lo_word ^ _B[k]) * _B[k + 1] & _MASK32
+    hi = (hi_word ^ _B[k + 1]) * _B[k + 2] & _MASK32
+    return (hi ^ hi >> _XSHIFT) << 32 | lo ^ lo >> _XSHIFT
 
 
 @functools.lru_cache(maxsize=len(_STREAM_INDEX) * MAX_PROBES)  # the rows of one run
@@ -212,10 +260,8 @@ def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -
     h1 = (round_index ^ _A25) * _A26 & _MASK32
     m0 = (_MIX_MULT_L * pool0 - _MIX_MULT_R * (h0 ^ h0 >> _XSHIFT)) & _MASK32
     m1 = (_MIX_MULT_L * pool1 - _MIX_MULT_R * (h1 ^ h1 >> _XSHIFT)) & _MASK32
-    # generate_state: each pool word hashed into one output word, low first
-    lo = ((m0 ^ m0 >> _XSHIFT) ^ _INIT_B) * _B1 & _MASK32
-    hi = ((m1 ^ m1 >> _XSHIFT) ^ _B1) * _B2 & _MASK32
-    return (hi ^ hi >> _XSHIFT) << 32 | lo ^ lo >> _XSHIFT
+    # mix's closing xorshift, then generate_state's first uint64
+    return _output_uint64(m0 ^ m0 >> _XSHIFT, m1 ^ m1 >> _XSHIFT, 0)
 
 
 def rmse_stderr(rmse: float, rounds: int) -> float:

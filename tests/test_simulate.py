@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -281,10 +283,11 @@ ORACLE_ROUNDS = (0, 1, 999, 2**32 - 1)
 @pytest.mark.parametrize("kind", list(StrategyKind))
 def test_round_seed_and_draw_match_the_spawn_key_form(kind):
     # derive_round_seed hashes the round word into a pool numpy builds once
-    # per (seed, strategy, N) row, and run_trials hands Philox the words
-    # Philox(int) hashes: child seeds and counts must equal numpy's own
-    # int-and-tuple forms.  Rounds of every N, and at the edge seeds of every
-    # strategy, come in shuffled order, so a pool cached for another row shows.
+    # per (seed, strategy, N) row, and run_trials re-keys its thread's Philox
+    # with the key it hashes out of the pool of the words Philox(int) hashes:
+    # child seeds and counts must equal numpy's own int-and-tuple forms.
+    # Rounds of every N, and at the edge seeds of every strategy, come in
+    # shuffled order, so a pool cached for another row shows.
     spec = StrategySpec(kind, 3)
     p, nu = 0.3, 100_000
     trials = 3 * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
@@ -320,3 +323,81 @@ def test_run_trials_count_is_binomial(kind, phi):
     var_se = math.sqrt((mu4 - var**2 * (seeds - 3) / (seeds - 1)) / seeds)
     assert abs(counts.mean() - trials * p) < 4 * mean_se
     assert abs(counts.var(ddof=1) - var) < 4 * var_se
+
+
+# (strategy, nu, p) cases for the reused generator: numpy's BTPE sampler, its
+# inversion sampler, p one ulp above 1/2 (sampled as 1 - p and mirrored) at
+# 12 * 1e5 trials, the p = 0 and p = 1 shortcuts, and a p that run_trials
+# rejects before it reaches the generator.
+REUSE_CASES = (
+    (StrategySpec(StrategyKind.SEQUENTIAL, 2), 100_000, 0.3),
+    (StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4), 10, 0.02),
+    (StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 12), 100_000, 0.5000000000000001),
+    (StrategySpec(StrategyKind.SEQUENTIAL, 1), 50, 0.0),
+    (StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 3), 50, 1.0),
+    (StrategySpec(StrategyKind.SEQUENTIAL, 1), 10, 1.5),
+)
+
+
+def test_reused_generator_carries_nothing_between_draws():
+    # run_trials re-keys one generator per thread.  Every case follows every
+    # other, so a buffer left over from the last draw, or a binomial set-up
+    # cached for another (trials, p), would show against a fresh Philox(seed).
+    for i, seed in enumerate(ORACLE_SEEDS[:60]):
+        for spec, nu, p in REUSE_CASES[i % 6:] + REUSE_CASES[:i % 6]:
+            if p > 1.0:
+                with pytest.raises(ValueError):
+                    run_trials(spec, p, nu, seed)
+                continue
+            trials = spec.trials_per_repetition * nu
+            assert run_trials(spec, p, nu, seed) == binomial_from_int_seed(trials, p, seed), (
+                seed, trials, p)
+
+
+def test_threads_draw_from_their_own_generators():
+    # Each thread re-keys a generator of its own; with frequent switches, a
+    # generator two threads shared would be re-keyed by one between the
+    # other's reset and its draw.
+    spec, nu, p = StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 3), 100_000, 0.3
+    seeds = [ORACLE_SEEDS[5:205], ORACLE_SEEDS[105:305]]
+    counts = [None, None]
+
+    def draw(t):
+        counts[t] = [run_trials(spec, p, nu, seed) for seed in seeds[t]]
+
+    threads = [threading.Thread(target=draw, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(2):
+        assert counts[t] == [binomial_from_int_seed(nu, p, seed) for seed in seeds[t]]
+
+
+def test_one_philox_per_thread(monkeypatch):
+    # 50 draws on a fresh thread build its one Philox on the first draw and
+    # re-key it for the rest.
+    spec, nu, p = StrategySpec(StrategyKind.SEQUENTIAL, 2), 1000, 0.4
+    expected = [binomial_from_int_seed(nu, p, seed) for seed in range(50)]
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counts = []
+    thread = threading.Thread(
+        target=lambda: counts.extend(run_trials(spec, p, nu, seed) for seed in range(50)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert counts == expected
+    assert len(built) == 1
