@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -581,6 +582,22 @@ def _run(argv) -> int:
 
 
 def entrypoint() -> None:
+    """Run one command in a cold process: the console script's and
+    ``python -m metroq.cli``'s way in.
+
+    Before ``main`` runs, every object alive after import (numpy's and
+    metroq's modules, functions, classes and constants, some 22 000 objects)
+    moves into the cycle collector's permanent generation (``gc.freeze``).
+    No command leaves cyclic garbage among them, yet every collection walks
+    them all: the ones during the command, and the full passes the
+    interpreter makes at exit, some 20 ms of a cold process.  Objects the
+    command creates stay collectable.
+
+    Only here, because only here is the whole process one command.
+    ``import metroq.cli`` and an in-process ``main(argv)`` (a test suite, a
+    benchmark's warm loop) leave the host process's collector as it was.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

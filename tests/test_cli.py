@@ -199,6 +199,29 @@ def test_closed_stdout_exits_3_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def _cold_cli(*argv):
+    """One cold `python -m metroq.cli` process: through entrypoint, as the
+    console script runs."""
+    return subprocess.run([sys.executable, "-m", "metroq.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+
+
+def test_cold_usage_error_exits_2_without_traceback():
+    proc = _cold_cli("verify", "--n-max", "13")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--n-max must lie in [2, 12]" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cold_unwritable_out_exits_3_without_traceback(tmp_path):
+    proc = _cold_cli(*SCALING_ARGS, "--out", str(tmp_path / "missing-dir" / "x.csv"))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cannot write CSV" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("METROQ_SEED", "3")
     _, via_env = run_json(capsys, ["verify", "--n-max", "4"])

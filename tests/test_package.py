@@ -45,6 +45,36 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_in_process_main_freezes_nothing():
+    # gc.freeze is the cold entrypoint's alone: a test suite or a benchmark's
+    # warm loop that imports metroq.cli and calls main keeps its collector
+    code = ("import contextlib, gc, io, metroq.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    metroq.cli.main(['noise', '--channel', 'dephasing', '--p', '0.1'])\n"
+            "print(gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env())
+    assert proc.stdout.strip() == "0"
+
+
+def test_entrypoint_runs_main_on_a_frozen_import_graph():
+    # main, patched to report, finds numpy's and metroq.cli's namespaces in
+    # the permanent generation, where no collection walks them, not even
+    # the interpreter's passes at exit
+    code = ("import gc, numpy, metroq.cli as cli\n"
+            "def main(argv=None):\n"
+            "    walked = {id(o) for o in gc.get_objects()}\n"
+            "    print(gc.get_freeze_count(), id(vars(numpy)) in walked, id(vars(cli)) in walked)\n"
+            "    return 0\n"
+            "cli.main = main\n"
+            "cli.entrypoint()")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env())
+    frozen, numpy_walked, cli_walked = proc.stdout.split()
+    assert int(frozen) > 0
+    assert numpy_walked == cli_walked == "False"
+
+
 def _unused_imports(tree: ast.Module) -> set[str]:
     """Names bound by an import statement but never loaded in the module."""
     imported = set()
