@@ -32,7 +32,7 @@ from .information import (
     phase_bound_dephasing,
     qfi_pure,
 )
-from .linalg import haar_unitary, trace_distance, vec_identity_residual
+from .linalg import haar_unitary, trace_distance, vec_identity_residual, worst
 from .simulate import STREAM_VERSION, rmse_stderr, scaling_experiment
 from .states import MAX_PROBES, PAULI_X, Generator, StrategyKind, StrategySpec, ghz_like, phase_box
 
@@ -79,11 +79,29 @@ class Report:
     results: list[dict] = field(default_factory=list)
     _mark: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
-    def add(self, name: str, ok: bool, **extras):
+    def add(self, name: str, key: str, compute: Callable, bound: float | None = None, **extras):
+        """Add the result `name`.  With a `bound`, compute() returns the value of
+        `key`, which passes below the bound; without, the verdict and the
+        fields, `key` among them.  `extras` follow the fields.  One failure
+        rule for every result: if compute raises ValueError or RuntimeError,
+        or a field is a non-finite float, the result FAILs with that value
+        null and `error` saying why."""
+        try:
+            value = compute()
+        except (ValueError, RuntimeError) as exc:
+            ok, fields, bad, error = False, {}, [key], str(exc)
+        else:
+            ok, fields = value if bound is None else (value < bound, {key: value})
+            bad = [k for k, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]
+            error = ", ".join(f"{k} is not finite: {fields[k]}" for k in bad)
+        if bad:
+            ok, fields = False, {**fields, **dict.fromkeys(bad), "error": error}
         now = time.perf_counter()
         elapsed_ms = round((now - self._mark) * 1000, 3)
         self._mark = now
-        self.results.append({"name": name, "pass": bool(ok), **extras, "elapsed_ms": elapsed_ms})
+        self.results.append(
+            {"name": name, "pass": bool(ok), **fields, **extras, "elapsed_ms": elapsed_ms}
+        )
 
     def finish(self, wall_time_ms: int) -> dict:
         return {
@@ -168,23 +186,20 @@ def check_vectorization(rng, n_max: int, samples: int) -> float:
     for _ in range(samples):
         d = int(rng.integers(2, 9))
         draws[d].append(rng.standard_normal((3, 2, d, d)))
-    worst = 0.0
+    residuals = []
     for group in draws.values():
         if group:
             z = np.stack(group)
             a, b, c = (z[:, i, 0] + 1j * z[:, i, 1] for i in range(3))
-            worst = max(worst, float(np.max(vec_identity_residual(a, b, c))))
-    return worst
+            residuals.extend(vec_identity_residual(a, b, c))
+    return worst(residuals)
 
 
 def _conversion_residuals(certs) -> tuple[float, float, float]:
     """Worst fidelity deficit, branch-probability error and missing-branch count."""
-    fid = prob = missing = 0.0
-    for cert in certs:
-        fid = max(fid, 1.0 - cert.min_fidelity)
-        prob = max(prob, cert.max_prob_error)
-        missing = max(missing, float(abs(cert.probabilities.size - 2 ** (cert.n_probes - 1))))
-    return fid, prob, missing
+    residuals = [(1.0 - cert.min_fidelity, cert.max_prob_error,
+                  abs(cert.probabilities.size - 2 ** (cert.n_probes - 1))) for cert in certs]
+    return tuple(worst(column) for column in zip(*residuals))
 
 
 def check_conversion_n2(rng, n_max: int, samples: int) -> tuple[float, float, float]:
@@ -221,13 +236,12 @@ def check_unaveraged_fisher(rng, n_max: int) -> tuple[float, float]:
     """Worst deviation of the record-keeping counterexample's Fisher information
     from the two-probe classical value 2 * cfi_binary(1, phi), and the count of
     singular outcomes (vanishing, with a derivative that does not vanish)."""
-    worst = 0.0
-    singular = 0
+    deviations, singular = [], 0
     for phi in (0.3, math.pi / 4, 1.1):
         fisher, vanishing = equivalence.unaveraged_counterexample_fisher(phi)
-        worst = max(worst, abs(fisher - 2.0 * cfi_binary(1, phi)))
+        deviations.append(abs(fisher - 2.0 * cfi_binary(1, phi)))
         singular += vanishing
-    return worst, float(singular)
+    return worst(deviations), float(singular)
 
 
 def check_useful_entanglement(rng, n_max: int, samples: int) -> float:
@@ -248,14 +262,14 @@ def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, floa
     fidelity deficit over `per_n` Haar-random (W, V) at each N in
     1..min(n_max, 6) and V = sigma_x at N = 2, and how far two naive sigma_x
     boxes are from accumulating no phase."""
-    worst = 0.0
+    residuals = []
     for n in range(1, min(n_max, 6) + 1):
         for _ in range(per_n):
             w, v = haar_unitary(2, rng), haar_unitary(2, rng)
             residual, cert = equivalence.generalized_strategy_certificate(
                 w, v, QUBIT, rng.uniform(0.1, 1.4), n
             )
-            worst = max(worst, residual, 1.0 - cert.min_fidelity)
+            residuals += [residual, 1.0 - cert.min_fidelity]
     # With V = sigma_x naive iteration is phase-free; only tracking W, V works.
     phi = 0.6
     squared = np.linalg.matrix_power(phase_box(QUBIT, phi)[:, None] * PAULI_X, 2)
@@ -263,7 +277,7 @@ def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, floa
     residual, tracked = equivalence.generalized_strategy_certificate(
         np.eye(2), PAULI_X, QUBIT, phi, 2
     )
-    return max(worst, residual, 1.0 - tracked.min_fidelity), frozen
+    return worst([*residuals, residual, 1.0 - tracked.min_fidelity]), frozen
 
 
 @dataclass(frozen=True)
@@ -298,14 +312,9 @@ def cmd_verify(args) -> Report:
     rng = np.random.default_rng(args.seed)
     for name, check in CHECKS.items():
         tolerance = max(args.tolerance, check.floor)
-        try:
-            residual = float(np.max(check.fn(rng, args.n_max, **check.params)))
-            outcome = {"residual": residual}
-        except ValueError as exc:
-            # a check whose computation rejects its own intermediate state
-            # (say, a mixed state of the wrong trace) has no residual: FAIL
-            residual, outcome = math.inf, {"residual": None, "error": str(exc)}
-        report.add(name, residual < tolerance, **outcome, tolerance=tolerance)
+        residuals = functools.partial(check.fn, rng, args.n_max, **check.params)
+        report.add(name, "residual", lambda: worst(np.ravel(residuals())), tolerance,
+                   tolerance=tolerance)
     return report
 
 
@@ -337,61 +346,59 @@ def _scaling_csv(args, report: Report) -> str:
     report and return the CSV text."""
     csv_lines = ["strategy,N,nu,rounds,empirical_rmse,crb,seed"]
     for kind in args.strategies:
-        try:
+        def run():
             result = scaling_experiment(kind, args.n_values, args.nu, args.rounds, args.seed)
-        except ValueError as exc:
-            # an experiment that rejects its own intermediate value (say, a
-            # success probability outside [0, 1]) has no rows and no slope: FAIL
-            report.add(f"scaling-{kind.value}", False, fitted_slope=None, error=str(exc))
-            continue
-        for row in result.rows:
-            csv_lines.append(
-                f"{kind.value},{row.n},{args.nu},{args.rounds},"
-                f"{float(row.empirical_rmse)!r},{float(row.crb)!r},{args.seed}"
-            )
-        lo, hi = SLOPE_BANDS[kind]
-        # A saturated round was clamped to a branch end by fringe inversion;
-        # a slope fitted through such rounds is no evidence of the scaling.
-        in_regime = not any(row.saturated_rounds for row in result.rows)
-        report.add(
-            f"scaling-{kind.value}",
-            in_regime and result.fitted_slope is not None and lo <= result.fitted_slope <= hi,
-            fitted_slope=result.fitted_slope,
-            slope_stderr=result.slope_stderr,
-            expected_interval=[lo, hi],
-            streams=result.streams,
-            draws=result.draws,
-            rows=[
-                {
-                    "N": row.n,
-                    "empirical_rmse": row.empirical_rmse,
-                    "crb": row.crb,
-                    "rmse_stderr": rmse_stderr(row.empirical_rmse, args.rounds),
-                    "rmse_over_crb": row.empirical_rmse / row.crb,
-                    "saturated_rounds": row.saturated_rounds,
-                }
-                for row in result.rows
-            ],
-        )
+            for row in result.rows:
+                csv_lines.append(
+                    f"{kind.value},{row.n},{args.nu},{args.rounds},"
+                    f"{float(row.empirical_rmse)!r},{float(row.crb)!r},{args.seed}"
+                )
+            lo, hi = SLOPE_BANDS[kind]
+            # A saturated round was clamped to a branch end by fringe inversion;
+            # a slope fitted through such rounds is no evidence of the scaling.
+            in_regime = not any(row.saturated_rounds for row in result.rows)
+            in_band = result.fitted_slope is not None and lo <= result.fitted_slope <= hi
+            return in_regime and in_band, {
+                "fitted_slope": result.fitted_slope,
+                "slope_stderr": result.slope_stderr,
+                "expected_interval": [lo, hi],
+                "streams": result.streams,
+                "draws": result.draws,
+                "rows": [
+                    {
+                        "N": row.n,
+                        "empirical_rmse": row.empirical_rmse,
+                        "crb": row.crb,
+                        "rmse_stderr": rmse_stderr(row.empirical_rmse, args.rounds),
+                        "rmse_over_crb": row.empirical_rmse / row.crb,
+                        "saturated_rounds": row.saturated_rounds,
+                    }
+                    for row in result.rows
+                ],
+            }
+
+        report.add(f"scaling-{kind.value}", "fitted_slope", run)
     return "\n".join(csv_lines) + "\n"
 
 
 def cmd_noise(args) -> Report:
     report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
     channel = CHANNELS[args.channel](args.p)
-    unital = is_unital(channel)
-    structured = is_diag_or_antidiag(channel)
-    residual = equivalence.noise_conversion_residual(channel, channel)
-    _, trace_preserving = equivalence.effective_sequential_channel(channel, channel)
-    report.add(
-        f"noise-{args.channel}",
-        residual < 1e-12 and trace_preserving == unital,
-        unital=unital,
-        diag_or_antidiag=structured,
-        eq_residual=residual,
-        trace_preserving=trace_preserving,
-        valid_beyond_n2=structured,
-    )
+
+    def grade():
+        unital = is_unital(channel)
+        structured = is_diag_or_antidiag(channel)
+        residual = equivalence.noise_conversion_residual(channel, channel)
+        _, trace_preserving = equivalence.effective_sequential_channel(channel, channel)
+        return residual < 1e-12 and trace_preserving == unital, {
+            "unital": unital,
+            "diag_or_antidiag": structured,
+            "eq_residual": residual,
+            "trace_preserving": trace_preserving,
+            "valid_beyond_n2": structured,
+        }
+
+    report.add(f"noise-{args.channel}", "eq_residual", grade)
     return report
 
 
@@ -400,13 +407,27 @@ def check_phase_bound_sqrt_n(n_values, gamma: float, nu: int) -> float:
     from sqrt(N) over n_values, at the short time t = 1e-8/(N gamma) where
     dephasing has not yet eroded the entangled advantage.  Scaling t by
     1/(N gamma) keeps every exponent at 1e-8 whatever gamma is."""
-    worst = 0.0
+    deviations = []
     for n in n_values:
         t = 1e-8 / (n * gamma)
         ratio = phase_bound_dephasing(n, gamma, t, nu, entangled=False) / \
             phase_bound_dephasing(n, gamma, t, nu, entangled=True)
-        worst = max(worst, abs(ratio - math.sqrt(n)) / math.sqrt(n))
-    return worst
+        deviations.append(abs(ratio - math.sqrt(n)) / math.sqrt(n))
+    return worst(deviations)
+
+
+def check_frequency_bound(n_values, gamma: float, nu: int) -> tuple[float, float, float, list]:
+    """Relative spread over n_values of the optimized frequency bound and its
+    worst relative deviation from the closed form e gamma / sqrt(nu), then
+    that closed form and the rows (N, t*, bound*)."""
+    closed_form = math.e * gamma / math.sqrt(nu)
+    rows = []
+    for n in n_values:
+        t_star, bound_star = optimal_frequency_bound(n, gamma, nu)
+        rows.append({"N": n, "t_star": t_star, "bound_star": bound_star})
+    bounds = [row["bound_star"] for row in rows]
+    spread = float(np.ptp(bounds)) / closed_form
+    return spread, worst(abs(b - closed_form) for b in bounds) / closed_form, closed_form, rows
 
 
 def cmd_frequency(args) -> Report:
@@ -414,24 +435,16 @@ def cmd_frequency(args) -> Report:
         "frequency",
         {"gamma": args.gamma, "n_values": args.n_values, "nu": args.nu, "format": args.format},
     )
-    closed_form = math.e * args.gamma / math.sqrt(args.nu)
-    rows = []
-    bounds = []
-    for n in args.n_values:
-        t_star, bound_star = optimal_frequency_bound(n, args.gamma, args.nu)
-        rows.append({"N": n, "t_star": t_star, "bound_star": bound_star})
-        bounds.append(bound_star)
-    spread = (max(bounds) - min(bounds)) / closed_form
-    deviation = max(abs(b - closed_form) for b in bounds) / closed_form
-    report.add(
-        "frequency-bound-n-independence",
-        spread < 1e-6 and deviation < 1e-6,
-        relative_spread=spread,
-        closed_form=closed_form,
-        rows=rows,
-    )
-    deviation = check_phase_bound_sqrt_n(args.n_values, args.gamma, args.nu)
-    report.add("phase-bound-sqrt-n", deviation < 1e-6, relative_deviation=deviation)
+
+    def tabulate():
+        spread, deviation, closed, rows = check_frequency_bound(args.n_values, args.gamma, args.nu)
+        return spread < 1e-6 and deviation < 1e-6, {
+            "relative_spread": spread, "closed_form": closed, "rows": rows,
+        }
+
+    report.add("frequency-bound-n-independence", "relative_spread", tabulate)
+    report.add("phase-bound-sqrt-n", "relative_deviation",
+               lambda: check_phase_bound_sqrt_n(args.n_values, args.gamma, args.nu), 1e-6)
     return report
 
 
@@ -441,38 +454,34 @@ def check_noon_fringe_zeros(n: int, count: int) -> float:
     forms pi (2k + 1) / (2n).  The fringe comparisons pass when the qubit
     and bosonic paths share a fault; this analytic anchor does not."""
     zeros = fock.noon_fringe_zeros(n, count)
-    return max(abs(z - math.pi * (2 * k + 1) / (2 * n)) for k, z in enumerate(zeros))
+    return worst(abs(z - math.pi * (2 * k + 1) / (2 * n)) for k, z in enumerate(zeros))
 
 
 def cmd_noon(args) -> Report:
     report = Report("noon", {"n": args.n, "format": args.format})
-    noon_dev = fock.noon_equivalence_certificate(args.n)
-    report.add("noon-fringe-equivalence", noon_dev < 1e-12, max_deviation=noon_dev)
-    n0_dev = fock.n0_equivalence_certificate(args.n)
-    report.add("n0-fringe-equivalence", n0_dev < 1e-12, max_deviation=n0_dev)
-    try:
-        zero_dev = check_noon_fringe_zeros(args.n, 1)
-        outcome = {"max_deviation": zero_dev}
-    except (RuntimeError, ValueError) as exc:
-        # no bracketed sign change, or a fringe that cannot be evaluated
-        zero_dev, outcome = math.inf, {"max_deviation": None, "error": str(exc)}
-    report.add("noon-fringe-zeros", zero_dev < 1e-9, **outcome)
+    for name, deviation, bound in (
+        ("noon-fringe-equivalence", fock.noon_equivalence_certificate, 1e-12),
+        ("n0-fringe-equivalence", fock.n0_equivalence_certificate, 1e-12),
+        ("noon-fringe-zeros", functools.partial(check_noon_fringe_zeros, count=1), 1e-9),
+    ):
+        report.add(name, "max_deviation", functools.partial(deviation, args.n), bound)
     return report
 
 
-def cmd_fisher(args) -> Report:
-    report = Report("fisher", {"n_values": args.n_values, "nu": args.nu, "format": args.format})
+def fisher_table(n_values, nu: int) -> tuple[bool, dict]:
+    """Whether QFI(GHZ) = N^2, QFI(product) = N, the CFI at the operating
+    phase = N^2 and both Cramer-Rao bounds hold for each N, and the rows."""
     ok = True
     rows = []
-    for n in args.n_values:
+    for n in n_values:
         # the whole register: a reference sharing no code with crb's support QFI
         h_total = collective_generator(QUBIT, n)
         qfi_ghz = qfi_pure(ghz_like(QUBIT, n), h_total)
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
         qfi_prod = qfi_pure(product, h_total)
         cfi = cfi_binary(n, operating_phase(n))
-        heis = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, n), args.nu)
-        sql = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, n), args.nu)
+        heis = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, n), nu)
+        sql = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, n), nu)
         rows.append(
             {
                 "N": n,
@@ -485,9 +494,14 @@ def cmd_fisher(args) -> Report:
         )
         ok = ok and abs(qfi_ghz - n * n) < 1e-10 and abs(qfi_prod - n) < 1e-10
         ok = ok and abs(cfi - n * n) < 1e-9
-        ok = ok and abs(heis - 1.0 / (n * math.sqrt(args.nu))) < 1e-12
-        ok = ok and abs(sql - 1.0 / math.sqrt(n * args.nu)) < 1e-12
-    report.add("fisher-table", ok, rows=rows)
+        ok = ok and abs(heis - 1.0 / (n * math.sqrt(nu))) < 1e-12
+        ok = ok and abs(sql - 1.0 / math.sqrt(n * nu)) < 1e-12
+    return ok, {"rows": rows}
+
+
+def cmd_fisher(args) -> Report:
+    report = Report("fisher", {"n_values": args.n_values, "nu": args.nu, "format": args.format})
+    report.add("fisher-table", "rows", lambda: fisher_table(args.n_values, args.nu))
     return report
 
 

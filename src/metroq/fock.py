@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import fidelity_up_to_phase
+from .linalg import fidelity_up_to_phase, worst
 from .states import MAX_PROBES, Generator, ghz_like, ghz_phase_support, phase_box, plus_minus_states
 
 
@@ -67,12 +67,12 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     grid = np.linspace(0.0, math.pi, 100)
     supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
     register = np.zeros(2**n, dtype=np.complex128)
-    worst = 0.0
+    deviations = []
     for phi, support in zip(grid, supports):
         register[0], register[-1] = support
         qubit_p = fidelity_up_to_phase(ghz, register)
-        worst = max(worst, abs(fringe(h, probe, phi) - qubit_p))
-    return worst
+        deviations.append(abs(fringe(h, probe, phi) - qubit_p))
+    return worst(deviations)
 
 
 def noon_fringe_zeros(n: int, count: int) -> list[float]:

@@ -180,6 +180,13 @@ def fidelity_up_to_phase(v1, v2) -> float:
     return min(f, 1.0)
 
 
+def worst(residuals) -> float:
+    """The largest of an iterable of residuals, NaN if any is NaN: Python's
+    max keeps a number over a NaN that follows it, so a check reduced by it
+    could pass on a NaN.  On finite input it is the same float as max's."""
+    return float(np.max(np.fromiter(residuals, float)))
+
+
 def is_unitary(m) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:

@@ -44,7 +44,7 @@ def run_cli(capsys, argv):
 
 def run_json(capsys, argv):
     code, out = run_cli(capsys, argv)
-    report = json.loads(out)
+    report = strict_json(out)
     jsonschema.validate(report, SCHEMA)
     return code, report
 
@@ -263,7 +263,7 @@ def test_one_parser_per_process_reads_seed_and_handler_at_call_time(capsys, monk
     # perfbench's span wrappers of cli.cmd_* are
     def patched_noon(args):
         report = cli.Report("noon", {"n": args.n, "format": args.format})
-        report.add("patched", True)
+        report.add("patched", "value", lambda: (True, {}))
         return report
 
     monkeypatch.setattr(cli, "cmd_noon", patched_noon)
@@ -584,6 +584,101 @@ def test_noon_reports_a_failed_zero_search_as_a_fail(capsys, monkeypatch):
     rec = report["results"][-1]
     assert code == 1 and rec["name"] == "noon-fringe-zeros" and not rec["pass"]
     assert rec["max_deviation"] is None and rec["error"] == "overlap does not change sign"
+
+
+def _first_nan(values):
+    return np.where(np.arange(np.size(values)) == 0, math.nan, values)
+
+
+def _nan_fidelity(cert):
+    return equivalence.ConversionCertificate(
+        cert.n_probes, cert.probabilities, _first_nan(cert.fidelities)
+    )
+
+
+# (verdict, argv, value key, module, function, which call, what that call
+# returns instead).  Each NaN comes after the first value of the reduction
+# it reaches, where Python's max would keep the number before it.
+NAN_CASES = [
+    ("vectorization-identity", ["verify"], "residual",
+     cli, "vec_identity_residual", 3, _first_nan),  # the third d's group
+    ("conversion-n2", ["verify"], "residual",
+     equivalence, "convert_general_n", 3, _nan_fidelity),
+    ("conversion-general-n", ["verify"], "residual",
+     equivalence, "convert_general_n", 3, _nan_fidelity),
+    ("counterexample-unaveraged-fisher", ["verify"], "residual",
+     equivalence, "unaveraged_counterexample_fisher", 2, lambda out: (math.nan, out[1])),
+    ("generalized-strategy", ["verify"], "residual",
+     equivalence, "generalized_strategy_certificate", 2, lambda out: (math.nan, out[1])),
+    ("noon-fringe-equivalence", ["noon", "--n", "4"], "max_deviation",
+     fock, "fringe", 5, lambda p: math.nan),  # the bosonic side
+    ("noon-fringe-equivalence", ["noon", "--n", "4"], "max_deviation",
+     fock, "ghz_phase_support", 1, lambda s: np.where(np.arange(len(s))[:, None] == 4, np.nan, s)),
+    ("n0-fringe-equivalence", ["noon", "--n", "4"], "max_deviation",
+     fock, "fringe", 105, lambda p: math.nan),  # after noon's 100 points
+    ("noon-fringe-zeros", ["noon", "--n", "4"], "max_deviation",
+     fock, "noon_fringe_zeros", 1, lambda zeros: [math.nan]),
+    ("frequency-bound-n-independence", ["frequency", "--gamma", "1.0"], "relative_spread",
+     cli, "optimal_frequency_bound", 3, lambda out: (out[0], math.nan)),  # N = 4
+    ("phase-bound-sqrt-n", ["frequency", "--gamma", "1.0"], "relative_deviation",
+     cli, "phase_bound_dephasing", 3, lambda bound: math.nan),  # N = 2
+]
+
+
+@pytest.mark.parametrize("verdict, argv, key, module, function, call, poison", NAN_CASES,
+                         ids=[f"{case[0]}-{case[4]}" for case in NAN_CASES])
+def test_a_nan_residual_is_a_fail_with_a_null_value(
+    capsys, monkeypatch, verdict, argv, key, module, function, call, poison
+):
+    real = getattr(module, function)
+    calls = []
+
+    def injected(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(1)
+        return poison(out) if len(calls) == call else out
+
+    monkeypatch.setattr(module, function, injected)
+    if argv == ["verify"]:
+        # verify runs this check alone, so `call` counts within it
+        monkeypatch.setattr(cli, "CHECKS", {verdict: cli.CHECKS[verdict]})
+    code, out = run_cli(capsys, argv + ["--seed", "5"])
+    # the frequency case's NaN bound is still printed, as a bare NaN, in its rows
+    report = (json.loads if verdict == "frequency-bound-n-independence" else strict_json)(out)
+    rec = {rec["name"]: rec for rec in report["results"]}[verdict]
+    assert len(calls) >= call
+    assert code == 1 and report["pass"] is False and rec["pass"] is False
+    assert rec[key] is None and "not finite" in rec["error"]
+
+
+def test_noon_fringe_zeros_check_keeps_a_nan(monkeypatch):
+    # criterion 09's form: three zeros, the second one NaN
+    monkeypatch.setattr(fock, "noon_fringe_zeros",
+                        lambda n, count: [math.pi / (2 * n), math.nan, 5 * math.pi / (2 * n)])
+    assert math.isnan(cli.check_noon_fringe_zeros(3, 3))
+
+
+@pytest.mark.parametrize("argv, module, function, exc, verdict, keys", [
+    (["verify", "--n-max", "4"], equivalence, "unaveraged_counterexample_fisher", RuntimeError,
+     "counterexample-unaveraged-fisher", ["residual", "error", "tolerance"]),
+    (["noon", "--n", "4"], fock, "noon_equivalence_certificate", ValueError,
+     "noon-fringe-equivalence", ["max_deviation", "error"]),
+])
+def test_a_raising_verdict_is_a_fail_not_a_traceback(
+    capsys, monkeypatch, argv, module, function, exc, verdict, keys
+):
+    def raising(*args):
+        raise exc("no value")
+
+    monkeypatch.setattr(module, function, raising)
+    # main returns instead of raising: no traceback
+    code, report = run_json(capsys, argv)
+    verdicts = {rec["name"]: rec for rec in report["results"]}
+    rec = verdicts.pop(verdict)
+    assert code == 1 and rec["pass"] is False
+    assert list(rec) == ["name", "pass", *keys, "elapsed_ms"]
+    assert rec[keys[0]] is None and rec["error"] == "no value"
+    assert all(other["pass"] for other in verdicts.values())
 
 
 def test_fisher_reports(capsys):
