@@ -19,7 +19,8 @@ class KrausChannel:
     (sum K^dag K = identity); derived families, e.g. the effective
     single-probe channel of a converted strategy, may not be, which is
     why completeness is a queried property rather than a constructor
-    invariant.
+    invariant.  Each operator is held as complex128, converted (so copied)
+    only from another dtype, and frozen in place.
     """
 
     ops: tuple[np.ndarray, ...]

@@ -84,18 +84,19 @@ class Report:
         `key`, which passes below the bound; without, the verdict and the
         fields, `key` among them.  `extras` follow the fields.  One failure
         rule for every result: if compute raises ValueError or RuntimeError,
-        or a field is a non-finite float, the result FAILs with that value
-        null and `error` saying why."""
+        or a field holds a non-finite float at any depth of its lists and
+        dicts, the result FAILs with that value null and `error` saying why,
+        naming a nested value by its path, e.g. rows[2].bound_star."""
         try:
             value = compute()
         except (ValueError, RuntimeError) as exc:
-            ok, fields, bad, error = False, {}, [key], str(exc)
+            ok, fields, errors = False, {key: None}, [str(exc)]
         else:
             ok, fields = value if bound is None else (value < bound, {key: value})
-            bad = [k for k, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]
-            error = ", ".join(f"{k} is not finite: {fields[k]}" for k in bad)
-        if bad:
-            ok, fields = False, {**fields, **dict.fromkeys(bad), "error": error}
+            errors = []
+            fields = {k: _finite(v, k, errors) for k, v in fields.items()}
+        if errors:
+            ok, fields = False, {**fields, "error": ", ".join(errors)}
         now = time.perf_counter()
         elapsed_ms = round((now - self._mark) * 1000, 3)
         self._mark = now
@@ -111,6 +112,20 @@ class Report:
             "pass": all(r["pass"] for r in self.results),
             "wall_time_ms": wall_time_ms,
         }
+
+
+def _finite(value, path: str, errors: list):
+    """value with every non-finite float in it, at any depth of its lists and
+    dicts, replaced by None, and "<path> is not finite: <float>" appended to
+    errors for each."""
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{path} is not finite: {value}")
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{path}.{k}", errors) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v, f"{path}[{i}]", errors) for i, v in enumerate(value)]
+    return value
 
 
 def _emit(report: dict, fmt: str) -> int:

@@ -53,7 +53,9 @@ class ConversionCertificate:
     of b, counted from the most significant of its N-1 bits, is probe k+2's
     outcome (0 for +, 1 for -).  A fidelity is that of the normalized
     conditional probe-1 state to its sign-matched sequential reference, 0.0
-    for a branch of probability below 1e-15.
+    for a branch of probability below 1e-15.  Both arrays are held as
+    float64, converted (so copied) only from another dtype, and frozen in
+    place: the arrays _certificate builds are held as they are.
     """
 
     n_probes: int
@@ -62,22 +64,9 @@ class ConversionCertificate:
 
     def __post_init__(self):
         for name in ("probabilities", "fidelities"):
-            a = np.array(getattr(self, name), dtype=float)
+            a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def _adopt(cls, n_probes: int, probabilities: np.ndarray,
-               fidelities: np.ndarray) -> "ConversionCertificate":
-        """The certificate holding these float arrays themselves, made
-        read-only in place: for arrays that their builder shares with no one,
-        which then need no defensive copy."""
-        cert = object.__new__(cls)
-        object.__setattr__(cert, "n_probes", n_probes)
-        for name, a in (("probabilities", probabilities), ("fidelities", fidelities)):
-            a.setflags(write=False)
-            object.__setattr__(cert, name, a)
-        return cert
 
     @property
     def min_fidelity(self) -> float:
@@ -166,7 +155,7 @@ def _certificate(support: np.ndarray, n: int,
     cond = amps / np.sqrt(np.where(live, probs, 1.0))
     overlaps = np.einsum("ib,bi->b", cond.conj(), refs)
     fids = np.where(live, np.minimum(np.abs(overlaps) ** 2, 1.0), 0.0)
-    return ConversionCertificate._adopt(n, probs, fids)
+    return ConversionCertificate(n, probs, fids)
 
 
 def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertificate:

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import ATOL_PREDICATE, as_vector
-from .states import Generator, StrategyKind, StrategySpec, ghz_phase_support, repeated_index
+from .states import Generator, StrategyKind, StrategySpec, ghz_phase_support
 
 
 # Golden-section step: the inner points split the bracket at 1 - R and R.
@@ -41,9 +41,7 @@ def collective_generator(h: Generator, n: int) -> Generator:
     total = np.zeros(1)
     for _ in range(n):
         total = np.add.outer(total, lam).reshape(-1)
-    return Generator(
-        total, repeated_index(h.dim, n, h.min_index), repeated_index(h.dim, n, h.max_index)
-    )
+    return Generator(total)
 
 
 def qfi_pure(psi, h_total: Generator) -> float:
@@ -90,7 +88,7 @@ def crb(strategy: StrategySpec, nu: int) -> float:
     n = strategy.n_probes
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
         h = Generator.qubit()
-        levels = Generator(n * h.eigenvalues[[h.min_index, h.max_index]], 0, 1)
+        levels = Generator(n * h.eigenvalues[[h.min_index, h.max_index]])
         fisher = qfi_pure(ghz_phase_support(h, [0.0], strategy.lam), levels)
     else:
         order = strategy.fringe_order

@@ -204,14 +204,8 @@ def is_diagonal(m) -> bool:
 
 def is_antidiagonal(m) -> bool:
     """True when all entries off the anti-diagonal (i, d-1-i) are below
-    ATOL_PREDICATE."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    d = m.shape[0]
-    mask = np.ones_like(m, dtype=bool)
-    mask[np.arange(d), d - 1 - np.arange(d)] = False
-    return float(np.max(np.abs(m[mask]))) < ATOL_PREDICATE if d > 0 else True
+    ATOL_PREDICATE: the matrix with its columns reversed is diagonal."""
+    return is_diagonal(as_matrix(m)[:, ::-1])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -24,29 +24,30 @@ MAX_PROBES = 12
 class Generator:
     """Hermitian generator stored as its real diagonal in its own eigenbasis.
 
-    min_index / max_index designate the extreme eigenvalues; the corresponding
-    basis states play the role of the two levels every estimation strategy
-    superposes.  A non-degenerate spread (min != max) is required.
+    The spectrum is its one input.  min_index and max_index are derived from
+    it, the first argmin and argmax, so a tie resolves to the first level;
+    their basis states are the two levels every estimation strategy
+    superposes.  A 1-D spectrum of at least two levels and a non-degenerate
+    spread (min < max) are required.  The spectrum is held as float64,
+    converted (so copied) only from another dtype, and frozen in place.
     """
 
     eigenvalues: np.ndarray
-    min_index: int
-    max_index: int
+    min_index: int = field(init=False)
+    max_index: int = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float).copy()
+        lam = np.asarray(self.eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("generator needs at least two eigenvalues")
-        if not (0 <= self.min_index < lam.size and 0 <= self.max_index < lam.size):
-            raise ValueError("min/max indices out of range")
-        if self.min_index == self.max_index:
-            raise ValueError("generator must have distinct min and max eigenstates")
-        if lam[self.min_index] != lam.min() or lam[self.max_index] != lam.max():
-            raise ValueError("designated indices do not hold the extreme eigenvalues")
-        if lam[self.min_index] == lam[self.max_index]:
+        lo, hi = int(np.argmin(lam)), int(np.argmax(lam))
+        # false for a NaN too, whose level argmin and argmax both return
+        if not lam[lo] < lam[hi]:
             raise ValueError("generator spread is degenerate")
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "min_index", lo)
+        object.__setattr__(self, "max_index", hi)
 
     @property
     def dim(self) -> int:
@@ -55,18 +56,18 @@ class Generator:
     @staticmethod
     def qubit() -> "Generator":
         """Default two-level generator diag(0, 1)."""
-        return Generator(np.array([0.0, 1.0]), 0, 1)
+        return Generator(np.array([0.0, 1.0]))
 
     @staticmethod
     def number(n: int) -> "Generator":
         """Single-mode number operator on occupations 0..n: spread n."""
-        return Generator(np.arange(n + 1), 0, n)
+        return Generator(np.arange(n + 1))
 
     @staticmethod
     def number_difference(n: int) -> "Generator":
         """Two-mode number difference n_a - n_b on the n-photon subspace,
         indexed by n_a: eigenvalues 2k - n, spread 2n."""
-        return Generator(2 * np.arange(n + 1) - n, 0, n)
+        return Generator(2 * np.arange(n + 1) - n)
 
 
 def phase_box(h: Generator, phis) -> np.ndarray:

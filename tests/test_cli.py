@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -622,13 +623,25 @@ NAN_CASES = [
      cli, "optimal_frequency_bound", 3, lambda out: (out[0], math.nan)),  # N = 4
     ("phase-bound-sqrt-n", ["frequency", "--gamma", "1.0"], "relative_deviation",
      cli, "phase_bound_dephasing", 3, lambda bound: math.nan),  # N = 2
+    # a NaN inside the rows: the value at its path is null
+    ("fisher-table", ["fisher"], "rows[1].crb_entangled",
+     cli, "crb", 3, lambda bound: math.nan),  # N = 2
+    ("scaling-sequential", ["scaling", "--strategies", "sequential"], "rows[2].crb",
+     simulate, "crb", 3, lambda bound: math.nan),  # N = 4
 ]
+
+
+def _value_at(rec, path):
+    """The value at a path such as rows[2].crb of a report's result."""
+    for name, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path):
+        rec = rec[name] if not index else rec[name][int(index)]
+    return rec
 
 
 @pytest.mark.parametrize("verdict, argv, key, module, function, call, poison", NAN_CASES,
                          ids=[f"{case[0]}-{case[4]}" for case in NAN_CASES])
 def test_a_nan_residual_is_a_fail_with_a_null_value(
-    capsys, monkeypatch, verdict, argv, key, module, function, call, poison
+    capsys, monkeypatch, tmp_path, verdict, argv, key, module, function, call, poison
 ):
     real = getattr(module, function)
     calls = []
@@ -642,13 +655,14 @@ def test_a_nan_residual_is_a_fail_with_a_null_value(
     if argv == ["verify"]:
         # verify runs this check alone, so `call` counts within it
         monkeypatch.setattr(cli, "CHECKS", {verdict: cli.CHECKS[verdict]})
+    monkeypatch.chdir(tmp_path)  # where scaling writes its CSV
     code, out = run_cli(capsys, argv + ["--seed", "5"])
-    # the frequency case's NaN bound is still printed, as a bare NaN, in its rows
-    report = (json.loads if verdict == "frequency-bound-n-independence" else strict_json)(out)
+    # no bare NaN at any depth: the frequency case's NaN bound is in its rows
+    report = strict_json(out)
     rec = {rec["name"]: rec for rec in report["results"]}[verdict]
     assert len(calls) >= call
     assert code == 1 and report["pass"] is False and rec["pass"] is False
-    assert rec[key] is None and "not finite" in rec["error"]
+    assert _value_at(rec, key) is None and f"{key} is not finite" in rec["error"]
 
 
 def test_noon_fringe_zeros_check_keeps_a_nan(monkeypatch):

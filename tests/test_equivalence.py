@@ -60,8 +60,8 @@ H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
 # the qubit, a qutrit with a middle eigenvalue, a ququart whose max index
 # comes first, and both bosonic generators
-GENERATORS = (H, Generator(np.array([-0.3, 0.45, 1.2]), 0, 2),
-              Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0),
+GENERATORS = (H, Generator(np.array([-0.3, 0.45, 1.2])),
+              Generator(np.array([1.5, -0.2, 0.7, -0.9])),
               Generator.number(3), Generator.number_difference(4))
 IDENTITY_CHANNEL = KrausChannel((np.eye(2),))
 
@@ -156,7 +156,7 @@ def test_phase_mask_matches_per_factor_boxes_and_record_order():
     # factor at a time, on an arbitrary register state (not just GHZ, which
     # would only probe two entries of the mask).
     rng = np.random.default_rng(31)
-    qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
+    qutrit = Generator(np.array([-0.3, 0.45, 1.2]))
     for h in (H, qutrit):
         for n in range(1, 7):
             phis = rng.uniform(0, 2 * math.pi, size=n)
@@ -181,8 +181,8 @@ def test_branch_cascade_is_bitwise_the_tensordot_cascade():
     # probe by probe, byte for byte; the contraction's other rows are exactly
     # zero, which is why a certificate is graded on the support alone
     rng = np.random.default_rng(32)
-    qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
-    ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0)
+    qutrit = Generator(np.array([-0.3, 0.45, 1.2]))
+    ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]))
     for h, n_max in ((H, 12), (qutrit, 7), (ququart, 5)):
         others = [i for i in range(h.dim) if i not in (h.min_index, h.max_index)]
         for n in range(1, n_max + 1):
@@ -198,8 +198,8 @@ def test_branch_cascade_is_bitwise_the_tensordot_cascade():
 def test_plus_minus_columns_are_every_generators_extreme_columns():
     columns = equivalence._PLUS_MINUS_COLUMNS
     assert not columns.flags.writeable
-    for h in (H, Generator(np.array([-0.3, 0.45, 1.2]), 0, 2),
-              Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0),
+    for h in (H, Generator(np.array([-0.3, 0.45, 1.2])),
+              Generator(np.array([1.5, -0.2, 0.7, -0.9])),
               Generator.number(3), Generator.number_difference(4)):
         old = np.array(plus_minus_states(h)).conj()[:, [h.min_index, h.max_index]].T
         assert columns.tobytes() == old.tobytes()
@@ -239,8 +239,8 @@ CERTIFICATE_DIGEST = "fbd88434a01ae8c3de446737e1ba57fb3f97c0849e5049ec8205309d87
 
 def test_certificate_digest():
     rng = np.random.default_rng(19)
-    qutrit = Generator(np.array([-0.3, 0.45, 1.2]), 0, 2)
-    ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]), 3, 0)
+    qutrit = Generator(np.array([-0.3, 0.45, 1.2]))
+    ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]))
     digest = hashlib.sha256()
     for h, n_max in ((H, 12), (qutrit, 7), (ququart, 5), (Generator.number(3), 5)):
         for n in range(2, n_max + 1):
@@ -322,15 +322,19 @@ def test_phase_grid_is_a_read_only_fresh_build():
                 cached[0, 0, 0] = 0.0
 
 
-def test_certificate_copies_what_it_is_given_and_adopts_what_it_builds():
+def test_certificate_holds_float_arrays_frozen_and_converts_the_rest():
+    # float64 input is held as it is and frozen in place
     probs, fids = np.full(4, 0.25), np.ones(4)
-    cert = ConversionCertificate(3, probs, fids)
-    assert not np.shares_memory(cert.probabilities, probs) and probs.flags.writeable
-    assert not np.shares_memory(cert.fidelities, fids) and fids.flags.writeable
-    built = convert_general_n(H, [0.3, 1.1, 2.0], 0.4)
-    for cert in (cert, built):
+    held = ConversionCertificate(3, probs, fids)
+    assert held.probabilities is probs and held.fidelities is fids
+    assert not probs.flags.writeable and not fids.flags.writeable
+    # other input is converted to float64
+    converted = ConversionCertificate(3, [0.25] * 4, [1] * 4)
+    assert converted.fidelities.tobytes() == np.ones(4).tobytes()
+    built = convert_general_n(H, [0.3, 1.1, 2.0], 0.4)  # _certificate's arrays
+    for cert in (held, converted, built):
         for grades in (cert.probabilities, cert.fidelities):
-            assert grades.dtype == float
+            assert grades.dtype == np.float64
             with pytest.raises(ValueError):
                 grades[0] = 0.5
 
@@ -356,7 +360,7 @@ def test_convert_general_input_validation():
 
 def test_convert_with_qutrit_generator():
     # extreme levels of a three-level generator behave like the qubit case
-    h3 = Generator(np.array([0.0, 0.4, 1.0]), 0, 2)
+    h3 = Generator(np.array([0.0, 0.4, 1.0]))
     cert = convert_general_n(h3, [0.3, 0.8], 0.0)
     assert cert.min_fidelity > 1 - 1e-12
     assert cert.max_prob_error < 1e-12
@@ -470,7 +474,7 @@ def test_verify_reports_a_singular_fisher_outcome_as_a_fail(capsys, monkeypatch)
     # A box stuck 1e-9 from the identity under a generator 1000x too steep for
     # it: outcome |+-> of the |00> + |11> component nearly vanishes while its
     # derivative does not, which consistent probabilities cannot do.
-    steep = Generator(np.array([0.0, 1e3]), 0, 1)
+    steep = Generator(np.array([0.0, 1e3]))
     with monkeypatch.context() as m:
         m.setattr(equivalence.Generator, "qubit", staticmethod(lambda: steep))
         stuck = np.array([1.0, np.exp(1e-9j)])
@@ -640,9 +644,9 @@ def test_generalized_random_unitaries():
 
 @pytest.mark.parametrize("h", [
     H,
-    Generator(np.array([0.0, 0.5, 1.0]), 0, 2),
+    Generator(np.array([0.0, 0.5, 1.0])),
     # the max index precedes the min index
-    Generator(np.array([0.3, 1.0, -0.7, 0.1]), 2, 1),
+    Generator(np.array([0.3, 1.0, -0.7, 0.1])),
 ], ids=["qubit", "qutrit", "ququart-max-first"])
 def test_generalized_single_probe(h):
     eye = np.eye(h.dim)

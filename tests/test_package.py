@@ -189,6 +189,14 @@ def test_no_module_defines_ghz_register():
         assert "ghz_register" not in _defined_names(tree), path.name
 
 
+def test_no_module_calls_object_new():
+    # each frozen value type has one constructor: an instance made by
+    # __new__ would skip its __post_init__ and the array rule in it
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "__new__" not in _referenced_names(tree), path.name
+
+
 def test_no_module_defines_support_columns():
     # the +- columns are the same for every generator: one module constant,
     # no per-generator cache

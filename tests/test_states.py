@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metroq
+from metroq.information import collective_generator
 from metroq.linalg import fidelity_up_to_phase, partial_trace, vec
 from metroq.states import (
     PAULI_X,
@@ -27,19 +28,45 @@ from helpers import ghz_register, phase_mask, u_phi
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        Generator(np.array([0.0, 1.0]), 1, 1)
+        Generator(np.array([1.0, 1.0]))  # degenerate spread
     with pytest.raises(ValueError):
-        Generator(np.array([0.0, 1.0]), 1, 0)  # indices swapped
-    with pytest.raises(ValueError):
-        Generator(np.array([1.0, 1.0]), 0, 1)  # degenerate spread
-    h = Generator(np.array([-0.5, 0.25, 1.5]), 0, 2)
+        Generator(np.array([0.0, math.nan]))  # no extreme levels
+    h = Generator(np.array([-0.5, 0.25, 1.5]))
     assert h.dim == 3 and np.ptp(h.eigenvalues) == 2.0
+
+
+QUTRIT = Generator(np.array([-0.3, 0.45, 1.2]))
+MAX_FIRST_QUQUART = Generator(np.array([1.5, -0.2, 0.7, -0.9]))
+
+
+def test_generator_derives_the_levels_its_callers_designated():
+    def levels(h):
+        return h.min_index, h.max_index
+
+    assert levels(Generator.qubit()) == (0, 1)
+    assert levels(QUTRIT) == (0, 2)
+    assert levels(MAX_FIRST_QUQUART) == (3, 0)
+    for n in (1, 2, 5, 12):
+        assert levels(Generator.number(n)) == (0, n)
+        assert levels(Generator.number_difference(n)) == (0, n)
+    for h in (Generator.qubit(), QUTRIT, MAX_FIRST_QUQUART):
+        for n in (1, 2, 3):
+            designated = tuple(repeated_index(h.dim, n, j) for j in levels(h))
+            assert levels(collective_generator(h, n)) == designated, (h.eigenvalues, n)
+
+
+def test_generator_ties_resolve_to_the_first_level():
+    tied = Generator(np.array([1.0, 0.0, 1.0, 0.0]))
+    assert (tied.min_index, tied.max_index) == (1, 0)
+    for n in (1, 2, 3):
+        total = collective_generator(tied, n)
+        assert (total.min_index, total.max_index) == (repeated_index(4, n, 1), 0)
 
 
 # the qubit, a qutrit with a middle eigenvalue, and the bosonic generators
 BOX_GENERATORS = [
     Generator.qubit(),
-    Generator(np.array([-0.3, 0.45, 1.2]), 0, 2),
+    Generator(np.array([-0.3, 0.45, 1.2])),
     *[Generator.number(n) for n in (1, 5, 12)],
     *[Generator.number_difference(n) for n in (1, 5, 12)],
 ]
@@ -94,7 +121,7 @@ def test_phase_box_repeated_application_accumulates_phase():
     b=st.floats(min_value=-10, max_value=10),
 )
 def test_phase_box_group_law(a, b):
-    h = Generator(np.array([-1.0, 0.3, 2.0]), 0, 2)
+    h = Generator(np.array([-1.0, 0.3, 2.0]))
     prod = phase_box(h, a) * phase_box(h, b)
     assert np.max(np.abs(prod - phase_box(h, a + b))) < 1e-12
 
@@ -102,8 +129,8 @@ def test_phase_box_group_law(a, b):
 def test_phase_box_affine_shift_is_global_phase():
     # shifting every eigenvalue by a constant only multiplies by a phase
     phi = 0.83
-    base = phase_box(Generator(np.array([0.0, 1.0]), 0, 1), phi)
-    shifted = phase_box(Generator(np.array([2.5, 3.5]), 0, 1), phi)
+    base = phase_box(Generator(np.array([0.0, 1.0])), phi)
+    shifted = phase_box(Generator(np.array([2.5, 3.5])), phi)
     ratio = shifted[0] / base[0]
     assert np.max(np.abs(shifted - ratio * base)) < 1e-12
 
@@ -121,7 +148,7 @@ def test_ghz_small_cases():
 
 
 def test_ghz_like_uses_extreme_indices():
-    h = Generator(np.array([0.5, -1.0, 2.0]), 1, 2)
+    h = Generator(np.array([0.5, -1.0, 2.0]))
     state = ghz_like(h, 2, 0.0)
     idx_min = np.ravel_multi_index((1, 1), (3, 3))
     idx_max = np.ravel_multi_index((2, 2), (3, 3))
@@ -135,8 +162,8 @@ def test_ghz_like_uses_extreme_indices():
 # and the one-probe bosonic generators of metroq.fock
 SUPPORT_CASES = [
     (Generator.qubit(), range(1, 13)),
-    (Generator(np.array([-0.3, 0.45, 1.2]), 0, 2), range(1, 7)),
-    (Generator(np.array([0.5, -1.0, 2.0]), 1, 2), range(1, 7)),
+    (Generator(np.array([-0.3, 0.45, 1.2])), range(1, 7)),
+    (Generator(np.array([0.5, -1.0, 2.0])), range(1, 7)),
     *[(Generator.number(n), [1]) for n in (1, 5, 12)],
     *[(Generator.number_difference(n), [1]) for n in (1, 5, 12)],
 ]
