@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .linalg import as_matrix, is_unitary, kron, normalized, partial_trace, vec
+from .linalg import as_matrix, is_density_matrix, is_unitary, kron, normalized, vec
 from .states import (
     MAX_PROBES,
     PAULI_X,
@@ -197,6 +197,8 @@ def counterexample(basis: str, phis) -> np.ndarray:
     matmul runs the same BLAS call on every matrix of a stack, so each state
     is bitwise the one its phase gives alone.  The boxes stay dense 4x4
     matrices: scaling by their diagonals rounds differently, by about 1e-16.
+    An outcome average that is not a density matrix raises ValueError; probe
+    2 is then traced out and the result re-Hermitized ((M + M^dagger)/2).
     """
     h = Generator.qubit()
     rho = classical_corr_state(basis)
@@ -209,7 +211,10 @@ def counterexample(basis: str, phis) -> np.ndarray:
     for o in plus_minus_states(h):
         proj = kron(np.eye(2), np.outer(o, o.conj()))
         acc += proj @ evolved @ proj
-    return partial_trace(acc, [2, 2], keep=[0])
+    if not is_density_matrix(acc):
+        raise ValueError("the outcome-averaged state is not a valid density matrix")
+    out = np.trace(acc.reshape(*acc.shape[:-2], 2, 2, 2, 2), axis1=-3, axis2=-1)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def unaveraged_counterexample_fisher(phi: float) -> tuple[float, int]:

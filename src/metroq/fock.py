@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .linalg import fidelity_up_to_phase, worst
-from .states import MAX_PROBES, Generator, ghz_like, ghz_phase_support, phase_box, plus_minus_states
+from .states import MAX_PROBES, Generator, ghz_phase_support, phase_box, plus_minus_states
 
 
 def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
@@ -52,27 +52,21 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     """Largest |fringe of the + state of make_generator(n) at phi - qubit GHZ
     fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi].
 
-    The qubit registers of the whole grid are evolved by one stacked
-    ghz_phase_support call.  They are graded on one 2^n register per
-    certificate, whose two support entries, |0...0> first and |1...1> last,
-    are rewritten at each grid point, so no (100, 2^n) stack is built.  The
-    register is the reference: a grade on the support sums in another order.
+    The qubit GHZ supports of the whole grid are evolved by one stacked
+    ghz_phase_support call, and each is graded against the unevolved support:
+    the other 2^n - 2 entries of the n-qubit state are zero on both sides of
+    the overlap.
     """
     if not 1 <= n <= MAX_PROBES:
         raise ValueError(f"n must lie in 1..{MAX_PROBES}")
     h = make_generator(n)
     probe, _ = plus_minus_states(h)
     qubit = Generator.qubit()
-    ghz = ghz_like(qubit, n)
     grid = np.linspace(0.0, math.pi, 100)
     supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
-    register = np.zeros(2**n, dtype=np.complex128)
-    deviations = []
-    for phi, support in zip(grid, supports):
-        register[0], register[-1] = support
-        qubit_p = fidelity_up_to_phase(ghz, register)
-        deviations.append(abs(fringe(h, probe, phi) - qubit_p))
-    return worst(deviations)
+    initial = ghz_phase_support(qubit, [0.0] * n)
+    return worst(abs(fringe(h, probe, phi) - fidelity_up_to_phase(initial, support))
+                 for phi, support in zip(grid, supports))
 
 
 def noon_fringe_zeros(n: int, count: int) -> list[float]:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: vectorization calculus, subsystem operations, metrics.
+"""Dense complex linear algebra: vectorization calculus, tensor products, predicates, metrics.
 
 Everything in this module is a pure function on immutable inputs; no shared
 state, safe to call from any number of concurrent workers.
@@ -125,37 +125,6 @@ def is_density_matrix(rho) -> bool:
             or np.any(np.abs(tr.imag) > ATOL_PREDICATE)):
         return False
     return float(np.min(np.linalg.eigvalsh((m + _dagger(m)) / 2))) > -ATOL_PREDICATE
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in keep, of rho or of every matrix
-    of a stack (..., D, D).
-
-    The result is re-Hermitized ((M + M^dagger)/2) to kill roundoff asymmetry,
-    so Hermiticity of the output is exact.
-    """
-    rho = _as_stack(rho)
-    dims = list(dims)
-    n = len(dims)
-    d_total = int(np.prod(dims))
-    if rho.shape[-2:] != (d_total, d_total):
-        raise ValueError("rho shape does not match product of dims")
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= n for i in keep) or not keep:
-        raise ValueError("keep must be a non-empty subset of subsystem indices")
-    if not is_density_matrix(rho):
-        raise ValueError("rho is not a valid density matrix")
-    lead = rho.shape[:-2]
-    t = rho.reshape(*lead, *dims, *dims)
-    removed = 0
-    for j in reversed(range(n)):
-        if j in keep:
-            continue
-        t = np.trace(t, axis1=len(lead) + j, axis2=len(lead) + j + n - removed)
-        removed += 1
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    out = t.reshape(*lead, d_keep, d_keep)
-    return (out + _dagger(out)) / 2
 
 
 def trace_distance(r1, r2) -> float | np.ndarray:

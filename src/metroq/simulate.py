@@ -106,21 +106,6 @@ def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
     return state
 
 
-def evolve_parallel_entangled(h: Generator, phi: float, n: int, lam: float = 0.0) -> np.ndarray:
-    """Apply one phase box per probe to the n-probe GHZ-type initial state.
-
-    Returns its support, shape (2,): the amplitudes on |min...min> and
-    |max...max>, the only entries diagonal boxes leave nonzero
-    (states.ghz_phase_support).  Each probe's box is still applied, as one
-    factor exp(i phi eigenvalue) per entry, not replaced by the closed form
-    e^{i n phi}, so tests can check the phase accumulation rather than assume
-    it: bit for bit against the register's d^N diagonal of phase boxes, and
-    that diagonal against a dense box applied to one factor at a time.  It
-    stays a function of its own because perfbench's traced run reports its calls.
-    """
-    return ghz_phase_support(h, [phi] * n, lam)
-
-
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     """Per-trial Bernoulli success probability of one repetition.
 
@@ -135,7 +120,7 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     boxes = strategy.fringe_order
     initial = ghz_phase_support(h, [0.0], strategy.lam)
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        final = evolve_parallel_entangled(h, phi, boxes, strategy.lam)
+        final = ghz_phase_support(h, [phi] * boxes, strategy.lam)
     else:
         final = evolve_sequential(h, phi, boxes, initial)
     return fidelity_up_to_phase(initial, final)

@@ -100,8 +100,8 @@ def repeated_index(d: int, n: int, j: int) -> int:
 
 def ghz_like(h: Generator, n: int, lam: float = 0.0) -> np.ndarray:
     """Normalized (|min>^n + e^{i lam} |max>^n)/sqrt(2) on the n-probe register:
-    the reference for `fisher`'s register QFI and the fock certificates' qubit
-    side.  Every other path computes on its support, ghz_phase_support."""
+    the reference for `fisher`'s register QFI.  Every other path computes on
+    its support, ghz_phase_support."""
     if n < 1:
         raise ValueError("need at least one probe")
     state = np.zeros(h.dim**n, dtype=np.complex128)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from metroq.channels import KrausChannel
+from metroq.fock import fringe
 from metroq.linalg import (
     ATOL_PREDICATE,
     as_matrix,
@@ -22,6 +23,8 @@ from metroq.states import (
     Generator,
     StrategyKind,
     classical_corr_state,
+    ghz_like,
+    ghz_phase_support,
     plus_minus_states,
     repeated_index,
 )
@@ -82,6 +85,33 @@ def ghz_register(h, n, support):
     state[repeated_index(h.dim, n, h.min_index)] = support[0]
     state[repeated_index(h.dim, n, h.max_index)] = support[1]
     return state
+
+
+def qubit_fringe_grid(n, qubit_scale):
+    """The fock certificates' qubit phases: qubit_scale * phi on each of n
+    probes, one row per phi of 100 evenly spaced in [0, pi]."""
+    grid = np.linspace(0.0, math.pi, 100)
+    return np.repeat(qubit_scale * grid[:, None], n, axis=1)
+
+
+def register_grade(n, support):
+    """Reference for the fock certificates' qubit grade: |<GHZ|register>|^2,
+    the n-qubit GHZ state against the whole 2^n register ghz_register(qubit,
+    n, support)."""
+    qubit = Generator.qubit()
+    return fidelity_up_to_phase(ghz_like(qubit, n), ghz_register(qubit, n, support))
+
+
+def max_fringe_deviation_on_register(make_generator, n, qubit_scale):
+    """Reference for fock's N0 and NOON certificates: the largest difference
+    between the + state's fringe of make_generator(n) at phi and the
+    register_grade of the qubit grid point qubit_scale * phi."""
+    h = make_generator(n)
+    probe, _ = plus_minus_states(h)
+    grid = np.linspace(0.0, math.pi, 100)
+    supports = ghz_phase_support(Generator.qubit(), qubit_fringe_grid(n, qubit_scale))
+    return max(abs(fringe(h, probe, phi) - register_grade(n, support))
+               for phi, support in zip(grid, supports))
 
 
 def apply_on_factor(state, dims, k, op):

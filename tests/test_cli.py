@@ -159,7 +159,8 @@ def test_verify_counterexample_fails_without_the_minus_projector(capsys, monkeyp
 
 def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch):
     # Mutant: the - projector is dropped, so the outcome "average" loses trace
-    # and partial_trace rejects it with a ValueError inside the check.
+    # and counterexample's density-matrix guard raises a ValueError inside
+    # the check.
     real = equivalence.counterexample
     plus, _ = plus_minus_states(Generator.qubit())
 

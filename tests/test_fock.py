@@ -15,10 +15,10 @@ from metroq.fock import (
     noon_fringe_zeros,
 )
 from metroq.linalg import fidelity_up_to_phase
-from metroq.simulate import evolve_parallel_entangled, evolve_sequential
-from metroq.states import Generator, ghz_like, phase_box, plus_minus_states
+from metroq.simulate import evolve_sequential
+from metroq.states import Generator, ghz_like, ghz_phase_support, phase_box, plus_minus_states
 
-from helpers import ghz_register
+from helpers import ghz_register, max_fringe_deviation_on_register, qubit_fringe_grid, register_grade
 
 H = Generator.qubit()
 
@@ -73,7 +73,7 @@ def test_n0_phase_matches_entangled_register():
     n, phi = 3, 0.5
     h = Generator.number(n)
     fock_p = fringe(h, ghz_like(h, 1), phi)
-    qubit = ghz_register(H, n, evolve_parallel_entangled(H, phi, n, 0.0))
+    qubit = ghz_register(H, n, ghz_phase_support(H, [phi] * n, 0.0))
     qubit_p = fidelity_up_to_phase(ghz_like(H, n), qubit)
     assert abs(fock_p - qubit_p) < 1e-12
 
@@ -113,6 +113,31 @@ def test_n0_certificates():
 def test_noon_certificates():
     for n in (1, 4, 12):
         assert noon_equivalence_certificate(n) < 1e-12
+
+
+# (certificate, its bosonic generator, the scale of the qubit phase)
+CERTIFICATES = [(noon_equivalence_certificate, Generator.number_difference, 2),
+                (n0_equivalence_certificate, Generator.number, 1)]
+
+
+@pytest.mark.parametrize("qubit_scale", [2, 1], ids=["noon", "n0"])
+def test_support_grade_is_the_register_grade_to_roundoff(qubit_scale):
+    # the grade on the two-entry support sums the overlap over the register's
+    # two nonzero entries alone, in another order than the 2^n register does
+    for n in range(1, 13):
+        initial = ghz_phase_support(H, [0.0] * n)
+        for support in ghz_phase_support(H, qubit_fringe_grid(n, qubit_scale)):
+            on_support = fidelity_up_to_phase(initial, support)
+            assert abs(on_support - register_grade(n, support)) <= 2.3e-16
+
+
+@pytest.mark.parametrize("certificate, make_generator, qubit_scale", CERTIFICATES,
+                         ids=["noon", "n0"])
+def test_certificate_is_the_register_certificate_to_roundoff(certificate, make_generator,
+                                                             qubit_scale):
+    for n in range(1, 13):
+        reference = max_fringe_deviation_on_register(make_generator, n, qubit_scale)
+        assert abs(certificate(n) - reference) <= 2.3e-16
 
 
 # sha256 over the float.hex of noon_fringe_zeros(n, 3) and the NOON and N0
@@ -169,9 +194,8 @@ def test_noon_fails_when_the_qubit_grid_is_off_by_one(capsys, monkeypatch):
 @pytest.mark.parametrize("certificate", [noon_equivalence_certificate,
                                          n0_equivalence_certificate])
 def test_certificate_allocates_no_register_stack(certificate):
-    # The qubit side is evolved as one (100, 2) support stack and put on the
-    # 4096-entry register one grid point at a time; a (100, 4096) register
-    # stack would peak at about 6.5 MB.
+    # The qubit side is evolved and graded as one (100, 2) support stack; a
+    # (100, 4096) register stack would peak at about 6.5 MB.
     certificate(12)
     tracemalloc.start()
     try:

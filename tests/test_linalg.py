@@ -14,7 +14,6 @@ from metroq.linalg import (
     is_unitary,
     kron,
     normalized,
-    partial_trace,
     trace_distance,
     vec,
     vec_identity_residual,
@@ -229,44 +228,8 @@ def test_project_reconstructs_partial_trace():
         if cond is not None:
             acc += p * np.outer(cond, cond.conj())
     rho = np.outer(state, state.conj())
-    np.testing.assert_allclose(acc, partial_trace(rho, [2, 2, 2], keep=[0, 1]), atol=1e-10)
-
-
-def test_partial_trace_bell():
-    bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    np.testing.assert_allclose(partial_trace(rho, [2, 2], keep=[0]), I2 / 2, atol=1e-12)
-
-
-def test_partial_trace_product():
-    zero = np.array([1, 0], dtype=complex)
-    one = np.array([0, 1], dtype=complex)
-    rho = np.kron(np.outer(zero, zero), np.outer(one, one))
-    np.testing.assert_allclose(partial_trace(rho, [2, 2], keep=[0]), np.outer(zero, zero))
-
-
-def test_partial_trace_properties():
-    rng = np.random.default_rng(7)
-    rho = random_density_matrix(rng, 8)
-    red = partial_trace(rho, [2, 2, 2], keep=[0, 2])
-    assert abs(np.trace(red) - 1.0) < 1e-12
-    assert np.array_equal(red, red.conj().T)
-    assert np.min(np.linalg.eigvalsh(red)) > -1e-10
-
-
-def test_partial_trace_rejects_invalid_input():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), [2, 2], keep=[0])  # trace 4, not a state
-
-
-def test_partial_trace_stack_is_per_matrix():
-    rng = np.random.default_rng(9)
-    rhos = np.stack([random_density_matrix(rng, 8) for _ in range(5)])
-    assert is_density_matrix(rhos)
-    red = partial_trace(rhos, [2, 2, 2], keep=[0, 2])
-    assert red.shape == (5, 4, 4)
-    for k in range(5):
-        assert red[k].tobytes() == partial_trace(rhos[k], [2, 2, 2], keep=[0, 2]).tobytes()
+    np.testing.assert_allclose(acc, np.trace(rho.reshape(4, 2, 4, 2), axis1=1, axis2=3),
+                               atol=1e-10)
 
 
 def test_partial_trace_stack_rejects_one_invalid_matrix():
@@ -276,8 +239,6 @@ def test_partial_trace_stack_rejects_one_invalid_matrix():
     rhos[-1] *= 2
     assert not is_density_matrix(rhos)
     assert is_density_matrix(rhos[:-1])
-    with pytest.raises(ValueError):
-        partial_trace(rhos, [2, 2], keep=[0])
 
 
 def test_trace_distance_stack_is_per_pair():
