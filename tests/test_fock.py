@@ -143,7 +143,7 @@ def test_certificate_is_the_register_certificate_to_roundoff(certificate, make_g
 # sha256 over the float.hex of noon_fringe_zeros(n, 3) and the NOON and N0
 # certificates, one line per n = 1..12.  No golden transcript holds a zero past
 # the first, nor most of these n.
-FOCK_HEX_DIGEST = "f89fab5ba8ba83c7938cac345d447c698d115fec1b13eea6d421f043b8a90f9f"
+FOCK_HEX_DIGEST = "1324516e63d7ddf96544e519f3317c65500f44d2737af9d25913157a8a67a415"
 
 
 def test_zeros_and_certificates_are_pinned_bit_for_bit():
