@@ -8,9 +8,9 @@ h is the single-mode number operator (Generator.number, spread n); for NOON,
 n-photon subspace indexed by the photon count of mode a
 (Generator.number_difference, spread 2n).  Both generators are diagonal in
 the number basis, so a phase box keeps each state on its two levels: the
-fringe zeros and the certificates' qubit side are evolved on that support
-(states.ghz_phase_support), and fringe multiplies any probe it is given by
-one phase box (states.phase_box).
+fringe zeros and the certificates' qubit side are evolved and graded on that
+support (states.ghz_phase_support), and fringe multiplies any probe it is
+given by one phase box (states.phase_box).
 """
 
 from __future__ import annotations

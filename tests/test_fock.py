@@ -115,11 +115,6 @@ def test_noon_certificates():
         assert noon_equivalence_certificate(n) < 1e-12
 
 
-# (certificate, its bosonic generator, the scale of the qubit phase)
-CERTIFICATES = [(noon_equivalence_certificate, Generator.number_difference, 2),
-                (n0_equivalence_certificate, Generator.number, 1)]
-
-
 @pytest.mark.parametrize("qubit_scale", [2, 1], ids=["noon", "n0"])
 def test_support_grade_is_the_register_grade_to_roundoff(qubit_scale):
     # the grade on the two-entry support sums the overlap over the register's
@@ -131,8 +126,10 @@ def test_support_grade_is_the_register_grade_to_roundoff(qubit_scale):
             assert abs(on_support - register_grade(n, support)) <= 2.3e-16
 
 
-@pytest.mark.parametrize("certificate, make_generator, qubit_scale", CERTIFICATES,
-                         ids=["noon", "n0"])
+@pytest.mark.parametrize("certificate, make_generator, qubit_scale", [
+    (noon_equivalence_certificate, Generator.number_difference, 2),
+    (n0_equivalence_certificate, Generator.number, 1),
+], ids=["noon", "n0"])
 def test_certificate_is_the_register_certificate_to_roundoff(certificate, make_generator,
                                                              qubit_scale):
     for n in range(1, 13):
