@@ -33,7 +33,7 @@ from .information import (
     qfi_pure,
 )
 from .linalg import haar_unitary, trace_distance, vec_identity_residual, worst
-from .simulate import STREAM_VERSION, rmse_stderr, scaling_experiment
+from .simulate import STREAM_VERSION, ScalingReport, rmse_stderr, scaling_experiment
 from .states import MAX_PROBES, PAULI_X, Generator, StrategyKind, StrategySpec, ghz_like, phase_box
 
 MAX_NU = 100_000
@@ -356,6 +356,17 @@ def cmd_scaling(args) -> Report:
     return report
 
 
+def check_scaling_slope(kind: StrategyKind, result: ScalingReport) -> bool:
+    """Whether a strategy's experiment shows its scaling: no round saturated
+    and a fitted slope inside the strategy's SLOPE_BANDS interval.  A
+    saturated round was clamped to a branch end by fringe inversion, so a
+    slope fitted through it is no evidence of the scaling; a null slope (some
+    row's RMSE is zero) is none either."""
+    lo, hi = SLOPE_BANDS[kind]
+    in_regime = not any(row.saturated_rounds for row in result.rows)
+    return in_regime and result.fitted_slope is not None and lo <= result.fitted_slope <= hi
+
+
 def _scaling_csv(args, report: Report) -> str:
     """Run the experiment for each strategy, add its slope check to the
     report and return the CSV text."""
@@ -368,15 +379,10 @@ def _scaling_csv(args, report: Report) -> str:
                     f"{kind.value},{row.n},{args.nu},{args.rounds},"
                     f"{float(row.empirical_rmse)!r},{float(row.crb)!r},{args.seed}"
                 )
-            lo, hi = SLOPE_BANDS[kind]
-            # A saturated round was clamped to a branch end by fringe inversion;
-            # a slope fitted through such rounds is no evidence of the scaling.
-            in_regime = not any(row.saturated_rounds for row in result.rows)
-            in_band = result.fitted_slope is not None and lo <= result.fitted_slope <= hi
-            return in_regime and in_band, {
+            return check_scaling_slope(kind, result), {
                 "fitted_slope": result.fitted_slope,
                 "slope_stderr": result.slope_stderr,
-                "expected_interval": [lo, hi],
+                "expected_interval": list(SLOPE_BANDS[kind]),
                 "streams": result.streams,
                 "draws": result.draws,
                 "rows": [
@@ -396,24 +402,29 @@ def _scaling_csv(args, report: Report) -> str:
     return "\n".join(csv_lines) + "\n"
 
 
+def check_noise(cha, chb) -> tuple[bool, dict]:
+    """Whether the two-probe noise conversion of channels (cha, chb) holds
+    (its identity residual is below 1e-12) and its effective sequential
+    channel is trace preserving exactly when chb is unital, and the fields:
+    chb's unitality and structure flags, the residual and the trace
+    preservation."""
+    unital = is_unital(chb)
+    structured = is_diag_or_antidiag(chb)
+    residual = equivalence.noise_conversion_residual(cha, chb)
+    _, trace_preserving = equivalence.effective_sequential_channel(cha, chb)
+    return residual < 1e-12 and trace_preserving == unital, {
+        "unital": unital,
+        "diag_or_antidiag": structured,
+        "eq_residual": residual,
+        "trace_preserving": trace_preserving,
+        "valid_beyond_n2": structured,
+    }
+
+
 def cmd_noise(args) -> Report:
     report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
     channel = CHANNELS[args.channel](args.p)
-
-    def grade():
-        unital = is_unital(channel)
-        structured = is_diag_or_antidiag(channel)
-        residual = equivalence.noise_conversion_residual(channel, channel)
-        _, trace_preserving = equivalence.effective_sequential_channel(channel, channel)
-        return residual < 1e-12 and trace_preserving == unital, {
-            "unital": unital,
-            "diag_or_antidiag": structured,
-            "eq_residual": residual,
-            "trace_preserving": trace_preserving,
-            "valid_beyond_n2": structured,
-        }
-
-    report.add(f"noise-{args.channel}", "eq_residual", grade)
+    report.add(f"noise-{args.channel}", "eq_residual", lambda: check_noise(channel, channel))
     return report
 
 
@@ -431,10 +442,11 @@ def check_phase_bound_sqrt_n(n_values, gamma: float, nu: int) -> float:
     return worst(deviations)
 
 
-def check_frequency_bound(n_values, gamma: float, nu: int) -> tuple[float, float, float, list]:
-    """Relative spread over n_values of the optimized frequency bound and its
-    worst relative deviation from the closed form e gamma / sqrt(nu), then
-    that closed form and the rows (N, t*, bound*)."""
+def check_frequency_bound(n_values, gamma: float, nu: int) -> tuple[bool, dict]:
+    """Whether the optimized frequency bound is N-independent over n_values:
+    its relative spread and its worst relative deviation from the closed
+    form e gamma / sqrt(nu) both below 1e-6; and the fields: that spread, the
+    closed form and the rows (N, t*, bound*)."""
     closed_form = math.e * gamma / math.sqrt(nu)
     rows = []
     for n in n_values:
@@ -442,7 +454,10 @@ def check_frequency_bound(n_values, gamma: float, nu: int) -> tuple[float, float
         rows.append({"N": n, "t_star": t_star, "bound_star": bound_star})
     bounds = [row["bound_star"] for row in rows]
     spread = float(np.ptp(bounds)) / closed_form
-    return spread, worst(abs(b - closed_form) for b in bounds) / closed_form, closed_form, rows
+    deviation = worst(abs(b - closed_form) for b in bounds) / closed_form
+    return spread < 1e-6 and deviation < 1e-6, {
+        "relative_spread": spread, "closed_form": closed_form, "rows": rows,
+    }
 
 
 def cmd_frequency(args) -> Report:
@@ -450,14 +465,8 @@ def cmd_frequency(args) -> Report:
         "frequency",
         {"gamma": args.gamma, "n_values": args.n_values, "nu": args.nu, "format": args.format},
     )
-
-    def tabulate():
-        spread, deviation, closed, rows = check_frequency_bound(args.n_values, args.gamma, args.nu)
-        return spread < 1e-6 and deviation < 1e-6, {
-            "relative_spread": spread, "closed_form": closed, "rows": rows,
-        }
-
-    report.add("frequency-bound-n-independence", "relative_spread", tabulate)
+    report.add("frequency-bound-n-independence", "relative_spread",
+               lambda: check_frequency_bound(args.n_values, args.gamma, args.nu))
     report.add("phase-bound-sqrt-n", "relative_deviation",
                lambda: check_phase_bound_sqrt_n(args.n_values, args.gamma, args.nu), 1e-6)
     return report

@@ -146,7 +146,10 @@ def _certificate(support: np.ndarray, n: int,
     """Grade every +- branch of probes 2..n of the GHZ-type register with this
     support at once against the sign-matched sequential reference, a probe-1
     support like it: ref_minus when the branch has an odd number of -
-    outcomes, ref_plus otherwise."""
+    outcomes, ref_plus otherwise.  Raises ValueError past MAX_PROBES probes,
+    where the 2^(N-1) branches leave desk scale."""
+    if n > MAX_PROBES:
+        raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     amps = _support_branch_amplitudes(support, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real
     refs = np.array([ref_plus, ref_minus])[_branch_parity(n)]
@@ -173,8 +176,6 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
     n = len(phis)
     if n < 2:
         raise ValueError("need at least 2 probes for a conversion certificate")
-    if n > MAX_PROBES:
-        raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     box = phase_box(h, sum(phis))[[h.min_index, h.max_index]]
     plus, minus = _start_supports(float(lam))
     # box first: ghz_phase_support(h, [sum(phis)], lam) puts the amplitude
@@ -375,8 +376,6 @@ def generalized_strategy_certificate(
         raise ValueError("w and v must be unitary")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MAX_PROBES:
-        raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     u = np.diag(phase_box(h, phi))
     m = w.conj().T @ (w @ u @ v) @ v.conj().T
     m_n = np.linalg.matrix_power(m, n)

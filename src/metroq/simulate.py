@@ -27,15 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import crb, operating_phase
-from .linalg import as_vector, fidelity_up_to_phase
-from .states import (
-    MAX_PROBES,
-    Generator,
-    StrategyKind,
-    StrategySpec,
-    ghz_phase_support,
-    phase_box,
-)
+from .linalg import fidelity_up_to_phase
+from .states import MAX_PROBES, Generator, StrategyKind, StrategySpec, ghz_phase_support
 
 # Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
 # on streams keyed on (N, round); version 2 is the scheme described above.
@@ -95,34 +88,23 @@ class ScalingReport:
     draws: int  # Bernoulli trials drawn: the rounds' trials summed over rows
 
 
-def evolve_sequential(h: Generator, phi: float, n: int, initial) -> np.ndarray:
-    """Run one probe through n boxes: multiply by phase_box(h, phi) n times."""
-    state = as_vector(initial)
-    if state.size != h.dim:
-        raise ValueError("initial state dimension does not match generator")
-    box = phase_box(h, phi)
-    for _ in range(n):
-        state = box * state
-    return state
-
-
 def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     """Per-trial Bernoulli success probability of one repetition.
 
-    Every strategy starts from the one-probe GHZ support on the qubit,
-    ghz_phase_support(h, [0.0], lam), and runs through its fringe_order boxes:
-    N on that probe (sequential), one (classical: its N probes are independent
-    trials), or one on each of N probes of a GHZ state, graded on its support
-    (entangled).  The probability is the Born probability |<initial|final>|^2
-    that the evolved state passes the projection back onto the initial one.
+    Every strategy is one evolution of the GHZ support on the qubit: its
+    fringe_order boxes at phi, ghz_phase_support(h, [phi] * fringe_order,
+    lam), graded against the unevolved one-probe support
+    ghz_phase_support(h, [0.0], lam).  The boxes are N boxes on one probe
+    (sequential), one box on each of N probes of a GHZ state (entangled), or
+    one box (classical: its N probes are independent trials).  Diagonal boxes
+    multiply the same two entries whichever probe they act on, so the
+    sequential and entangled strategies share one computation, bit for bit.
+    The probability is the Born probability |<initial|final>|^2 that the
+    evolved state passes the projection back onto the initial one.
     """
     h = Generator.qubit()
-    boxes = strategy.fringe_order
     initial = ghz_phase_support(h, [0.0], strategy.lam)
-    if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        final = ghz_phase_support(h, [phi] * boxes, strategy.lam)
-    else:
-        final = evolve_sequential(h, phi, boxes, initial)
+    final = ghz_phase_support(h, [phi] * strategy.fringe_order, strategy.lam)
     return fidelity_up_to_phase(initial, final)
 
 

@@ -98,37 +98,38 @@ def repeated_index(d: int, n: int, j: int) -> int:
     return j * (d**n - 1) // (d - 1)
 
 
-def ghz_like(h: Generator, n: int, lam: float = 0.0) -> np.ndarray:
-    """Normalized (|min>^n + e^{i lam} |max>^n)/sqrt(2) on the n-probe register:
-    the reference for `fisher`'s register QFI.  Every other path computes on
-    its support, ghz_phase_support."""
+def ghz_like(h: Generator, n: int) -> np.ndarray:
+    """Normalized (|min>^n + |max>^n)/sqrt(2) on the n-probe register: the
+    reference for `fisher`'s register QFI.  Every other path computes on its
+    support, ghz_phase_support."""
     if n < 1:
         raise ValueError("need at least one probe")
     state = np.zeros(h.dim**n, dtype=np.complex128)
-    state[[repeated_index(h.dim, n, j) for j in (h.min_index, h.max_index)]] = _ghz_amplitudes(lam)
+    state[[repeated_index(h.dim, n, j) for j in (h.min_index, h.max_index)]] = _ghz_amplitudes(0.0)
     return state
 
 
 def _ghz_amplitudes(lam: float) -> np.ndarray:
-    """(1, e^{i lam})/sqrt(2): the amplitudes of ghz_like on its two levels."""
+    """(1, e^{i lam})/sqrt(2): a GHZ-type state's amplitudes on its two levels."""
     return np.array([1 / math.sqrt(2), np.exp(1j * lam) / math.sqrt(2)])
 
 
 def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
-    """Support of ghz_like(h, N, lam) after one phase box per probe.
+    """Support of (|min>^N + e^{i lam} |max>^N)/sqrt(2) after one phase box
+    per probe.
 
     phis is a phase vector (N,), phis[j] the phase of probe j's box, or a
     stack (..., N) of them.  Diagonal boxes keep a GHZ-type register on its
     two entries |min...min> and |max...max>, so only those are evolved: the
     result, shape (..., 2), holds their amplitudes.  Each probe's factor, the
     phase_box entries of the two extreme levels, is multiplied in from the
-    last probe outward, so both amplitudes are bitwise those of
-    ghz_like(h, N, lam) times the d^N outer product of the per-probe
-    diagonals built in the same order.  The product starts from the last
-    probe's factor itself, not from ones times it: a factor's imaginary part
-    is never -0.0 (phase_box's exponent has imaginary part 0.0 + phi
-    eigenvalue, and sin of a nonzero double is nonzero), so multiplying by 1
-    would change no bit.
+    last probe outward, so both amplitudes are bitwise those of the whole
+    register, its two entries (1, e^{i lam})/sqrt(2), times the d^N outer
+    product of the per-probe diagonals built in the same order.  The product
+    starts from the last probe's factor itself, not from ones times it: a
+    factor's imaginary part is never -0.0 (phase_box's exponent has imaginary
+    part 0.0 + phi eigenvalue, and sin of a nonzero double is nonzero), so
+    multiplying by 1 would change no bit.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim < 1 or phis.shape[-1] < 1:
@@ -167,11 +168,12 @@ class StrategyKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class StrategySpec:
-    """One estimation strategy on the qubit generator: what is prepared, how
-    many probes, and the resources they make one repetition of.  lam is the
-    relative phase of the GHZ-type state every strategy starts from: 0 in
-    `scaling`, set by the tests, and read by perfbench's success-probability
-    hook."""
+    """One estimation strategy on the qubit generator: how many probes, and
+    the resources they make one repetition of.  Every strategy is one
+    evolution, fringe_order boxes on the GHZ support, so strategies differ
+    only in fringe_order and trials_per_repetition.  lam is the relative
+    phase of the GHZ-type state every strategy starts from: 0 in `scaling`,
+    set by the tests, and read by perfbench's success-probability hook."""
 
     kind: StrategyKind
     n_probes: int

@@ -25,6 +25,7 @@ from metroq.states import (
     classical_corr_state,
     ghz_like,
     ghz_phase_support,
+    phase_box,
     plus_minus_states,
     repeated_index,
 )
@@ -84,6 +85,23 @@ def ghz_register(h, n, support):
     state = np.zeros(h.dim**n, dtype=np.complex128)
     state[repeated_index(h.dim, n, h.min_index)] = support[0]
     state[repeated_index(h.dim, n, h.max_index)] = support[1]
+    return state
+
+
+def ghz_state(h, n, lam):
+    """The n-probe register (|min...min> + e^{i lam} |max...max>)/sqrt(2),
+    built entry by entry: states.ghz_like at a relative phase lam."""
+    return ghz_register(h, n, [1 / math.sqrt(2), np.exp(1j * lam) / math.sqrt(2)])
+
+
+def evolve_sequential(h, phi, n, initial):
+    """Reference for simulate.strategy_success_probability's sequential
+    strategy: one probe run through n boxes, multiplied by phase_box(h, phi)
+    n times."""
+    state = as_vector(initial)
+    box = phase_box(h, phi)
+    for _ in range(n):
+        state = box * state
     return state
 
 

@@ -48,6 +48,7 @@ from helpers import (
     branch_amplitudes_tensordot,
     counterexample_per_phase,
     ghz_register,
+    ghz_state,
     phase_mask,
     project_subsystem,
     random_cptp_channel,
@@ -210,7 +211,7 @@ def _conversion_inputs(phis, lam):
     """Evolved GHZ-type support and the (+, -) sequential references of
     convert_general_n, built here from the same pieces."""
     n = len(phis)
-    support = (ghz_like(H, n, lam) * phase_mask(H, phis))[[0, -1]]
+    support = (ghz_state(H, n, lam) * phase_mask(H, phis))[[0, -1]]
     u_total = u_phi(H, sum(phis))
     refs = [u_total @ normalized(np.array([1.0, s * np.exp(1j * lam)])) for s in (1, -1)]
     return support, refs
@@ -354,8 +355,11 @@ def test_verify_conversion_fails_on_swapped_references(capsys, monkeypatch):
 def test_convert_general_input_validation():
     with pytest.raises(ValueError):
         convert_general_n(H, [0.1], 0.0)
-    with pytest.raises(ValueError):
+    # one probe cap, raised by the branch grading both certificates share
+    with pytest.raises(ValueError, match="^branch enumeration capped at 12 probes$"):
         convert_general_n(H, [0.1] * 13, 0.0)
+    with pytest.raises(ValueError, match="^branch enumeration capped at 12 probes$"):
+        generalized_strategy_certificate(np.eye(2), np.eye(2), H, 0.1, 13)
 
 
 def test_convert_with_qutrit_generator():

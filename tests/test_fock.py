@@ -15,10 +15,16 @@ from metroq.fock import (
     noon_fringe_zeros,
 )
 from metroq.linalg import fidelity_up_to_phase
-from metroq.simulate import evolve_sequential
 from metroq.states import Generator, ghz_like, ghz_phase_support, phase_box, plus_minus_states
 
-from helpers import ghz_register, max_fringe_deviation_on_register, qubit_fringe_grid, register_grade
+from helpers import (
+    evolve_sequential,
+    ghz_register,
+    ghz_state,
+    max_fringe_deviation_on_register,
+    qubit_fringe_grid,
+    register_grade,
+)
 
 H = Generator.qubit()
 
@@ -43,7 +49,7 @@ def test_plus_state_is_bitwise_the_one_probe_ghz_register():
         for n in range(1, 13):
             h = make_generator(n)
             for lam in (0.0, 0.7, -2.1):
-                assert plus_minus_states(h, lam)[0].tobytes() == ghz_like(h, 1, lam).tobytes()
+                assert plus_minus_states(h, lam)[0].tobytes() == ghz_state(h, 1, lam).tobytes()
 
 
 def test_n0_state_and_evolution():

@@ -17,6 +17,8 @@ from metroq.information import (
 from metroq.simulate import scaling_experiment
 from metroq.states import Generator, StrategyKind, StrategySpec, ghz_like
 
+from helpers import ghz_state
+
 
 def product_plus_state(n):
     return np.full(2**n, 2 ** (-n / 2), dtype=complex)
@@ -26,7 +28,7 @@ def test_qfi_ghz_is_n_squared():
     h = Generator.qubit()
     for n in range(1, 13):
         for lam in (0.0, 0.9, -2.2):
-            got = qfi_pure(ghz_like(h, n, lam), collective_generator(h, n))
+            got = qfi_pure(ghz_state(h, n, lam), collective_generator(h, n))
             assert abs(got - n * n) < 1e-10
 
 

@@ -212,9 +212,19 @@ def test_certificate_functions_take_no_generator():
         assert not [p for p in params if p.name == "h" or "Generator" in str(p.annotation)]
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_every_strategy_starts_from_the_ghz_support():
-    # the sequential and classical probe is the one-probe GHZ support too
-    assert "plus_minus_states" not in _module_names("simulate")
+    # the sequential and classical probe is the one-probe GHZ support too, and
+    # every strategy's boxes are one ghz_phase_support evolution: simulate
+    # builds no box of its own, and the success probability reads no kind
+    assert not {"plus_minus_states", "phase_box"} & _module_names("simulate")
+    success = _referenced_names(_function("simulate", "strategy_success_probability"))
+    assert not {"StrategyKind", "kind"} & success
 
 
 def _unread_private_names(tree: ast.Module) -> set[str]:

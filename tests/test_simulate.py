@@ -11,7 +11,6 @@ from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import (
     derive_round_seed,
     estimate_phase,
-    evolve_sequential,
     fit_loglog_slope,
     run_trials,
     scaling_experiment,
@@ -27,7 +26,14 @@ from metroq.states import (
     plus_minus_states,
 )
 
-from helpers import binomial_from_int_seed, derive_round_seed_spawn_key, ghz_register, u_phi
+from helpers import (
+    binomial_from_int_seed,
+    derive_round_seed_spawn_key,
+    evolve_sequential,
+    ghz_register,
+    ghz_state,
+    u_phi,
+)
 
 H = Generator.qubit()
 PLUS, MINUS = plus_minus_states(H)
@@ -62,7 +68,7 @@ def test_parallel_entangled_examples():
     assert np.max(np.abs(par - seq)) < 1e-12
 
     np.testing.assert_allclose(
-        ghz_register(H, 4, ghz_phase_support(H, [0.0] * 4, 0.3)), ghz_like(H, 4, 0.3),
+        ghz_register(H, 4, ghz_phase_support(H, [0.0] * 4, 0.3)), ghz_state(H, 4, 0.3),
         atol=1e-15,
     )
 
@@ -76,6 +82,19 @@ def test_parallel_entangled_matches_analytic_form():
         expected[0] = 1 / math.sqrt(2)
         expected[-1] = np.exp(1j * (n * phi + lam)) / math.sqrt(2)
         assert fidelity_up_to_phase(final, expected) > 1 - 1e-12
+
+
+def test_sequential_probability_is_the_entangled_one_and_the_per_box_loop():
+    # N boxes on one probe and one box on each of N probes are one evolution
+    # of the GHZ support, so the two probabilities agree bit for bit; the
+    # reference runs one probe through the N boxes one at a time
+    for n in range(1, MAX_PROBES + 1):
+        for phi in (operating_phase(n), *np.linspace(0.0, 2 * math.pi / n, 20)):
+            seq, ent = (strategy_success_probability(StrategySpec(kind, n), phi)
+                        for kind in (StrategyKind.SEQUENTIAL, StrategyKind.ENTANGLED_PARALLEL))
+            assert seq.hex() == ent.hex(), (n, phi)
+            loop = fidelity_up_to_phase(PLUS, evolve_sequential(H, phi, n, PLUS))
+            assert abs(seq - loop) < 1e-15, (n, phi)
 
 
 def test_sequential_and_parallel_fringes_agree():
@@ -141,26 +160,23 @@ def test_strategy_probability_forms():
 # float.hex of strategy_success_probability at operating_phase(N), N = 1..12.
 # At the operating phase p is 1/2 up to roundoff, and numpy's binomial samples
 # 1 - p once p > 1/2, so a last-bit drift of p mirrors every count of a row;
-# no CSV digest reaches most of these N.
+# no CSV digest reaches most of these N.  The sequential strategy is the
+# entangled one's evolution, so its row is the entangled row.
+_ENTANGLED_OPERATING_P_HEX = [
+    "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2", "0x1.ffffffffffffep-2",
+    "0x1.ffffffffffff9p-2", "0x1.ffffffffffffcp-2", "0x1.0000000000001p-1",
+    "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2",
+    "0x1.0000000000001p-1", "0x1.ffffffffffff6p-2", "0x1.ffffffffffffcp-2",
+]
 OPERATING_P_HEX = {
-    StrategyKind.SEQUENTIAL: [
-        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2",
-        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.0000000000001p-1",
-        "0x1.ffffffffffffep-2", "0x1.ffffffffffffep-2", "0x1.ffffffffffffcp-2",
-        "0x1.0000000000001p-1", "0x1.ffffffffffff6p-2", "0x1.ffffffffffff9p-2",
-    ],
+    StrategyKind.SEQUENTIAL: _ENTANGLED_OPERATING_P_HEX,
     StrategyKind.CLASSICAL_PARALLEL: [
         "0x1.ffffffffffffcp-2", "0x1.b504f333f9de4p-1", "0x1.ddb3d742c2652p-1",
         "0x1.ec835e799469fp-1", "0x1.f378709a22a7dp-1", "0x1.f746ea3a45f88p-1",
         "0x1.f994e02ac74b1p-1", "0x1.fb14be7fbae55p-1", "0x1.fc1c5c6408e08p-1",
         "0x1.fcd924a17f22cp-1", "0x1.fd64f021c2175p-1", "0x1.fdcf54976344bp-1",
     ],
-    StrategyKind.ENTANGLED_PARALLEL: [
-        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2", "0x1.ffffffffffffep-2",
-        "0x1.ffffffffffff9p-2", "0x1.ffffffffffffcp-2", "0x1.0000000000001p-1",
-        "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-2",
-        "0x1.0000000000001p-1", "0x1.ffffffffffff6p-2", "0x1.ffffffffffffcp-2",
-    ],
+    StrategyKind.ENTANGLED_PARALLEL: _ENTANGLED_OPERATING_P_HEX,
 }
 
 

@@ -23,7 +23,7 @@ from metroq.states import (
     repeated_index,
 )
 
-from helpers import ghz_register, phase_mask, u_phi
+from helpers import ghz_register, ghz_state, phase_mask, u_phi
 
 
 def test_generator_validation():
@@ -138,18 +138,20 @@ def test_phase_box_affine_shift_is_global_phase():
 def test_ghz_small_cases():
     h = Generator.qubit()
     plus, _ = plus_minus_states(h)
-    np.testing.assert_allclose(ghz_like(h, 1, 0.0), plus, atol=1e-15)
+    np.testing.assert_allclose(ghz_like(h, 1), plus, atol=1e-15)
     np.testing.assert_allclose(
-        ghz_like(h, 2, 0.0), vec(np.eye(2)) / math.sqrt(2), atol=1e-15
+        ghz_like(h, 2), vec(np.eye(2)) / math.sqrt(2), atol=1e-15
     )
     expected = np.zeros(8, dtype=complex)
     expected[0], expected[7] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    np.testing.assert_allclose(ghz_like(h, 3, math.pi), expected, atol=1e-12)
+    np.testing.assert_allclose(
+        ghz_register(h, 3, ghz_phase_support(h, [0.0] * 3, math.pi)), expected, atol=1e-12
+    )
 
 
 def test_ghz_like_uses_extreme_indices():
     h = Generator(np.array([0.5, -1.0, 2.0]))
-    state = ghz_like(h, 2, 0.0)
+    state = ghz_like(h, 2)
     idx_min = np.ravel_multi_index((1, 1), (3, 3))
     idx_max = np.ravel_multi_index((2, 2), (3, 3))
     assert abs(state[idx_min] - 1 / math.sqrt(2)) < 1e-15
@@ -170,7 +172,7 @@ SUPPORT_CASES = [
 
 
 def test_ghz_phase_support_is_bitwise_the_phase_mask_evolution():
-    # Oracle: the full-register evolution ghz_like * phase_mask.  The two
+    # Oracle: the full-register evolution ghz_state * phase_mask.  The two
     # support amplitudes must agree bit for bit; off the support both are
     # zero, up to the sign of a zero.
     rng = np.random.default_rng(61)
@@ -180,7 +182,7 @@ def test_ghz_phase_support_is_bitwise_the_phase_mask_evolution():
                              repeated_index(h.dim, n, h.max_index)]
             for phis in (rng.uniform(-7, 7, size=n), np.full(n, rng.uniform(-7, 7))):
                 lam = rng.uniform(-7, 7)
-                oracle = ghz_like(h, n, lam) * phase_mask(h, phis)
+                oracle = ghz_state(h, n, lam) * phase_mask(h, phis)
                 support = ghz_phase_support(h, phis, lam)
                 assert support.shape == (2,)
                 assert support.tobytes() == oracle[support_index].tobytes(), (h.eigenvalues, n)
