@@ -94,9 +94,10 @@ def is_diag_or_antidiag(ch: KrausChannel) -> bool:
     """True when the Kraus family is structurally homogeneous: every operator
     diagonal, or every operator anti-diagonal.
 
-    A mixed family (e.g. amplitude damping, whose two operators have different
-    structure) returns False: only the homogeneous families keep the two-level
-    subspace of the conversion argument invariant under all operator pairs.
-    `metroq noise` reports it as both diag_or_antidiag and valid_beyond_n2.
+    A mixed family, amplitude damping's for one, returns False.  That is
+    stricter than the conversion beyond two probes needs: an operator
+    diagonal or anti-diagonal on its own keeps a GHZ-type register on two
+    entries, so amplitude damping converts exactly.  `metroq noise` reports
+    it as both diag_or_antidiag and valid_beyond_n2.
     """
     return all(is_diagonal(k) for k in ch.ops) or all(is_antidiagonal(k) for k in ch.ops)

@@ -28,6 +28,7 @@ from .states import (
     Generator,
     classical_corr_state,
     ghz_phase_support,
+    ghz_support,
     phase_box,
     plus_minus_states,
 )
@@ -95,28 +96,10 @@ _PLUS_MINUS_COLUMNS = np.array(plus_minus_states(Generator.qubit())).conj().T
 _PLUS_MINUS_COLUMNS.setflags(write=False)
 
 
-# lam = 0, which verify's two-probe check and every default caller use, and a
-# few more; a conversion at a fresh random lam only cycles through it
-@functools.lru_cache(maxsize=8)
-def _start_supports(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one-probe GHZ support ghz_phase_support(h, [0.0], lam) and its -
-    partner, the support times (1, -1); read-only.  A zero phase
-    exponentiates to exactly 1 at every eigenvalue, so both are the same for
-    every generator and the qubit's serve."""
-    plus = ghz_phase_support(Generator.qubit(), [0.0], lam)
-    minus = plus * [1, -1]
-    plus.setflags(write=False)
-    minus.setflags(write=False)
-    return plus, minus
-
-
-@functools.lru_cache(maxsize=MAX_PROBES)  # one entry per N
-def _branch_parity(n: int) -> np.ndarray:
-    """Parity of each of the 2^(n-1) branches' - outcomes, the set bits of
-    its index; read-only."""
-    parity = np.bitwise_count(np.arange(2 ** (n - 1))) & 1
-    parity.setflags(write=False)
-    return parity
+# Parity of the - outcomes of each of the 2^(MAX_PROBES-1) branches, the set bits
+# of its index, read-only: an N-probe certificate reads the first 2^(N-1).
+_BRANCH_PARITY = np.bitwise_count(np.arange(2 ** (MAX_PROBES - 1))) & 1
+_BRANCH_PARITY.setflags(write=False)
 
 
 def _support_branch_amplitudes(support, n: int) -> np.ndarray:
@@ -152,7 +135,7 @@ def _certificate(support: np.ndarray, n: int,
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     amps = _support_branch_amplitudes(support, n)
     probs = np.einsum("ib,ib->b", amps.conj(), amps).real
-    refs = np.array([ref_plus, ref_minus])[_branch_parity(n)]
+    refs = np.array([ref_plus, ref_minus])[_BRANCH_PARITY[: 2 ** (n - 1)]]
     # a dead branch (probability below 1e-15) is divided by 1 and graded 0
     live = probs >= 1e-15
     cond = amps / np.sqrt(np.where(live, probs, 1.0))
@@ -177,7 +160,8 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
     if n < 2:
         raise ValueError("need at least 2 probes for a conversion certificate")
     box = phase_box(h, sum(phis))[[h.min_index, h.max_index]]
-    plus, minus = _start_supports(float(lam))
+    plus = ghz_support(lam)
+    minus = plus * [1, -1]  # negating the entry instead would flip a signed zero
     # box first: ghz_phase_support(h, [sum(phis)], lam) puts the amplitude
     # first in the product, which rounds differently in the last bit
     return _certificate(ghz_phase_support(h, phis, lam), n, box * plus, box * minus)

@@ -9,8 +9,8 @@ n-photon subspace indexed by the photon count of mode a
 (Generator.number_difference, spread 2n).  Both generators are diagonal in
 the number basis, so a phase box keeps each state on its two levels: the
 fringe zeros and the certificates' qubit side are evolved and graded on that
-support (states.ghz_phase_support), and fringe multiplies any probe it is
-given by one phase box (states.phase_box).
+support (states.ghz_phase_support, from states.ghz_support), and fringe
+multiplies any probe it is given by one phase box (states.phase_box).
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ import math
 import numpy as np
 
 from .linalg import fidelity_up_to_phase, worst
-from .states import MAX_PROBES, Generator, ghz_phase_support, phase_box, plus_minus_states
+from .states import (
+    MAX_PROBES,
+    Generator,
+    ghz_phase_support,
+    ghz_support,
+    phase_box,
+    plus_minus_states,
+)
 
 
 def fringe(h: Generator, probe: np.ndarray, phi: float) -> float:
@@ -53,9 +60,9 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     fringe at qubit_scale * phi| over 100 evenly spaced phi in [0, pi].
 
     The qubit GHZ supports of the whole grid are evolved by one stacked
-    ghz_phase_support call, and each is graded against the unevolved support:
-    the other 2^n - 2 entries of the n-qubit state are zero on both sides of
-    the overlap.
+    ghz_phase_support call, and each is graded against the unevolved support
+    ghz_support(): the other 2^n - 2 entries of the n-qubit state are zero on
+    both sides of the overlap.
     """
     if not 1 <= n <= MAX_PROBES:
         raise ValueError(f"n must lie in 1..{MAX_PROBES}")
@@ -64,7 +71,7 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
     qubit = Generator.qubit()
     grid = np.linspace(0.0, math.pi, 100)
     supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
-    initial = ghz_phase_support(qubit, [0.0] * n)
+    initial = ghz_support()
     return worst(abs(fringe(h, probe, phi) - fidelity_up_to_phase(initial, support))
                  for phi, support in zip(grid, supports))
 
@@ -79,7 +86,7 @@ def noon_fringe_zeros(n: int, count: int) -> list[float]:
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
     h = Generator.number_difference(n)
-    initial = ghz_phase_support(h, [0.0])
+    initial = ghz_support()
 
     def overlap(phi: float) -> float:
         return float(np.real(np.vdot(initial, ghz_phase_support(h, [phi]))))

@@ -1,8 +1,8 @@
 """Fisher information and Cramér-Rao precision bounds for the strategies.
 
-Quantum Fisher information is implemented for pure states only (4 * variance
-of the generator); every bound used here reduces to that or to the explicit
-dephasing formulas.
+crb takes the pure-state QFI (4 * variance of the generator) of the entangled
+strategy's GHZ support, and the binary fringe's classical Fisher information
+for the sequential and classical ones; the dephasing bounds are closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import ATOL_PREDICATE, as_vector
-from .states import Generator, StrategyKind, StrategySpec, ghz_phase_support
+from .states import Generator, StrategyKind, StrategySpec, ghz_support
 
 
 # Golden-section step: the inner points split the bracket at 1 - R and R.
@@ -78,18 +78,17 @@ def cfi_binary(n: int, phi: float) -> float:
 def crb(strategy: StrategySpec, nu: int) -> float:
     """Per-strategy Cramér-Rao bound 1/sqrt(nu F), with the Fisher information F
     computed on the qubit generator rather than hardcoded: the QFI of the
-    entangled strategy's GHZ support (one probe of N-fold spread), else
-    trials_per_repetition binary fringes of order fringe_order.  F is N^2 per
-    repetition, or N for the classical strategy, giving 1/(N sqrt(nu)) and
-    1/sqrt(N nu) respectively.
+    entangled strategy's GHZ support ghz_support(lam), one probe of N-fold
+    spread, else trials_per_repetition binary fringes of order fringe_order.
+    F is N^2 per repetition, or N for the classical strategy, giving
+    1/(N sqrt(nu)) and 1/sqrt(N nu) respectively.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     n = strategy.n_probes
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        h = Generator.qubit()
-        levels = Generator(n * h.eigenvalues[[h.min_index, h.max_index]])
-        fisher = qfi_pure(ghz_phase_support(h, [0.0], strategy.lam), levels)
+        levels = Generator(n * Generator.qubit().eigenvalues)
+        fisher = qfi_pure(ghz_support(strategy.lam), levels)
     else:
         order = strategy.fringe_order
         fisher = strategy.trials_per_repetition * cfi_binary(order, operating_phase(n))

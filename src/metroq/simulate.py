@@ -28,7 +28,14 @@ import numpy as np
 
 from .information import crb, operating_phase
 from .linalg import fidelity_up_to_phase
-from .states import MAX_PROBES, Generator, StrategyKind, StrategySpec, ghz_phase_support
+from .states import (
+    MAX_PROBES,
+    Generator,
+    StrategyKind,
+    StrategySpec,
+    ghz_phase_support,
+    ghz_support,
+)
 
 # Version 1 (reports without the field) drew nu, or N*nu, uniforms per round
 # on streams keyed on (N, round); version 2 is the scheme described above.
@@ -93,19 +100,17 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
 
     Every strategy is one evolution of the GHZ support on the qubit: its
     fringe_order boxes at phi, ghz_phase_support(h, [phi] * fringe_order,
-    lam), graded against the unevolved one-probe support
-    ghz_phase_support(h, [0.0], lam).  The boxes are N boxes on one probe
-    (sequential), one box on each of N probes of a GHZ state (entangled), or
-    one box (classical: its N probes are independent trials).  Diagonal boxes
-    multiply the same two entries whichever probe they act on, so the
-    sequential and entangled strategies share one computation, bit for bit.
-    The probability is the Born probability |<initial|final>|^2 that the
-    evolved state passes the projection back onto the initial one.
+    lam), graded against the unevolved support ghz_support(lam).  The boxes
+    are N boxes on one probe (sequential), one box on each of N probes of a
+    GHZ state (entangled), or one box (classical: its N probes are
+    independent trials).  Diagonal boxes multiply the same two entries
+    whichever probe they act on, so the sequential and entangled strategies
+    share one computation, bit for bit.  The probability is the Born
+    probability |<initial|final>|^2 that the evolved state passes the
+    projection back onto the initial one.
     """
-    h = Generator.qubit()
-    initial = ghz_phase_support(h, [0.0], strategy.lam)
-    final = ghz_phase_support(h, [phi] * strategy.fringe_order, strategy.lam)
-    return fidelity_up_to_phase(initial, final)
+    final = ghz_phase_support(Generator.qubit(), [phi] * strategy.fringe_order, strategy.lam)
+    return fidelity_up_to_phase(ghz_support(strategy.lam), final)
 
 
 def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:

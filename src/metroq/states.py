@@ -105,12 +105,14 @@ def ghz_like(h: Generator, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one probe")
     state = np.zeros(h.dim**n, dtype=np.complex128)
-    state[[repeated_index(h.dim, n, j) for j in (h.min_index, h.max_index)]] = _ghz_amplitudes(0.0)
+    state[[repeated_index(h.dim, n, j) for j in (h.min_index, h.max_index)]] = ghz_support()
     return state
 
 
-def _ghz_amplitudes(lam: float) -> np.ndarray:
-    """(1, e^{i lam})/sqrt(2): a GHZ-type state's amplitudes on its two levels."""
+def ghz_support(lam: float = 0.0) -> np.ndarray:
+    """(1, e^{i lam})/sqrt(2): the unevolved support of every GHZ-type state
+    (|min>^N + e^{i lam} |max>^N)/sqrt(2), whatever the generator and N, and
+    bitwise ghz_phase_support of zero phases, whose boxes are exactly 1."""
     return np.array([1 / math.sqrt(2), np.exp(1j * lam) / math.sqrt(2)])
 
 
@@ -124,7 +126,7 @@ def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
     result, shape (..., 2), holds their amplitudes.  Each probe's factor, the
     phase_box entries of the two extreme levels, is multiplied in from the
     last probe outward, so both amplitudes are bitwise those of the whole
-    register, its two entries (1, e^{i lam})/sqrt(2), times the d^N outer
+    register, its two entries ghz_support(lam), times the d^N outer
     product of the per-probe diagonals built in the same order.  The product
     starts from the last probe's factor itself, not from ones times it: a
     factor's imaginary part is never -0.0 (phase_box's exponent has imaginary
@@ -138,7 +140,7 @@ def ghz_phase_support(h: Generator, phis, lam: float = 0.0) -> np.ndarray:
     boxes = factors[..., -1, :]
     for j in reversed(range(phis.shape[-1] - 1)):
         boxes = factors[..., j, :] * boxes
-    return _ghz_amplitudes(lam) * boxes
+    return ghz_support(lam) * boxes
 
 
 def classical_corr_state(basis: str) -> np.ndarray:

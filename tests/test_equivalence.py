@@ -35,10 +35,12 @@ from metroq.linalg import (
     vec,
 )
 from metroq.states import (
+    MAX_PROBES,
     PAULI_X,
     Generator,
     ghz_like,
     ghz_phase_support,
+    ghz_support,
     phase_box,
     plus_minus_states,
 )
@@ -280,8 +282,7 @@ def _drop_last_phase(h, phis, lam=0.0):
 def test_a_patched_support_leaves_nothing_in_the_caches(capsys, monkeypatch):
     # the mutant run fills every cache afresh; once it is undone, the golden
     # verify must come out as if it had never run
-    for cache in (cli._parser, equivalence._start_supports, equivalence._phase_grid,
-                  equivalence._branch_parity):
+    for cache in (cli._parser, equivalence._phase_grid):
         cache.cache_clear()
     monkeypatch.setattr(equivalence, "ghz_phase_support", _drop_last_phase)
     code, rec = _conversion_check(capsys)
@@ -291,22 +292,24 @@ def test_a_patched_support_leaves_nothing_in_the_caches(capsys, monkeypatch):
     assert output == (GOLDEN / "verify-n12-seed0.json").read_bytes()
 
 
-@pytest.mark.parametrize("lams", [(0.0, -0.0, 0.7, -2.1), (-0.0, 0.0, -2.1, 0.7)],
-                         ids=["zero-first", "minus-zero-first"])
-def test_start_supports_are_every_generators_start_read_only(lams):
-    # lru_cache keys 0.0 and -0.0 as one lam, so the entry either fills must
-    # serve both: the cache is emptied and filled in both orders
-    equivalence._start_supports.cache_clear()
-    for lam in lams:
-        plus, minus = equivalence._start_supports(lam)
-        for cached in (plus, minus):
-            with pytest.raises(ValueError):
-                cached[0] = 0.0
-        for h in GENERATORS:
-            fresh = ghz_phase_support(h, [0.0], lam)
-            for cached, built in ((plus, fresh), (minus, fresh * [1, -1])):
-                assert cached.dtype == built.dtype and cached.shape == built.shape
-                assert cached.tobytes() == built.tobytes(), (h.eigenvalues, lam)
+def test_ghz_support_is_every_generators_zero_phase_evolution():
+    # a zero phase's box is exactly 1 at every level, so the start support is
+    # one array for every generator and every N, signed zeros included
+    for lam in (0.0, -0.0, math.pi, -math.pi, 0.7, -2.1):
+        start = ghz_support(lam)
+        for h, n in itertools.product(GENERATORS, (1, 2, 12)):
+            evolved = ghz_phase_support(h, [0.0] * n, lam)
+            assert start.dtype == evolved.dtype and start.shape == evolved.shape
+            assert start.tobytes() == evolved.tobytes(), (h.eigenvalues, n, lam)
+
+
+def test_branch_parity_slices_are_each_ns_parities_read_only():
+    with pytest.raises(ValueError):
+        equivalence._BRANCH_PARITY[0] = 1
+    for n in range(1, MAX_PROBES + 1):
+        parity = equivalence._BRANCH_PARITY[: 2 ** (n - 1)]
+        expected = np.bitwise_count(np.arange(2 ** (n - 1))) & 1
+        assert parity.dtype == expected.dtype and np.array_equal(parity, expected), n
 
 
 def test_phase_grid_is_a_read_only_fresh_build():

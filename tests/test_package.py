@@ -227,6 +227,46 @@ def test_every_strategy_starts_from_the_ghz_support():
     assert not {"StrategyKind", "kind"} & success
 
 
+def _is_zero_phase_list(node) -> bool:
+    """A list or tuple of literal zeros, alone or repeated by `*`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _is_zero_phase_list(node.left) or _is_zero_phase_list(node.right)
+    return (isinstance(node, (ast.List, ast.Tuple)) and bool(node.elts)
+            and all(isinstance(e, ast.Constant) and e.value == 0 for e in node.elts))
+
+
+def _zero_phase_evolutions(tree: ast.Module) -> set[str]:
+    """Calls of ghz_phase_support whose phases are literal zeros: the start
+    support built by evolving it."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        phis = node.args[1:2] + [k.value for k in node.keywords if k.arg == "phis"]
+        if name == "ghz_phase_support" and phis and _is_zero_phase_list(phis[0]):
+            found.add(f"line {node.lineno}")
+    return found
+
+
+def test_zero_phase_finder_sees_an_orphan():
+    tree = ast.parse("ghz_phase_support(h, [0.0], lam)\n"
+                     "states.ghz_phase_support(q, [0.0] * n)\n"
+                     "ghz_phase_support(h, phis=(0, 0.0))\n"
+                     "ghz_phase_support(h, n * [0])\n"
+                     "ghz_phase_support(h, [phi] * n)\n"
+                     "ghz_phase_support(h, [0.0, phi])\n"
+                     "ghz_support(0.0)\n")
+    assert _zero_phase_evolutions(tree) == {"line 1", "line 2", "line 3", "line 4"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_evolves_a_zero_phase_for_a_start(path):
+    # a start is states.ghz_support, the same for every generator and N
+    assert _zero_phase_evolutions(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
 def _unread_private_names(tree: ast.Module) -> set[str]:
     """Private module-level functions, classes and constants that the module
     never reads."""
