@@ -292,15 +292,24 @@ def test_a_patched_support_leaves_nothing_in_the_caches(capsys, monkeypatch):
     assert output == (GOLDEN / "verify-n12-seed0.json").read_bytes()
 
 
-def test_ghz_support_is_every_generators_zero_phase_evolution():
-    # a zero phase's box is exactly 1 at every level, so the start support is
-    # one array for every generator and every N, signed zeros included
-    for lam in (0.0, -0.0, math.pi, -math.pi, 0.7, -2.1):
-        start = ghz_support(lam)
+@pytest.mark.parametrize("lams", [(0.0, -0.0, math.pi, -math.pi, 0.7, -2.1),
+                                  (-0.0, 0.0, -math.pi, math.pi, -2.1, 0.7)],
+                         ids=["zero-first", "minus-zero-first"])
+def test_start_supports_are_every_generators_start_read_only(lams):
+    # a zero phase's box is exactly 1 at every level, so the start support and
+    # the minus reference built from it the way the certificate builds it are
+    # one pair for every generator and every N, signed zeros included; each
+    # call builds afresh, so a write to one start reaches no later start
+    for lam in lams:
+        plus = ghz_support(lam)
+        minus = plus * [1, -1]
         for h, n in itertools.product(GENERATORS, (1, 2, 12)):
             evolved = ghz_phase_support(h, [0.0] * n, lam)
-            assert start.dtype == evolved.dtype and start.shape == evolved.shape
-            assert start.tobytes() == evolved.tobytes(), (h.eigenvalues, n, lam)
+            for start, built in ((plus, evolved), (minus, evolved * [1, -1])):
+                assert start.dtype == built.dtype and start.shape == built.shape
+                assert start.tobytes() == built.tobytes(), (h.eigenvalues, n, lam)
+        plus[:] = 0.0
+        assert ghz_support(lam).tobytes() == evolved.tobytes(), lam
 
 
 def test_branch_parity_slices_are_each_ns_parities_read_only():
