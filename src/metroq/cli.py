@@ -130,7 +130,7 @@ def _finite(value, path: str, errors: list):
 
 def _emit(report: dict, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print(f"# {report['command']}")
         for rec in report["results"]:

@@ -10,11 +10,14 @@ word is hashed in here, with numpy's SeedSequence arithmetic (see
 derive_round_seed).  STREAM_VERSION names this sampling scheme; it changes
 whenever the same arguments would draw different numbers.
 
-A round's stream is opened by re-keying one Generator(Philox) per thread
-(see run_trials): its whole bit-generator state is reset to the state a
-fresh Philox(SeedSequence(words)) starts in, with the key hashed out of the
-SeedSequence pool here rather than by generate_state, whose call overhead,
-and that of building a Generator, cost more than the draw itself.
+A round's stream is Philox(round seed)'s.  Its key is hashed out of the
+round seed for all rounds of a row at once (philox_keys), with the same
+SeedSequence arithmetic on numpy uint64 arrays masked to 32 bits, and each
+round re-keys one Generator(Philox) per thread with its key (run_trials):
+the whole bit-generator state is reset to the one a fresh Philox(round
+seed) starts in.  A SeedSequence, a Philox or a Generator per round cost
+more than the draw itself.  The keys are the ones Philox takes, so the
+streams, and STREAM_VERSION, are unchanged by computing them this way.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-# hashmix's constant once a row's six entropy words are in the pool of 4:
-# 4 hashmixes fill it, 12 mix it pairwise and each key word past the pool
-# (strategy index, N) takes 4.  The round word's hashmixes into pool words 0
-# and 1 then start from _A24 and _A25.
-_A24, _A25, _A26 = (_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in (24, 25, 26))
+# hashmix's constant before and after its k-th call: _A[k] = _INIT_A * _MULT_A**k.
+# A pool of 4 takes 4 hashmixes to fill and 12 to mix pairwise, and each
+# entropy word past the pool takes 4: a row's key words (strategy index, N)
+# end at call 24, so the round word's hashmixes into pool words 0 and 1 are
+# calls 24 and 25.
+_A = tuple(_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in range(27))
 # generate_state's hash constant before each of its first four output words,
 # and after the fourth: _B[k] = _INIT_B * _MULT_B**k
 _B = tuple(_INIT_B * pow(_MULT_B, k, 2**32) & _MASK32 for k in range(5))
@@ -90,7 +94,8 @@ class ScalingReport:
     fitted_slope: float | None  # None when some row's RMSE is zero
     slope_stderr: float | None
     # Philox streams opened: one per round of each row, each a re-keying of
-    # the thread's one generator (run_trials)
+    # the thread's one generator (run_trials) with a key of the row's one
+    # philox_keys pass; the same streams as stream version 2 always opened
     streams: int
     draws: int  # Bernoulli trials drawn: the rounds' trials summed over rows
 
@@ -113,7 +118,7 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     return fidelity_up_to_phase(ghz_support(strategy.lam), final)
 
 
-def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
+def run_trials(strategy: StrategySpec, p: float, nu: int, key) -> int:
     """Return the success count of one round of the strategy's Bernoulli trials.
 
     A round makes trials_per_repetition * nu trials: nu at the N-fold fringe,
@@ -121,7 +126,7 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     the same N*nu box samplings per experiment.  The count of independent trials
     with a common success probability p is exactly Binomial(trials, p), so it
     is drawn as one binomial variate instead of trial by trial.
-    Deterministic for a fixed seed (Philox counter-based stream).
+    Deterministic for a fixed key (Philox counter-based stream).
 
     p is the strategy's strategy_success_probability at the round's phase.
     The caller computes it once and passes the same value to every round of a
@@ -129,39 +134,28 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, seed: int) -> int:
     samples 1 - p and returns trials - k once p > 1/2, so a p recomputed along
     a path that differs in the last bit could mirror every count.
 
-    The Philox key is the one Philox(seed) takes: the first two uint64s
-    that SeedSequence([seed mod 2^32, seed div 2^32]) generates, the words
-    numpy itself hashes for the int (a word missing from the pool of 4
-    mixes as a zero word, so seeds below 2^32 agree too).  Passing the
-    words as a uint32 array skips numpy's per-call coercion of the Python
-    int.  The key is hashed out of the SeedSequence's pool here
-    (_output_uint64) instead of by generate_state, and the draw comes from
-    this thread's one Generator(Philox), its bit generator's whole state
-    reset to the one a fresh Philox with that key starts in: counter 0, no
-    buffered output.  A fresh stream per round cost more in generate_state's
-    and the Generator's set-up than in the draw.  The count still depends
-    only on the arguments: nothing of an earlier draw survives the reset,
-    and numpy's cached binomial set-up is a function of (trials, p) alone.
+    key is the round's Philox key, the two uint64 words that philox_keys
+    returns for the round seed: the draw is the one Generator(Philox(seed))
+    makes.  It comes from this thread's one Generator(Philox), its bit
+    generator's whole state reset to the one a fresh Philox with that key
+    starts in: counter 0, no buffered output.  A fresh stream per round cost
+    more in its SeedSequence's and the Generator's set-up than in the draw.
+    The count still depends only on the arguments: nothing of an earlier draw
+    survives the reset, and numpy's cached binomial set-up is a function of
+    (trials, p) alone.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError("p must lie in [0, 1]")
     trials = strategy.trials_per_repetition * nu
-    words = np.array([seed & _MASK32, seed >> 32], dtype=np.uint32)
-    p0, p1, p2, p3 = np.random.SeedSequence(words).pool.tolist()
     try:
         rng = _thread.rng
     except AttributeError:  # this thread's first draw
         rng = _thread.rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": (0, 0, 0, 0),
-            "key": (_output_uint64(p0, p1, 0), _output_uint64(p2, p3, 1)),
-        },
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # the buffer of 4 uint64s is used up
         "has_uint32": 0,
@@ -183,7 +177,24 @@ def estimate_phase(k: int, nu: int, n: int) -> float:
     return (2.0 / n) * math.acos(math.sqrt(k / nu))
 
 
-def _output_uint64(lo_word: int, hi_word: int, i: int) -> int:
+# _hashmix, _mix and _output_uint64 take Python ints (derive_round_seed) or
+# numpy uint64 arrays of uint32 words (philox_keys): a product of two uint32
+# words fits in 64 bits, and every result is masked back to 32.
+
+
+def _hashmix(value, k: int):
+    """numpy's hashmix of a uint32 word as the hash's k-th call."""
+    h = (value ^ _A[k]) * _A[k + 1] & _MASK32
+    return h ^ h >> _XSHIFT
+
+
+def _mix(x, y):
+    """numpy's mix of a hashed word y into the pool word x."""
+    m = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return m ^ m >> _XSHIFT
+
+
+def _output_uint64(lo_word, hi_word, i: int):
     """uint64 number i of SeedSequence.generate_state(n, np.uint64), n > i,
     from the mixed pool words 2i and 2i+1: each hashed into one uint32 output
     word with numpy's arithmetic, the low one first."""
@@ -191,6 +202,33 @@ def _output_uint64(lo_word: int, hi_word: int, i: int) -> int:
     lo = (lo_word ^ _B[k]) * _B[k + 1] & _MASK32
     hi = (hi_word ^ _B[k + 1]) * _B[k + 2] & _MASK32
     return (hi ^ hi >> _XSHIFT) << 32 | lo ^ lo >> _XSHIFT
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """The Philox key Philox(seed) takes, for each seed: an (n, 2) uint64 array.
+
+    A key is SeedSequence([seed mod 2^32, seed div 2^32]).generate_state(2,
+    np.uint64), the words numpy itself hashes for the int (a word missing
+    from the pool of 4 mixes as a zero word, so seeds below 2^32 agree
+    too).  The pool is filled, mixed and hashed out with numpy's
+    SeedSequence arithmetic on arrays, every seed at once.  Raises
+    ValueError unless seeds is a 1-d sequence of 64-bit unsigned integers.
+    """
+    if np.ndim(seeds) != 1:
+        raise ValueError("seeds must be a 1-d sequence")
+    if not all(0 <= seed < 2**64 for seed in seeds):
+        raise ValueError("seeds must be 64-bit unsigned integers")
+    seeds = np.array(seeds, dtype=np.uint64)
+    # mix_entropy: the two words and two zero words fill the pool of 4, then
+    # every pool word is mixed into each of the other three
+    pool = [_hashmix(seeds & _MASK32, 0), _hashmix(seeds >> 32, 1), _hashmix(0, 2), _hashmix(0, 3)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
+                k += 1
+    return np.stack([_output_uint64(pool[0], pool[1], 0), _output_uint64(pool[2], pool[3], 1)], 1)
 
 
 @functools.lru_cache(maxsize=len(_STREAM_INDEX) * MAX_PROBES)  # the rows of one run
@@ -227,13 +265,11 @@ def derive_round_seed(seed: int, kind: StrategyKind, n: int, round_index: int) -
     if not (0 <= n <= _MASK32 and 0 <= round_index <= _MASK32):
         raise ValueError("n and round_index must be 32-bit unsigned integers")
     pool0, pool1 = _row_pool(seed, _STREAM_INDEX[kind], n)
-    # mix_entropy's last step: hashmix(round_index) mixed into pool words 0, 1
-    h0 = (round_index ^ _A24) * _A25 & _MASK32
-    h1 = (round_index ^ _A25) * _A26 & _MASK32
-    m0 = (_MIX_MULT_L * pool0 - _MIX_MULT_R * (h0 ^ h0 >> _XSHIFT)) & _MASK32
-    m1 = (_MIX_MULT_L * pool1 - _MIX_MULT_R * (h1 ^ h1 >> _XSHIFT)) & _MASK32
-    # mix's closing xorshift, then generate_state's first uint64
-    return _output_uint64(m0 ^ m0 >> _XSHIFT, m1 ^ m1 >> _XSHIFT, 0)
+    # mix_entropy's last step, the round word mixed into pool words 0 and 1,
+    # then generate_state's first uint64
+    return _output_uint64(
+        _mix(pool0, _hashmix(round_index, 24)), _mix(pool1, _hashmix(round_index, 25)), 0
+    )
 
 
 def rmse_stderr(rmse: float, rounds: int) -> float:
@@ -274,9 +310,12 @@ def scaling_experiment(
     For each N the success probability p is computed once, by one
     strategy_success_probability call, and every round of the row draws
     from that same p (see run_trials).  Each round draws its success count
-    from its own Philox stream (see derive_round_seed), estimates the phase
-    by inverting the fringe of the strategy's order, and contributes to the
-    per-N RMSE about the operating phase.  Rows carry the matching Cramér-Rao
+    from its own Philox stream: the row's round seeds come one
+    derive_round_seed call per round, their Philox keys from one
+    philox_keys pass per row, and each round makes one run_trials draw with
+    its key.  The round estimates the phase by inverting the fringe of the
+    strategy's order and contributes to the per-N RMSE about the operating
+    phase.  Rows carry the matching Cramér-Rao
     bound and the number of saturated rounds.  The fitted slope and its
     standard error are None when some N has zero RMSE.  The report also
     counts the streams opened and the trials drawn.
@@ -298,8 +337,9 @@ def scaling_experiment(
         order = strat.fringe_order
         errors = np.empty(rounds)
         saturated = 0
-        for r in range(rounds):
-            k = run_trials(strat, p, nu, derive_round_seed(seed, kind, n, r))
+        keys = philox_keys([derive_round_seed(seed, kind, n, r) for r in range(rounds)])
+        for r, key in enumerate(keys.tolist()):
+            k = run_trials(strat, p, nu, key)
             saturated += k in (0, trials)
             errors[r] = estimate_phase(k, trials, order) - phi
         streams += rounds

@@ -673,6 +673,17 @@ def test_noon_fringe_zeros_check_keeps_a_nan(monkeypatch):
     assert math.isnan(cli.check_noon_fringe_zeros(3, 3))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emit_refuses_a_non_finite_float(capsys, value):
+    # Report.add nulls every non-finite value, so one that reaches _emit is a
+    # defect: it raises rather than print NaN or Infinity, which are not JSON
+    report = {"command": "fisher", "pass": True,
+              "results": [{"name": "fisher-table", "pass": True, "rows": [{"crb": value}]}]}
+    with pytest.raises(ValueError):
+        cli._emit(report, "json")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv, module, function, exc, verdict, keys", [
     (["verify", "--n-max", "4"], equivalence, "unaveraged_counterexample_fisher", RuntimeError,
      "counterexample-unaveraged-fisher", ["residual", "error", "tolerance"]),

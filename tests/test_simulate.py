@@ -2,16 +2,19 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from metroq.information import operating_phase
+from metroq.information import crb, operating_phase
 from metroq.linalg import fidelity_up_to_phase
 from metroq.simulate import (
+    ScalingRow,
     derive_round_seed,
     estimate_phase,
     fit_loglog_slope,
+    philox_keys,
     run_trials,
     scaling_experiment,
     strategy_success_probability,
@@ -123,28 +126,29 @@ def test_run_trials_degenerate_probabilities():
     spec = StrategySpec(StrategyKind.SEQUENTIAL, 2)
     p_one = strategy_success_probability(spec, 0.0)
     p_zero = strategy_success_probability(spec, math.pi / 2)  # N phi = pi
-    assert run_trials(spec, p_one, 500, seed=1) == 500
-    assert run_trials(spec, p_zero, 500, seed=1) == 0
+    key = philox_keys([1])[0]
+    assert run_trials(spec, p_one, 500, key) == 500
+    assert run_trials(spec, p_zero, 500, key) == 0
 
 
 def test_run_trials_deterministic():
     spec = StrategySpec(StrategyKind.ENTANGLED_PARALLEL, 4)
     p = strategy_success_probability(spec, 0.2)
-    a = run_trials(spec, p, 1000, seed=77)
-    b = run_trials(spec, p, 1000, seed=77)
+    a = run_trials(spec, p, 1000, philox_keys([77])[0])
+    b = run_trials(spec, p, 1000, philox_keys([77])[0])
     assert a == b
 
 
 def test_classical_strategy_uses_n_nu_probes():
     spec = StrategySpec(StrategyKind.CLASSICAL_PARALLEL, 4)
-    k = run_trials(spec, strategy_success_probability(spec, 0.0), 250, seed=3)
+    k = run_trials(spec, strategy_success_probability(spec, 0.0), 250, philox_keys([3])[0])
     assert k == 4 * 250  # every one of the N*nu probes coincides at phi = 0
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
 def test_run_trials_rejects_bad_probability(p):
     with pytest.raises(ValueError):
-        run_trials(StrategySpec(StrategyKind.SEQUENTIAL, 2), p, 10, seed=0)
+        run_trials(StrategySpec(StrategyKind.SEQUENTIAL, 2), p, 10, philox_keys([0])[0])
 
 
 def test_strategy_probability_forms():
@@ -207,7 +211,7 @@ def test_rmse_shrinks_with_nu():
     rmses = []
     for nu in (100, 1000, 10000):
         errs = [
-            estimate_phase(run_trials(spec, p, nu, seed=1000 + r), nu, 4) - phi
+            estimate_phase(run_trials(spec, p, nu, philox_keys([1000 + r])[0]), nu, 4) - phi
             for r in range(60)
         ]
         rmses.append(math.sqrt(float(np.mean(np.square(errs)))))
@@ -272,9 +276,6 @@ def test_scaling_experiment_rejects_bad_sizes_and_counts(n_values, nu, rounds):
 
 
 def test_seed_must_be_unsigned_64_bit():
-    spec = StrategySpec(StrategyKind.SEQUENTIAL, 2)
-    with pytest.raises(ValueError):
-        run_trials(spec, strategy_success_probability(spec, 0.1), 10, seed=-1)
     with pytest.raises(ValueError):
         scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 4), nu=10, rounds=2, seed=2**64)
     for seed in (-1, 2**64):
@@ -296,6 +297,62 @@ ORACLE_SEEDS = EDGE_SEEDS + [
 ORACLE_ROUNDS = (0, 1, 999, 2**32 - 1)
 
 
+def test_philox_keys_are_the_keys_philox_takes():
+    # one pass over every oracle seed, against numpy's own hash of the seed's
+    # two words, the words Philox(int) hashes
+    keys = philox_keys(ORACLE_SEEDS)
+    assert keys.dtype == np.uint64 and keys.shape == (len(ORACLE_SEEDS), 2)
+    for seed, key in zip(ORACLE_SEEDS, keys):
+        expected = np.random.SeedSequence([seed & 0xFFFFFFFF, seed >> 32]).generate_state(
+            2, np.uint64)
+        assert key.tolist() == expected.tolist(), seed
+
+
+@pytest.mark.parametrize("seeds", [[-1], [2**64], [0, 2**64 - 1, 2**64], 5, [[1, 2]], [[0], [1]]])
+def test_philox_keys_rejects_seeds_outside_64_bits_and_non_1d_input(seeds):
+    with pytest.raises(ValueError):
+        philox_keys(seeds)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_scaling_rows_match_the_per_round_reference(kind):
+    # Every round of a row from numpy's spawn-key seed, a fresh Philox of it
+    # and the fringe inversion, one round at a time, at the edge seeds
+    nu, rounds = 1000, 20
+    for seed in EDGE_SEEDS:
+        report = scaling_experiment(kind, range(1, MAX_PROBES + 1), nu, rounds, seed)
+        expected = []
+        for n in range(1, MAX_PROBES + 1):
+            spec, phi = StrategySpec(kind, n), operating_phase(n)
+            p = strategy_success_probability(spec, phi)
+            trials = spec.trials_per_repetition * nu
+            children = [derive_round_seed_spawn_key(seed, kind, n, r) for r in range(rounds)]
+            counts = [binomial_from_int_seed(trials, p, child) for child in children]
+            errors = np.array([estimate_phase(k, trials, spec.fringe_order) - phi for k in counts])
+            expected.append(ScalingRow(n=n, empirical_rmse=float(np.sqrt(np.mean(errors**2))),
+                                       crb=crb(spec, nu),
+                                       saturated_rounds=sum(k in (0, trials) for k in counts)))
+        assert report.rows == tuple(expected), seed
+
+
+def test_scaling_builds_no_seed_sequence_or_philox_per_round(monkeypatch):
+    # numpy builds at most each row's pool (_row_pool); the round keys come
+    # from one philox_keys pass per row and re-key this thread's Philox
+    spec = StrategySpec(StrategyKind.SEQUENTIAL, 1)
+    run_trials(spec, 0.5, 1, philox_keys([0])[0])  # this thread's Philox exists
+    built = Counter()
+    for name in ("SeedSequence", "Philox"):
+        def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, counting)
+    n_values, rounds = (1, 2, 4, 8), 50
+    for kind in StrategyKind:
+        scaling_experiment(kind, n_values, nu=100, rounds=rounds, seed=2**63 + 5)
+    assert built["SeedSequence"] <= len(StrategyKind) * len(n_values)
+    assert built["Philox"] == 0
+
+
 @pytest.mark.parametrize("kind", list(StrategyKind))
 def test_round_seed_and_draw_match_the_spawn_key_form(kind):
     # derive_round_seed hashes the round word into a pool numpy builds once
@@ -308,7 +365,8 @@ def test_round_seed_and_draw_match_the_spawn_key_form(kind):
     p, nu = 0.3, 100_000
     trials = 3 * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
     for seed in ORACLE_SEEDS:
-        assert run_trials(spec, p, nu, seed) == binomial_from_int_seed(trials, p, seed), seed
+        key = philox_keys([seed])[0]
+        assert run_trials(spec, p, nu, key) == binomial_from_int_seed(trials, p, seed), seed
     rounds = [(seed, k, n, r)
               for seed in ORACLE_SEEDS
               for k in (StrategyKind if seed in EDGE_SEEDS else (kind,))
@@ -319,7 +377,8 @@ def test_round_seed_and_draw_match_the_spawn_key_form(kind):
         child = derive_round_seed(seed, k, n, r)
         assert child == derive_round_seed_spawn_key(seed, k, n, r), (seed, k, n, r)
         if k is kind and n in (1, 3, 12):  # spec's own N and the ends of the range
-            assert run_trials(spec, p, nu, child) == binomial_from_int_seed(trials, p, child)
+            assert (run_trials(spec, p, nu, philox_keys([child])[0])
+                    == binomial_from_int_seed(trials, p, child))
 
 
 @pytest.mark.parametrize(
@@ -332,7 +391,8 @@ def test_run_trials_count_is_binomial(kind, phi):
     spec = StrategySpec(kind, n)
     p = strategy_success_probability(spec, phi)
     trials = n * nu if kind is StrategyKind.CLASSICAL_PARALLEL else nu
-    counts = np.array([run_trials(spec, p, nu, seed=s) for s in range(seeds)], dtype=float)
+    counts = np.array([run_trials(spec, p, nu, philox_keys([s])[0]) for s in range(seeds)],
+                      dtype=float)
     var = trials * p * (1 - p)
     mu4 = var * (1 + 3 * (trials - 2) * p * (1 - p))  # fourth central moment
     mean_se = math.sqrt(var / seeds)
@@ -363,11 +423,11 @@ def test_reused_generator_carries_nothing_between_draws():
         for spec, nu, p in REUSE_CASES[i % 6:] + REUSE_CASES[:i % 6]:
             if p > 1.0:
                 with pytest.raises(ValueError):
-                    run_trials(spec, p, nu, seed)
+                    run_trials(spec, p, nu, philox_keys([seed])[0])
                 continue
             trials = spec.trials_per_repetition * nu
-            assert run_trials(spec, p, nu, seed) == binomial_from_int_seed(trials, p, seed), (
-                seed, trials, p)
+            assert (run_trials(spec, p, nu, philox_keys([seed])[0])
+                    == binomial_from_int_seed(trials, p, seed)), (seed, trials, p)
 
 
 def test_threads_draw_from_their_own_generators():
@@ -379,7 +439,7 @@ def test_threads_draw_from_their_own_generators():
     counts = [None, None]
 
     def draw(t):
-        counts[t] = [run_trials(spec, p, nu, seed) for seed in seeds[t]]
+        counts[t] = [run_trials(spec, p, nu, philox_keys([seed])[0]) for seed in seeds[t]]
 
     threads = [threading.Thread(target=draw, args=(t,)) for t in range(2)]
     interval = sys.getswitchinterval()
@@ -411,7 +471,8 @@ def test_one_philox_per_thread(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     counts = []
     thread = threading.Thread(
-        target=lambda: counts.extend(run_trials(spec, p, nu, seed) for seed in range(50)))
+        target=lambda: counts.extend(
+            run_trials(spec, p, nu, philox_keys([seed])[0]) for seed in range(50)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
