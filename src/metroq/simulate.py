@@ -11,11 +11,11 @@ derive_round_seed).  STREAM_VERSION names this sampling scheme; it changes
 whenever the same arguments would draw different numbers.
 
 A round's stream is Philox(round seed)'s.  Its key is hashed out of the
-round seed for all rounds of a row at once (philox_keys), with the same
-SeedSequence arithmetic on numpy uint64 arrays masked to 32 bits, and each
-round re-keys one Generator(Philox) per thread with its key (run_trials):
-the whole bit-generator state is reset to the one a fresh Philox(round
-seed) starts in.  A SeedSequence, a Philox or a Generator per round cost
+round seed for all rounds of an experiment, every row, at once
+(philox_keys), with the same SeedSequence arithmetic on numpy uint64 arrays
+masked to 32 bits, and each round re-keys one Generator(Philox) per thread
+with its key (run_trials): the whole bit-generator state is reset to the
+one a fresh Philox(round seed) starts in.  A SeedSequence, a Philox or a Generator per round cost
 more than the draw itself.  The keys are the ones Philox takes, so the
 streams, and STREAM_VERSION, are unchanged by computing them this way.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -94,8 +95,8 @@ class ScalingReport:
     fitted_slope: float | None  # None when some row's RMSE is zero
     slope_stderr: float | None
     # Philox streams opened: one per round of each row, each a re-keying of
-    # the thread's one generator (run_trials) with a key of the row's one
-    # philox_keys pass; the same streams as stream version 2 always opened
+    # the thread's one generator (run_trials) with a key of the experiment's
+    # one philox_keys pass; the same streams as stream version 2 always opened
     streams: int
     draws: int  # Bernoulli trials drawn: the rounds' trials summed over rows
 
@@ -297,6 +298,16 @@ def fit_loglog_slope(ns, rmses) -> tuple[float, float]:
     return slope, math.sqrt(s2 / sxx)
 
 
+def _probe_count(n) -> int:
+    """n as a Python int, or ValueError unless it is an integer other than a bool."""
+    if isinstance(n, bool):
+        raise ValueError("n_values must list integers, not booleans")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"n_values must list integers, not {n!r}") from None
+
+
 def scaling_experiment(
     kind: StrategyKind, n_values, nu: int, rounds: int, seed: int
 ) -> ScalingReport:
@@ -305,51 +316,50 @@ def scaling_experiment(
     The report is a pure function of the arguments.  Rows come in increasing
     N, each estimated at its maximum-sensitivity operating point pi/(2N).
     Raises ValueError unless nu, rounds >= 1, the seed is a 64-bit unsigned
-    integer and n_values lists at least 3 distinct positive N.
+    integer and n_values lists at least 3 distinct positive integers (bools
+    are not sizes; rows hold each N as a Python int).
 
     For each N the success probability p is computed once, by one
     strategy_success_probability call, and every round of the row draws
     from that same p (see run_trials).  Each round draws its success count
-    from its own Philox stream: the row's round seeds come one
+    from its own Philox stream: every row's round seeds come first, one
     derive_round_seed call per round, their Philox keys from one
-    philox_keys pass per row, and each round makes one run_trials draw with
-    its key.  The round estimates the phase by inverting the fringe of the
-    strategy's order and contributes to the per-N RMSE about the operating
-    phase.  Rows carry the matching Cramér-Rao
-    bound and the number of saturated rounds.  The fitted slope and its
-    standard error are None when some N has zero RMSE.  The report also
-    counts the streams opened and the trials drawn.
+    philox_keys pass per experiment, and each round makes one run_trials
+    draw with its key.  The round estimates the phase by inverting the
+    fringe of the strategy's order and contributes to the per-N RMSE about
+    the operating phase.  Rows carry the matching Cramér-Rao bound and the
+    number of saturated rounds.  The fitted slope and its standard error
+    are None when some N has zero RMSE.  The report also counts the streams
+    opened and the trials drawn.
     """
     if nu < 1 or rounds < 1:
         raise ValueError("nu and rounds must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    n_values = sorted(n_values)
+    n_values = sorted(_probe_count(n) for n in n_values)
     if len(n_values) < 3 or n_values[0] < 1 or len(set(n_values)) < len(n_values):
         raise ValueError("n_values must list at least 3 distinct positive integers")
+    keys = philox_keys(
+        [derive_round_seed(seed, kind, n, r) for n in n_values for r in range(rounds)]
+    )
     rows = []
-    streams = draws = 0
-    for n in n_values:
+    draws = 0
+    for i, n in enumerate(n_values):
         strat = StrategySpec(kind, n)
         phi = operating_phase(n)
         p = strategy_success_probability(strat, phi)
         trials = strat.trials_per_repetition * nu
-        order = strat.fringe_order
-        errors = np.empty(rounds)
-        saturated = 0
-        keys = philox_keys([derive_round_seed(seed, kind, n, r) for r in range(rounds)])
-        for r, key in enumerate(keys.tolist()):
-            k = run_trials(strat, p, nu, key)
-            saturated += k in (0, trials)
-            errors[r] = estimate_phase(k, trials, order) - phi
-        streams += rounds
+        # converted per row, so only one row's keys are Python lists at a time
+        row_keys = keys[i * rounds:(i + 1) * rounds].tolist()
+        counts = [run_trials(strat, p, nu, key) for key in row_keys]
+        errors = np.array([estimate_phase(k, trials, strat.fringe_order) for k in counts]) - phi
         draws += rounds * trials
         rows.append(
             ScalingRow(
                 n=n,
                 empirical_rmse=float(np.sqrt(np.mean(errors**2))),
                 crb=crb(strat, nu),
-                saturated_rounds=saturated,
+                saturated_rounds=counts.count(0) + counts.count(trials),
             )
         )
     # A zero RMSE (every round at some N hit phi exactly, reachable at small
@@ -359,5 +369,5 @@ def scaling_experiment(
     if min(rmses) > 0:
         slope, stderr = fit_loglog_slope([row.n for row in rows], rmses)
     return ScalingReport(
-        rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr, streams=streams, draws=draws
+        rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr, streams=len(keys), draws=draws
     )

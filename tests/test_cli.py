@@ -413,6 +413,9 @@ CSV_DIGESTS = [
     (["--strategies", "entangled", "--n-values", "1,2,6", "--nu", "4000", "--rounds", "20",
       "--seed", "5"],
      "35dad0dda1d069b89f6804c431b89a675bc93f3f75a0d4771ac950795e246eea"),
+    (["--strategies", "sequential,classical,entangled", "--n-values", "1,2,4,8,12",
+      "--nu", "100000", "--rounds", "100", "--seed", "42"],
+     "bc9c9ae4bc281c7b9c927aa5127893287d1d21703a9cc42b046cc3961a766332"),
 ]
 
 

@@ -237,6 +237,10 @@ def test_scaling_rows_come_in_increasing_n():
     ordered = scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 3, 4), 100, 5, 9)
     assert [row.n for row in shuffled.rows] == [1, 2, 3, 4]
     assert shuffled == ordered
+    # numpy sizes give the same report, its rows holding Python ints
+    from_numpy = scaling_experiment(StrategyKind.SEQUENTIAL, np.array([4, 1, 3, 2]), 100, 5, 9)
+    assert from_numpy == ordered
+    assert all(type(row.n) is int for row in from_numpy.rows)
 
 
 def test_success_probability_computed_once_per_row(monkeypatch):
@@ -250,6 +254,36 @@ def test_success_probability_computed_once_per_row(monkeypatch):
     monkeypatch.setattr("metroq.simulate.strategy_success_probability", counting)
     scaling_experiment(StrategyKind.ENTANGLED_PARALLEL, (1, 2, 4), nu=100, rounds=7, seed=3)
     assert [n for n, _ in calls] == [1, 2, 4]
+
+
+def test_scaling_makes_one_key_pass_per_experiment(monkeypatch):
+    # Every row's round seeds, in row order, are hashed into keys by one
+    # philox_keys call; seeds and draws stay one call per round.
+    n_values, rounds, seed = (4, 1, 2), 7, 3
+    calls = Counter()
+    passes = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def key_pass(seeds):
+        passes.append(list(seeds))
+        return philox_keys(seeds)
+
+    monkeypatch.setattr("metroq.simulate.philox_keys", key_pass)
+    monkeypatch.setattr("metroq.simulate.derive_round_seed",
+                        counting("derive_round_seed", derive_round_seed))
+    monkeypatch.setattr("metroq.simulate.run_trials", counting("run_trials", run_trials))
+    kind = StrategyKind.CLASSICAL_PARALLEL
+    report = scaling_experiment(kind, n_values, nu=100, rounds=rounds, seed=seed)
+    assert passes == [[derive_round_seed(seed, kind, n, r)
+                       for n in sorted(n_values) for r in range(rounds)]]
+    assert calls == {"derive_round_seed": len(n_values) * rounds,
+                     "run_trials": len(n_values) * rounds}
+    assert report.streams == len(n_values) * rounds
 
 
 def test_scaling_requires_three_sizes():
@@ -269,6 +303,9 @@ def test_slope_fit_needs_three_distinct_sizes():
     ((0, 1, 2), 100, 5),
     ((1, 2, 4), 0, 5),
     ((1, 2, 4), 100, 0),
+    ((1, 2, 2.5), 100, 5),  # sizes are integers, not floats
+    ((1, 2, 4.0), 100, 5),
+    ((2, 3, True), 100, 5),  # nor booleans, though True indexes as 1
 ])
 def test_scaling_experiment_rejects_bad_sizes_and_counts(n_values, nu, rounds):
     with pytest.raises(ValueError):
@@ -337,7 +374,7 @@ def test_scaling_rows_match_the_per_round_reference(kind):
 
 def test_scaling_builds_no_seed_sequence_or_philox_per_round(monkeypatch):
     # numpy builds at most each row's pool (_row_pool); the round keys come
-    # from one philox_keys pass per row and re-key this thread's Philox
+    # from one philox_keys pass per experiment and re-key this thread's Philox
     spec = StrategySpec(StrategyKind.SEQUENTIAL, 1)
     run_trials(spec, 0.5, 1, philox_keys([0])[0])  # this thread's Philox exists
     built = Counter()
