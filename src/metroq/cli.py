@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -21,20 +22,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import equivalence, fock
-from .channels import amplitude_damping, bit_phase_flip, dephasing, is_diag_or_antidiag, is_unital
-from .information import (
-    cfi_binary,
-    collective_generator,
-    crb,
-    operating_phase,
-    optimal_frequency_bound,
-    phase_bound_dephasing,
-    qfi_pure,
-)
-from .linalg import haar_unitary, trace_distance, vec_identity_residual, worst
-from .simulate import STREAM_VERSION, ScalingReport, rmse_stderr, scaling_experiment
-from .states import MAX_PROBES, PAULI_X, Generator, StrategyKind, StrategySpec, ghz_like, phase_box
+from . import linalg, states
+
+
+def _lazy(name: str):
+    """The layer metroq.<name>, registered but not yet run: its source is
+    compiled and run on the first attribute read, so a command pays only for
+    the layers it uses.  The module is in sys.modules and on the package
+    from the start, where perfbench's span recorder finds every layer; its
+    `vars()` runs it.  A layer imported before this module is returned as is.
+    Python 3.11's LazyLoader takes no lock, so a threaded host that could make
+    a layer's first read from two threads at once imports the layers first."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# states and linalg load with cli: the flag ranges, the slope bands and QUBIT
+# read them.  The layers below load with the first command that reads them.
+channels, equivalence, fock, information, simulate = map(
+    _lazy, ("channels", "equivalence", "fock", "information", "simulate"))
 
 MAX_NU = 100_000
 MAX_ROUNDS = 1_000
@@ -42,8 +56,8 @@ MAX_ROUNDS = 1_000
 # Closed ranges of the numeric flags, by argparse dest.  Every bound is finite
 # and a comparison with NaN is false, so NaN and +-inf fall outside them too.
 FLAG_RANGES = {
-    "n_max": (2, MAX_PROBES),
-    "n": (1, MAX_PROBES),
+    "n_max": (2, states.MAX_PROBES),
+    "n": (1, states.MAX_PROBES),
     "nu": (1, MAX_NU),
     "rounds": (1, MAX_ROUNDS),
     "p": (0.0, 1.0),
@@ -54,18 +68,15 @@ FLAG_RANGES = {
 }
 
 SLOPE_BANDS = {
-    StrategyKind.SEQUENTIAL: (-1.15, -0.85),
-    StrategyKind.ENTANGLED_PARALLEL: (-1.15, -0.85),
-    StrategyKind.CLASSICAL_PARALLEL: (-0.65, -0.35),
+    states.StrategyKind.SEQUENTIAL: (-1.15, -0.85),
+    states.StrategyKind.ENTANGLED_PARALLEL: (-1.15, -0.85),
+    states.StrategyKind.CLASSICAL_PARALLEL: (-0.65, -0.35),
 }
 
-QUBIT = Generator.qubit()
+QUBIT = states.Generator.qubit()
 
-CHANNELS = {
-    "dephasing": dephasing,
-    "bitphaseflip": bit_phase_flip,
-    "amplitudedamping": amplitude_damping,
-}
+# --channel's names; cmd_noise maps each to its constructor
+CHANNELS = ("amplitudedamping", "bitphaseflip", "dephasing")
 
 
 @dataclass
@@ -153,13 +164,13 @@ def _resolve_seed(args, parser) -> int:
     return seed
 
 
-def _parse_strategies(text: str, parser) -> list[StrategyKind]:
+def _parse_strategies(text: str, parser) -> list[states.StrategyKind]:
     names = [name.strip() for name in text.split(",")]
-    if not set(names) <= {kind.value for kind in StrategyKind}:
+    if not set(names) <= {kind.value for kind in states.StrategyKind}:
         parser.error(f"--strategies entries must be sequential, classical or entangled: {text!r}")
     if len(set(names)) < len(names):
         parser.error(f"--strategies lists a strategy more than once: {text!r}")
-    return [StrategyKind(name) for name in names]
+    return [states.StrategyKind(name) for name in names]
 
 
 def _validate(args, parser) -> None:
@@ -176,10 +187,13 @@ def _validate(args, parser) -> None:
             args.n_values = [int(part) for part in text.split(",")]
         except ValueError:
             parser.error(f"--n-values must be a comma-separated integer list, got {text!r}")
-        if not all(1 <= n <= MAX_PROBES for n in args.n_values):
-            parser.error(f"--n-values entries must lie in 1..{MAX_PROBES}, got {text!r}")
+        if not all(1 <= n <= states.MAX_PROBES for n in args.n_values):
+            parser.error(f"--n-values entries must lie in 1..{states.MAX_PROBES}, got {text!r}")
         if len(set(args.n_values)) < len(args.n_values):
             parser.error(f"--n-values lists an entry more than once: {text!r}")
+    if args.command == "frequency" and len(args.n_values) < 2:
+        # the bound's spread over a single N is zero whatever the bound is
+        parser.error("--n-values needs at least 2 entries")
     if "strategies" in flags:
         if len(args.n_values) < 3:
             parser.error("--n-values needs at least 3 entries")
@@ -206,15 +220,15 @@ def check_vectorization(rng, n_max: int, samples: int) -> float:
         if group:
             z = np.stack(group)
             a, b, c = (z[:, i, 0] + 1j * z[:, i, 1] for i in range(3))
-            residuals.extend(vec_identity_residual(a, b, c))
-    return worst(residuals)
+            residuals.extend(linalg.vec_identity_residual(a, b, c))
+    return linalg.worst(residuals)
 
 
 def _conversion_residuals(certs) -> tuple[float, float, float]:
     """Worst fidelity deficit, branch-probability error and missing-branch count."""
     residuals = [(1.0 - cert.min_fidelity, cert.max_prob_error,
                   abs(cert.probabilities.size - 2 ** (cert.n_probes - 1))) for cert in certs]
-    return tuple(worst(column) for column in zip(*residuals))
+    return tuple(linalg.worst(column) for column in zip(*residuals))
 
 
 def check_conversion_n2(rng, n_max: int, samples: int) -> tuple[float, float, float]:
@@ -244,7 +258,8 @@ def check_counterexample(rng, n_max: int, basis: str, grid: int) -> tuple[float,
     from the state at phi = 0.  The grid is evaluated as one stack."""
     ref = equivalence.counterexample(basis, 0.0)
     avg = equivalence.counterexample(basis, np.linspace(0.0, math.pi, grid))
-    return float(np.max(np.abs(avg - np.eye(2) / 2))), float(np.max(trace_distance(avg, ref)))
+    return (float(np.max(np.abs(avg - np.eye(2) / 2))),
+            float(np.max(linalg.trace_distance(avg, ref))))
 
 
 def check_unaveraged_fisher(rng, n_max: int) -> tuple[float, float]:
@@ -254,9 +269,9 @@ def check_unaveraged_fisher(rng, n_max: int) -> tuple[float, float]:
     deviations, singular = [], 0
     for phi in (0.3, math.pi / 4, 1.1):
         fisher, vanishing = equivalence.unaveraged_counterexample_fisher(phi)
-        deviations.append(abs(fisher - 2.0 * cfi_binary(1, phi)))
+        deviations.append(abs(fisher - 2.0 * information.cfi_binary(1, phi)))
         singular += vanishing
-    return worst(deviations), float(singular)
+    return linalg.worst(deviations), float(singular)
 
 
 def check_useful_entanglement(rng, n_max: int, samples: int) -> float:
@@ -267,7 +282,7 @@ def check_useful_entanglement(rng, n_max: int, samples: int) -> float:
         seed_op = np.diag([1.0, np.exp(1j * lam)])
         useful, lam_hat = equivalence.useful_entanglement_check(seed_op, QUBIT)
         ok = ok and useful and abs(lam_hat - lam) < 1e-9
-    rejected = [haar_unitary(2, rng) for _ in range(samples)] + [PAULI_X]
+    rejected = [linalg.haar_unitary(2, rng) for _ in range(samples)] + [states.PAULI_X]
     ok = ok and not any(equivalence.useful_entanglement_check(e, QUBIT)[0] for e in rejected)
     return 0.0 if ok else 1.0
 
@@ -280,19 +295,19 @@ def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, floa
     residuals = []
     for n in range(1, min(n_max, 6) + 1):
         for _ in range(per_n):
-            w, v = haar_unitary(2, rng), haar_unitary(2, rng)
+            w, v = linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng)
             residual, cert = equivalence.generalized_strategy_certificate(
                 w, v, QUBIT, rng.uniform(0.1, 1.4), n
             )
             residuals += [residual, 1.0 - cert.min_fidelity]
     # With V = sigma_x naive iteration is phase-free; only tracking W, V works.
     phi = 0.6
-    squared = np.linalg.matrix_power(phase_box(QUBIT, phi)[:, None] * PAULI_X, 2)
+    squared = np.linalg.matrix_power(states.phase_box(QUBIT, phi)[:, None] * states.PAULI_X, 2)
     frozen = float(np.max(np.abs(squared / squared[0, 0] - np.eye(2))))
     residual, tracked = equivalence.generalized_strategy_certificate(
-        np.eye(2), PAULI_X, QUBIT, phi, 2
+        np.eye(2), states.PAULI_X, QUBIT, phi, 2
     )
-    return worst([*residuals, residual, 1.0 - tracked.min_fidelity]), frozen
+    return linalg.worst([*residuals, residual, 1.0 - tracked.min_fidelity]), frozen
 
 
 @dataclass(frozen=True)
@@ -328,7 +343,7 @@ def cmd_verify(args) -> Report:
     for name, check in CHECKS.items():
         tolerance = max(args.tolerance, check.floor)
         residuals = functools.partial(check.fn, rng, args.n_max, **check.params)
-        report.add(name, "residual", lambda: worst(np.ravel(residuals())), tolerance,
+        report.add(name, "residual", lambda: linalg.worst(np.ravel(residuals())), tolerance,
                    tolerance=tolerance)
     return report
 
@@ -342,7 +357,7 @@ def cmd_scaling(args) -> Report:
             "nu": args.nu,
             "rounds": args.rounds,
             "seed": args.seed,
-            "stream_version": STREAM_VERSION,
+            "stream_version": simulate.STREAM_VERSION,
             "out": args.out,
             "format": args.format,
         },
@@ -356,7 +371,7 @@ def cmd_scaling(args) -> Report:
     return report
 
 
-def check_scaling_slope(kind: StrategyKind, result: ScalingReport) -> bool:
+def check_scaling_slope(kind: states.StrategyKind, result: simulate.ScalingReport) -> bool:
     """Whether a strategy's experiment shows its scaling: no round saturated
     and a fitted slope inside the strategy's SLOPE_BANDS interval.  A
     saturated round was clamped to a branch end by fringe inversion, so a
@@ -373,7 +388,9 @@ def _scaling_csv(args, report: Report) -> str:
     csv_lines = ["strategy,N,nu,rounds,empirical_rmse,crb,seed"]
     for kind in args.strategies:
         def run():
-            result = scaling_experiment(kind, args.n_values, args.nu, args.rounds, args.seed)
+            result = simulate.scaling_experiment(
+                kind, args.n_values, args.nu, args.rounds, args.seed
+            )
             for row in result.rows:
                 csv_lines.append(
                     f"{kind.value},{row.n},{args.nu},{args.rounds},"
@@ -390,7 +407,7 @@ def _scaling_csv(args, report: Report) -> str:
                         "N": row.n,
                         "empirical_rmse": row.empirical_rmse,
                         "crb": row.crb,
-                        "rmse_stderr": rmse_stderr(row.empirical_rmse, args.rounds),
+                        "rmse_stderr": simulate.rmse_stderr(row.empirical_rmse, args.rounds),
                         "rmse_over_crb": row.empirical_rmse / row.crb,
                         "saturated_rounds": row.saturated_rounds,
                     }
@@ -408,8 +425,8 @@ def check_noise(cha, chb) -> tuple[bool, dict]:
     channel is trace preserving exactly when chb is unital, and the fields:
     chb's unitality and structure flags, the residual and the trace
     preservation."""
-    unital = is_unital(chb)
-    structured = is_diag_or_antidiag(chb)
+    unital = channels.is_unital(chb)
+    structured = channels.is_diag_or_antidiag(chb)
     residual = equivalence.noise_conversion_residual(cha, chb)
     _, trace_preserving = equivalence.effective_sequential_channel(cha, chb)
     return residual < 1e-12 and trace_preserving == unital, {
@@ -423,7 +440,12 @@ def check_noise(cha, chb) -> tuple[bool, dict]:
 
 def cmd_noise(args) -> Report:
     report = Report("noise", {"channel": args.channel, "p": args.p, "format": args.format})
-    channel = CHANNELS[args.channel](args.p)
+    constructor = {
+        "amplitudedamping": channels.amplitude_damping,
+        "bitphaseflip": channels.bit_phase_flip,
+        "dephasing": channels.dephasing,
+    }[args.channel]
+    channel = constructor(args.p)
     report.add(f"noise-{args.channel}", "eq_residual", lambda: check_noise(channel, channel))
     return report
 
@@ -436,10 +458,10 @@ def check_phase_bound_sqrt_n(n_values, gamma: float, nu: int) -> float:
     deviations = []
     for n in n_values:
         t = 1e-8 / (n * gamma)
-        ratio = phase_bound_dephasing(n, gamma, t, nu, entangled=False) / \
-            phase_bound_dephasing(n, gamma, t, nu, entangled=True)
+        ratio = information.phase_bound_dephasing(n, gamma, t, nu, entangled=False) / \
+            information.phase_bound_dephasing(n, gamma, t, nu, entangled=True)
         deviations.append(abs(ratio - math.sqrt(n)) / math.sqrt(n))
-    return worst(deviations)
+    return linalg.worst(deviations)
 
 
 def check_frequency_bound(n_values, gamma: float, nu: int) -> tuple[bool, dict]:
@@ -450,11 +472,11 @@ def check_frequency_bound(n_values, gamma: float, nu: int) -> tuple[bool, dict]:
     closed_form = math.e * gamma / math.sqrt(nu)
     rows = []
     for n in n_values:
-        t_star, bound_star = optimal_frequency_bound(n, gamma, nu)
+        t_star, bound_star = information.optimal_frequency_bound(n, gamma, nu)
         rows.append({"N": n, "t_star": t_star, "bound_star": bound_star})
     bounds = [row["bound_star"] for row in rows]
     spread = float(np.ptp(bounds)) / closed_form
-    deviation = worst(abs(b - closed_form) for b in bounds) / closed_form
+    deviation = linalg.worst(abs(b - closed_form) for b in bounds) / closed_form
     return spread < 1e-6 and deviation < 1e-6, {
         "relative_spread": spread, "closed_form": closed_form, "rows": rows,
     }
@@ -478,7 +500,7 @@ def check_noon_fringe_zeros(n: int, count: int) -> float:
     forms pi (2k + 1) / (2n).  The fringe comparisons pass when the qubit
     and bosonic paths share a fault; this analytic anchor does not."""
     zeros = fock.noon_fringe_zeros(n, count)
-    return worst(abs(z - math.pi * (2 * k + 1) / (2 * n)) for k, z in enumerate(zeros))
+    return linalg.worst(abs(z - math.pi * (2 * k + 1) / (2 * n)) for k, z in enumerate(zeros))
 
 
 def cmd_noon(args) -> Report:
@@ -499,13 +521,13 @@ def fisher_table(n_values, nu: int) -> tuple[bool, dict]:
     rows = []
     for n in n_values:
         # the whole register: a reference sharing no code with crb's support QFI
-        h_total = collective_generator(QUBIT, n)
-        qfi_ghz = qfi_pure(ghz_like(QUBIT, n), h_total)
+        h_total = information.collective_generator(QUBIT, n)
+        qfi_ghz = information.qfi_pure(states.ghz_like(QUBIT, n), h_total)
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
-        qfi_prod = qfi_pure(product, h_total)
-        cfi = cfi_binary(n, operating_phase(n))
-        heis = crb(StrategySpec(StrategyKind.ENTANGLED_PARALLEL, n), nu)
-        sql = crb(StrategySpec(StrategyKind.CLASSICAL_PARALLEL, n), nu)
+        qfi_prod = information.qfi_pure(product, h_total)
+        cfi = information.cfi_binary(n, information.operating_phase(n))
+        heis = information.crb(states.StrategySpec(states.StrategyKind.ENTANGLED_PARALLEL, n), nu)
+        sql = information.crb(states.StrategySpec(states.StrategyKind.CLASSICAL_PARALLEL, n), nu)
         rows.append(
             {
                 "N": n,
@@ -558,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("noise", help="noise-conversion checks for one channel")
-    p.add_argument("--channel", choices=sorted(CHANNELS), required=True)
+    p.add_argument("--channel", choices=CHANNELS, required=True)
     p.add_argument("--p", type=float, required=True)
     common(p)
 
@@ -623,13 +645,17 @@ def entrypoint() -> None:
     """Run one command in a cold process: the console script's and
     ``python -m metroq.cli``'s way in.
 
-    Before ``main`` runs, every object alive after import (numpy's and
-    metroq's modules, functions, classes and constants, some 22 000 objects)
-    moves into the cycle collector's permanent generation (``gc.freeze``).
-    No command leaves cyclic garbage among them, yet every collection walks
-    them all: the ones during the command, and the full passes the
-    interpreter makes at exit, some 20 ms of a cold process.  Objects the
-    command creates stay collectable.
+    Before ``main`` runs, every object alive after import (numpy's modules
+    and metroq's cli, states and linalg, their functions, classes and
+    constants, some 21 000 objects) moves into the cycle collector's
+    permanent generation (``gc.freeze``).  No command leaves cyclic garbage
+    among them, yet every collection walks them all: the ones during the
+    command, and the full passes the interpreter makes at exit, some 20 ms
+    of a cold process.  Objects the command creates stay collectable, and so
+    do the layers it loads lazily (see ``_lazy``), some 340 tracked objects
+    for all five.  Measured on a shared 2-core host, 15 interleaved cold runs
+    per subcommand, the teardown at exit is 10-14 ms median, within about
+    1 ms of what it was when every layer loaded before the freeze.
 
     Only here, because only here is the whole process one command.
     ``import metroq.cli`` and an in-process ``main(argv)`` (a test suite, a

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metroq import cli, equivalence, fock, simulate, states
+from metroq import cli, equivalence, fock, information, linalg, simulate, states
 from metroq.cli import main
 from metroq.states import Generator, phase_box, plus_minus_states
 
@@ -312,7 +312,7 @@ def test_scaling_unwritable_path(capsys, tmp_path, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("scaling_experiment ran before --out was checked")
 
-    monkeypatch.setattr("metroq.cli.scaling_experiment", must_not_run)
+    monkeypatch.setattr(simulate, "scaling_experiment", must_not_run)
     code = main(SCALING_ARGS + ["--out", str(tmp_path / "missing-dir" / "x.csv")])
     assert code == 3
     assert "cannot write CSV" in capsys.readouterr().err
@@ -503,13 +503,13 @@ def test_frequency_reports_constant_bound(capsys):
 
 
 def test_frequency_fails_when_the_bound_depends_on_n(capsys, monkeypatch):
-    real = cli.optimal_frequency_bound
+    real = information.optimal_frequency_bound
 
     def n_dependent(n, gamma, nu):
         t_star, bound = real(n, gamma, nu)
         return t_star, bound * (1 + 1e-5 * n)
 
-    monkeypatch.setattr("metroq.cli.optimal_frequency_bound", n_dependent)
+    monkeypatch.setattr(information, "optimal_frequency_bound", n_dependent)
     code, report = run_json(capsys, ["frequency", "--gamma", "1.0"])
     assert code == 1 and report["pass"] is False
 
@@ -527,12 +527,12 @@ def test_frequency_phase_bound_keeps_sqrt_n(capsys, gamma):
 
 
 def test_frequency_fails_when_entanglement_gives_no_phase_advantage(capsys, monkeypatch):
-    real = cli.phase_bound_dephasing
+    real = information.phase_bound_dephasing
 
     def classical_only(n, gamma, t, nu, *, entangled):
         return real(n, gamma, t, nu, entangled=False)
 
-    monkeypatch.setattr("metroq.cli.phase_bound_dephasing", classical_only)
+    monkeypatch.setattr(information, "phase_bound_dephasing", classical_only)
     code, report = run_json(capsys, ["frequency", "--gamma", "1.0"])
     verdicts = {rec["name"]: rec["pass"] for rec in report["results"]}
     assert code == 1
@@ -606,7 +606,7 @@ def _nan_fidelity(cert):
 # it reaches, where Python's max would keep the number before it.
 NAN_CASES = [
     ("vectorization-identity", ["verify"], "residual",
-     cli, "vec_identity_residual", 3, _first_nan),  # the third d's group
+     linalg, "vec_identity_residual", 3, _first_nan),  # the third d's group
     ("conversion-n2", ["verify"], "residual",
      equivalence, "convert_general_n", 3, _nan_fidelity),
     ("conversion-general-n", ["verify"], "residual",
@@ -624,12 +624,12 @@ NAN_CASES = [
     ("noon-fringe-zeros", ["noon", "--n", "4"], "max_deviation",
      fock, "noon_fringe_zeros", 1, lambda zeros: [math.nan]),
     ("frequency-bound-n-independence", ["frequency", "--gamma", "1.0"], "relative_spread",
-     cli, "optimal_frequency_bound", 3, lambda out: (out[0], math.nan)),  # N = 4
+     information, "optimal_frequency_bound", 3, lambda out: (out[0], math.nan)),  # N = 4
     ("phase-bound-sqrt-n", ["frequency", "--gamma", "1.0"], "relative_deviation",
-     cli, "phase_bound_dephasing", 3, lambda bound: math.nan),  # N = 2
+     information, "phase_bound_dephasing", 3, lambda bound: math.nan),  # N = 2
     # a NaN inside the rows: the value at its path is null
     ("fisher-table", ["fisher"], "rows[1].crb_entangled",
-     cli, "crb", 3, lambda bound: math.nan),  # N = 2
+     information, "crb", 3, lambda bound: math.nan),  # N = 2
     ("scaling-sequential", ["scaling", "--strategies", "sequential"], "rows[2].crb",
      simulate, "crb", 3, lambda bound: math.nan),  # N = 4
 ]
@@ -722,8 +722,8 @@ def test_fisher_reports(capsys):
 
 
 def test_fisher_fails_on_a_bound_off_by_1e9(capsys, monkeypatch):
-    real = cli.crb
-    monkeypatch.setattr("metroq.cli.crb", lambda strategy, nu: real(strategy, nu) * (1 + 1e-9))
+    real = information.crb
+    monkeypatch.setattr(information, "crb", lambda strategy, nu: real(strategy, nu) * (1 + 1e-9))
     code, report = run_json(capsys, ["fisher"])
     assert code == 1 and report["pass"] is False
 
@@ -758,6 +758,8 @@ def test_fisher_fails_on_a_bound_off_by_1e9(capsys, monkeypatch):
     # an empty entry is not an N
     ["fisher", "--n-values", "1,2,"],
     ["scaling", "--n-values", "1,,2,4"],
+    # the bound's spread over one N is zero by construction
+    ["frequency", "--gamma", "1", "--n-values", "1"],
 ])
 def test_bad_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -884,7 +886,7 @@ FLAGS = {
                             st.just("erasure")),
               "--p": _floats(st.floats(0.0, 1.0), -0.25, 1.25)},
     "frequency": {"--gamma": _floats(st.floats(1e-3, 1e3), 0.0, 1e300),
-                  "--n-values": _n_values(1), "--nu": _ints(1, 200, 100_000)},
+                  "--n-values": _n_values(2), "--nu": _ints(1, 200, 100_000)},
     "noon": {"--n": _ints(1, 4, 12)},
     "fisher": {"--n-values": _n_values(1), "--nu": _ints(1, 200, 100_000)},
 }

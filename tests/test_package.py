@@ -45,6 +45,39 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Each subcommand's argv, and the layers it runs besides cli and the states
+# and linalg that cli imports itself.  cli registers the others lazily: their
+# source runs on a command's first read of them.
+LAYERS_RUN = {
+    "noon": (["noon", "--n", "2"], {"fock"}),
+    "fisher": (["fisher", "--n-values", "1,2"], {"information"}),
+    "frequency": (["frequency", "--gamma", "1"], {"information"}),
+    "noise": (["noise", "--channel", "dephasing", "--p", "0.1"], {"channels", "equivalence"}),
+    "verify": (["verify", "--n-max", "2"], {"equivalence", "channels", "information"}),
+    "scaling": (["scaling", "--rounds", "50", "--seed", "0", "--out", "x.csv"],
+                {"simulate", "information"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAYERS_RUN))
+def test_a_command_runs_only_the_layers_it_reads(tmp_path, command):
+    # a layer has run when its own namespace holds __builtins__; that dict is
+    # read with object.__getattribute__, which runs no lazy module
+    argv, layers = LAYERS_RUN[command]
+    code = ("import contextlib, io, sys\n"
+            "from metroq import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    exit_code = cli.main({argv!r})\n"
+            "ran = [name for name, m in sys.modules.items() if name.startswith('metroq.')\n"
+            "       and '__builtins__' in object.__getattribute__(m, '__dict__')]\n"
+            "print(exit_code, ' '.join(sorted(ran)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env(), cwd=tmp_path)
+    exit_code, *ran = proc.stdout.split()
+    assert exit_code == "0"
+    assert set(ran) == {f"metroq.{name}" for name in {"cli", "linalg", "states"} | layers}
+
+
 def test_in_process_main_freezes_nothing():
     # gc.freeze is the cold entrypoint's alone: a test suite or a benchmark's
     # warm loop that imports metroq.cli and calls main keeps its collector

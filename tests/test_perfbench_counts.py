@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from metroq import cli
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +39,16 @@ def load(name):
 spans = load("spans")
 workloads = load("workloads")
 BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def test_cli_import_registers_every_traced_layer():
+    # the recorder reads each layer from sys.modules; cli puts the layers it
+    # loads lazily there at import, before any command has run them
+    code = ("import sys, metroq.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('metroq.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env())
+    assert proc.stdout.strip() == str(sorted(f"metroq.{layer}" for layer in spans.LAYERS))
 
 
 @pytest.mark.parametrize("name", BENCHMARKED)
