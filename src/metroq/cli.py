@@ -280,10 +280,10 @@ def check_useful_entanglement(rng, n_max: int, samples: int) -> float:
     ok = True
     for lam in (0.0, 0.8, -1.3):
         seed_op = np.diag([1.0, np.exp(1j * lam)])
-        useful, lam_hat = equivalence.useful_entanglement_check(seed_op, QUBIT)
+        useful, lam_hat = equivalence.useful_entanglement_check(seed_op)
         ok = ok and useful and abs(lam_hat - lam) < 1e-9
     rejected = [linalg.haar_unitary(2, rng) for _ in range(samples)] + [states.PAULI_X]
-    ok = ok and not any(equivalence.useful_entanglement_check(e, QUBIT)[0] for e in rejected)
+    ok = ok and not any(equivalence.useful_entanglement_check(e)[0] for e in rejected)
     return 0.0 if ok else 1.0
 
 

@@ -13,7 +13,6 @@ entanglement, and the generalized W e^{i phi H} V boxes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,7 +91,8 @@ class ConversionCertificate:
 # [s, o] multiplies support entry s (0 for |min>, 1 for |max>) into outcome o
 # (0 for +, 1 for -).  They are the same for every generator, so the qubit's
 # conjugated +- pair gives them, signed zeros included.
-_PLUS_MINUS_COLUMNS = np.array(plus_minus_states(Generator.qubit())).conj().T
+_QUBIT = Generator.qubit()
+_PLUS_MINUS_COLUMNS = np.array(plus_minus_states(_QUBIT)).conj().T
 _PLUS_MINUS_COLUMNS.setflags(write=False)
 
 
@@ -100,6 +100,17 @@ _PLUS_MINUS_COLUMNS.setflags(write=False)
 # of its index, read-only: an N-probe certificate reads the first 2^(N-1).
 _BRANCH_PARITY = np.bitwise_count(np.arange(2 ** (MAX_PROBES - 1))) & 1
 _BRANCH_PARITY.setflags(write=False)
+
+
+# useful_entanglement_check's qubit grid, read-only, axes (phase, start, entry):
+# the diagonals of e^{i phi_g H} at its 50 phases, shape (50, 1, 2), their
+# products with the +- starts, (50, 2, 2), and their squares, (50, 1, 2).
+_GRID_BOXES = phase_box(_QUBIT, np.linspace(0.0, 2 * math.pi, 50, endpoint=False))[:, None, :]
+_GRID_BOXED_STARTS = _GRID_BOXES * np.stack(plus_minus_states(_QUBIT))
+_GRID_BOXES_SQUARED = _GRID_BOXES * _GRID_BOXES
+_GRID_BOXES.setflags(write=False)
+_GRID_BOXED_STARTS.setflags(write=False)
+_GRID_BOXES_SQUARED.setflags(write=False)
 
 
 def _support_branch_amplitudes(support, n: int) -> np.ndarray:
@@ -285,57 +296,40 @@ def effective_sequential_channel(cha: KrausChannel, chb: KrausChannel) -> tuple[
     return effective, effective.is_trace_preserving()
 
 
-@functools.lru_cache(maxsize=8)  # verify passes one generator, a test a few
-def _phase_grid(h: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """useful_entanglement_check's constants for one generator, read-only:
-    the diagonals of e^{i phi_g H} on its 50-point phase grid, shape
-    (50, 1, d), their products with the +- starts, (50, 2, d), and their
-    squares, (50, 1, d); axes are (phase, start, entry).  A Generator is
-    frozen and compares by identity, so it is its own key."""
-    phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
-    boxes = phase_box(h, phis)[:, None, :]
-    grid = boxes, boxes * np.stack(plus_minus_states(h)), boxes * boxes
-    for a in grid:
-        a.setflags(write=False)
-    return grid
-
-
-def useful_entanglement_check(e, h: Generator) -> tuple[bool, float | None]:
+def useful_entanglement_check(e) -> tuple[bool, float | None]:
     """Decide whether a 2x2 seed operator yields a working entangled strategy.
 
     Samples a 50-point phase grid and accepts iff e^{i phi H} E e^{i phi H}
     applied to |+-> matches e^{2 i phi H} (|0> +- e^{i lambda} |1>)/sqrt(2) up
     to a global phase for one phi-independent lambda, returned as the second
-    element.  The operators proportional to diag(c, c e^{i lambda}) pass;
-    global scale is quotiented out beforehand.  The test is numerical: an
-    off-diagonal entry eps (relative to the largest singular value) costs
-    fidelity about eps^2, so operators within about 1e-6 of that family pass
-    too.
+    element; H is the qubit generator diag(0, 1).  The operators proportional
+    to diag(c, c e^{i lambda}) pass; global scale is quotiented out
+    beforehand.  The test is numerical: an off-diagonal entry eps (relative
+    to the largest singular value) costs fidelity about eps^2, so operators
+    within about 1e-6 of that family pass too.
 
-    The whole grid is evaluated at once from one (50, d) array of phase-box
-    diagonals, built once per generator (_phase_grid).  A grid point rejects
-    when an evolved vector's norm is below 1e-12 or its fidelity to the
-    target is below 1 - 1e-12.
+    The whole grid is evaluated at once from the phase-box diagonals built at
+    import (_GRID_BOXES).  A grid point rejects when an evolved vector's norm
+    is below 1e-12 or its fidelity to the target is below 1 - 1e-12.
     """
     e = as_matrix(e)
-    if e.shape != (2, 2) or h.dim != 2:
+    if e.shape != (2, 2):
         raise ValueError("useful_entanglement_check is defined for 2x2 operators")
     smax = float(np.max(np.linalg.svd(e, compute_uv=False)))
     if smax == 0.0:
         return False, None
     e = e / smax
-    c0 = e[h.min_index, h.min_index]
-    c1 = e[h.max_index, h.max_index]
+    c0 = e[0, 0]
+    c1 = e[1, 1]
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
-    targets = np.stack(plus_minus_states(h, lam_hat))
-    boxes, boxed_starts, boxes_squared = _phase_grid(h)
-    v = boxes * (boxed_starts @ e.T)
+    targets = np.stack(plus_minus_states(_QUBIT, lam_hat))
+    v = _GRID_BOXES * (_GRID_BOXED_STARTS @ e.T)
     nv = np.linalg.norm(v, axis=2)
     if np.any(nv < 1e-12):
         return False, None
-    overlaps = np.sum((v / nv[..., None]).conj() * (boxes_squared * targets), axis=2)
+    overlaps = np.sum((v / nv[..., None]).conj() * (_GRID_BOXES_SQUARED * targets), axis=2)
     if np.any(np.abs(overlaps) ** 2 < 1.0 - 1e-12):
         return False, None
     return True, lam_hat

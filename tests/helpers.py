@@ -189,9 +189,11 @@ def branch_amplitudes_tensordot(state, h, n):
     return t.reshape(h.dim, -1)
 
 
-def useful_entanglement_check_per_phase(e, h):
+def useful_entanglement_check_per_phase(e):
     """Reference for equivalence.useful_entanglement_check: the same decision
-    taken one grid phase and one start state at a time with matrix boxes."""
+    taken one grid phase and one start state at a time with matrix boxes of
+    the qubit generator."""
+    h = Generator.qubit()
     e = as_matrix(e)
     smax = float(np.max(np.linalg.svd(e, compute_uv=False)))
     if smax == 0.0:

@@ -282,8 +282,7 @@ def _drop_last_phase(h, phis, lam=0.0):
 def test_a_patched_support_leaves_nothing_in_the_caches(capsys, monkeypatch):
     # the mutant run fills every cache afresh; once it is undone, the golden
     # verify must come out as if it had never run
-    for cache in (cli._parser, equivalence._phase_grid):
-        cache.cache_clear()
+    cli._parser.cache_clear()
     monkeypatch.setattr(equivalence, "ghz_phase_support", _drop_last_phase)
     code, rec = _conversion_check(capsys)
     assert code == 1 and not rec["pass"]
@@ -322,17 +321,16 @@ def test_branch_parity_slices_are_each_ns_parities_read_only():
 
 
 def test_phase_grid_is_a_read_only_fresh_build():
-    phis = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
-    for h in GENERATORS:
-        grid = equivalence._phase_grid(h)
-        assert equivalence._phase_grid(h) is grid
-        boxes = phase_box(h, phis)[:, None, :]
-        fresh = (boxes, boxes * np.stack(plus_minus_states(h)), boxes * boxes)
-        for cached, built in zip(grid, fresh, strict=True):
-            assert cached.dtype == built.dtype and cached.shape == built.shape
-            assert cached.tobytes() == built.tobytes()
-            with pytest.raises(ValueError):
-                cached[0, 0, 0] = 0.0
+    h = Generator.qubit()
+    boxes = phase_box(h, np.linspace(0.0, 2 * math.pi, 50, endpoint=False))[:, None, :]
+    fresh = (boxes, boxes * np.stack(plus_minus_states(h)), boxes * boxes)
+    grid = (equivalence._GRID_BOXES, equivalence._GRID_BOXED_STARTS,
+            equivalence._GRID_BOXES_SQUARED)
+    for held, built in zip(grid, fresh, strict=True):
+        assert held.dtype == built.dtype and held.shape == built.shape
+        assert held.tobytes() == built.tobytes()
+        with pytest.raises(ValueError):
+            held[0, 0, 0] = 0.0
 
 
 def test_certificate_holds_float_arrays_frozen_and_converts_the_rest():
@@ -570,15 +568,15 @@ def test_trace_preservation_iff_second_unital():
 # --------------------------------------------------------- useful entanglement
 
 def test_useful_entanglement_accepts_diagonal_phase_family():
-    assert useful_entanglement_check(np.eye(2), H) == (True, 0.0)
-    useful, lam = useful_entanglement_check(np.diag([1.0, np.exp(0.8j)]), H)
+    assert useful_entanglement_check(np.eye(2)) == (True, 0.0)
+    useful, lam = useful_entanglement_check(np.diag([1.0, np.exp(0.8j)]))
     assert useful and abs(lam - 0.8) < 1e-9
-    useful, lam = useful_entanglement_check(0.3 * np.diag([1.0, np.exp(-1.1j)]), H)
+    useful, lam = useful_entanglement_check(0.3 * np.diag([1.0, np.exp(-1.1j)]))
     assert useful and abs(lam + 1.1) < 1e-9
 
 
 def test_useful_entanglement_rejects_swap():
-    useful, lam = useful_entanglement_check(PAULI_X, H)
+    useful, lam = useful_entanglement_check(PAULI_X)
     assert not useful and lam is None
 
 
@@ -592,11 +590,11 @@ def test_useful_entanglement_characterization():
             max(abs(e[0, 1]), abs(e[1, 0])) < 1e-10
             and abs(abs(e[0, 0]) - abs(e[1, 1])) < 1e-10
         )
-        useful, _ = useful_entanglement_check(e, H)
+        useful, _ = useful_entanglement_check(e)
         assert useful == structural
     # and members of the family are accepted
     for lam in rng.uniform(-math.pi, math.pi, size=5):
-        useful, lam_hat = useful_entanglement_check(np.diag([1.0, np.exp(1j * lam)]), H)
+        useful, lam_hat = useful_entanglement_check(np.diag([1.0, np.exp(1j * lam)]))
         assert useful and abs(lam_hat - lam) < 1e-9
 
 
@@ -609,14 +607,14 @@ def test_useful_entanglement_grid_matches_per_phase_oracle():
         # threshold, 2e-6 about four times above it
         seeds += [phase, phase + 1e-7 * PAULI_X, phase + 2e-6 * PAULI_X]
     for e in seeds:
-        assert useful_entanglement_check(e, H) == useful_entanglement_check_per_phase(e, H)
+        assert useful_entanglement_check(e) == useful_entanglement_check_per_phase(e)
     phase = np.diag([1.0, np.exp(0.8j)])
-    assert useful_entanglement_check(phase + 1e-7 * PAULI_X, H)[0]
-    assert useful_entanglement_check(phase + 2e-6 * PAULI_X, H) == (False, None)
+    assert useful_entanglement_check(phase + 1e-7 * PAULI_X)[0]
+    assert useful_entanglement_check(phase + 2e-6 * PAULI_X) == (False, None)
 
 
 def test_useful_entanglement_rejects_unequal_weights():
-    useful, _ = useful_entanglement_check(np.diag([1.0, 0.5]), H)
+    useful, _ = useful_entanglement_check(np.diag([1.0, 0.5]))
     assert not useful
 
 
