@@ -94,10 +94,19 @@ def is_diag_or_antidiag(ch: KrausChannel) -> bool:
     """True when the Kraus family is structurally homogeneous: every operator
     diagonal, or every operator anti-diagonal.
 
-    A mixed family, amplitude damping's for one, returns False.  That is
-    stricter than the conversion beyond two probes needs: an operator
-    diagonal or anti-diagonal on its own keeps a GHZ-type register on two
-    entries, so amplitude damping converts exactly.  `metroq noise` reports
-    it as both diag_or_antidiag and valid_beyond_n2.
+    A mixed family, amplitude damping's for one, returns False.  `metroq
+    noise` reports it as diag_or_antidiag; the conversion beyond two probes
+    needs only each_diag_or_antidiag.
     """
     return all(is_diagonal(k) for k in ch.ops) or all(is_antidiagonal(k) for k in ch.ops)
+
+
+def each_diag_or_antidiag(ch: KrausChannel) -> bool:
+    """True when every Kraus operator is diagonal or anti-diagonal on its own.
+
+    Such an operator maps each basis state to one basis state, so every string
+    of them keeps a GHZ-type register on two entries and the conversion holds
+    beyond two probes, amplitude damping's mixed family included.  `metroq
+    noise` reports it as valid_beyond_n2.
+    """
+    return all(is_diagonal(k) or is_antidiagonal(k) for k in ch.ops)

@@ -426,15 +426,14 @@ def check_noise(cha, chb) -> tuple[bool, dict]:
     chb's unitality and structure flags, the residual and the trace
     preservation."""
     unital = channels.is_unital(chb)
-    structured = channels.is_diag_or_antidiag(chb)
     residual = equivalence.noise_conversion_residual(cha, chb)
     _, trace_preserving = equivalence.effective_sequential_channel(cha, chb)
     return residual < 1e-12 and trace_preserving == unital, {
         "unital": unital,
-        "diag_or_antidiag": structured,
+        "diag_or_antidiag": channels.is_diag_or_antidiag(chb),
         "eq_residual": residual,
         "trace_preserving": trace_preserving,
-        "valid_beyond_n2": structured,
+        "valid_beyond_n2": channels.each_diag_or_antidiag(chb),
     }
 
 

@@ -1,3 +1,7 @@
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +10,14 @@ from metroq.channels import (
     amplitude_damping,
     bit_phase_flip,
     dephasing,
+    each_diag_or_antidiag,
     is_diag_or_antidiag,
     is_unital,
 )
 from metroq.linalg import is_antidiagonal, is_diagonal, kron
+from metroq.states import Generator
 
-from helpers import random_density_matrix
+from helpers import ghz_state, random_density_matrix
 
 PLUS_DM = np.full((2, 2), 0.5, dtype=complex)
 
@@ -60,6 +66,27 @@ def test_structure_flags():
     assert all(is_antidiagonal(k) for k in bit_phase_flip(0.3).ops)
     # amplitude damping mixes a diagonal and an anti-diagonal operator
     assert not is_diag_or_antidiag(amplitude_damping(0.3))
+    assert each_diag_or_antidiag(amplitude_damping(0.3))
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("ch", [
+    dephasing(0.3), bit_phase_flip(0.3), amplitude_damping(0.2), amplitude_damping(0.9),
+    KrausChannel(tuple(HADAMARD @ k @ HADAMARD for k in amplitude_damping(0.2).ops)),
+], ids=["dephasing", "bitphaseflip", "amplitudedamping-0.2", "amplitudedamping-0.9",
+        "hadamard-amplitudedamping"])
+def test_each_diag_or_antidiag_is_exactly_a_two_entry_ghz_register(ch):
+    # every string of Kraus operators applied to the dense GHZ register: the
+    # per-operator predicate holds exactly when none leaves more than the two
+    # entries the conversion beyond two probes runs on
+    widest = 0
+    for n in range(2, 5):
+        ghz = ghz_state(Generator.qubit(), n, 0.7)
+        for ops in itertools.product(ch.ops, repeat=n):
+            widest = max(widest, np.count_nonzero(functools.reduce(kron, ops) @ ghz))
+    assert each_diag_or_antidiag(ch) == (widest <= 2), widest
 
 
 def test_full_dephasing_kills_coherence():

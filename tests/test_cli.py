@@ -464,7 +464,7 @@ def test_noise_reports(capsys):
     assert code == 0  # the unitality <-> trace-preservation metacheck still holds
     rec = report["results"][0]
     assert not rec["unital"] and not rec["trace_preserving"]
-    assert not rec["diag_or_antidiag"]
+    assert not rec["diag_or_antidiag"] and rec["valid_beyond_n2"] is True
 
     code, report = run_json(capsys, ["noise", "--channel", "bitphaseflip", "--p", "0.4"])
     assert report["results"][0]["diag_or_antidiag"] is True
