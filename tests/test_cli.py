@@ -431,6 +431,32 @@ def test_scaling_csv_digest(capsys, tmp_path, flags, digest):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
 
+# The slope verdict is statistical: at the benchmarked Monte Carlo flags
+# correct code FAILs about once per 10 000 seeds.  These are the known FAILs,
+# each with its one failing strategy and slope, kept as reported cases: a
+# change to the random stream, the estimator or the bands shows here, and no
+# seed may be swapped to hide one.
+MC_DRAWS_FLAGS = ["scaling", "--strategies", "sequential,classical,entangled",
+                  "--n-values", "1,2,4,8,12", "--nu", "100000", "--rounds", "100"]
+
+
+@pytest.mark.parametrize("seed, failing, slope", [
+    ("17286750462175516064", "sequential", -1.152),
+    ("10299515181997441098", "sequential", -1.153),
+    ("12708815290473104830", "entangled", -0.799),
+    ("12857668411743357253", "sequential", -1.169),
+])
+def test_known_statistical_fails_at_the_benchmarked_flags(capsys, tmp_path, seed, failing,
+                                                          slope):
+    code, report = run_json(capsys, [*MC_DRAWS_FLAGS, "--seed", seed,
+                                     "--out", str(tmp_path / "scaling.csv")])
+    assert code == 1
+    results = {rec["name"]: rec for rec in report["results"]}
+    assert {name: rec["pass"] for name, rec in results.items()} == {
+        f"scaling-{kind}": kind != failing for kind in ("sequential", "classical", "entangled")}
+    assert round(results[f"scaling-{failing}"]["fitted_slope"], 3) == slope
+
+
 def test_scaling_needs_three_sizes(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scaling", "--n-values", "1,2"])
