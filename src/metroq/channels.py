@@ -104,9 +104,10 @@ def is_diag_or_antidiag(ch: KrausChannel) -> bool:
 def each_diag_or_antidiag(ch: KrausChannel) -> bool:
     """True when every Kraus operator is diagonal or anti-diagonal on its own.
 
-    Such an operator maps each basis state to one basis state, so every string
-    of them keeps a GHZ-type register on two entries and the conversion holds
-    beyond two probes, amplitude damping's mixed family included.  `metroq
+    Such an operator maps each basis state to a multiple of one basis state,
+    so every string of them keeps a GHZ-type register on at most two entries
+    and the conversion holds beyond two probes, amplitude damping's mixed
+    family included.  `metroq
     noise` reports it as valid_beyond_n2.
     """
     return all(is_diagonal(k) or is_antidiagonal(k) for k in ch.ops)
