@@ -55,25 +55,18 @@ class KrausChannel:
         return self.completeness_residual() < ATOL_PREDICATE
 
 
-def _trace_preserving(ops) -> KrausChannel:
-    ch = KrausChannel(tuple(ops))
-    if ch.completeness_residual() > 1e-12:
-        raise ValueError("constructed channel is not trace preserving")
-    return ch
-
-
 def dephasing(p: float) -> KrausChannel:
     """Phase-flip noise {sqrt(1-p) I, sqrt(p) Z}; unital, all operators diagonal."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return _trace_preserving([math.sqrt(1 - p) * ID2, math.sqrt(p) * PAULI_Z])
+    return KrausChannel((math.sqrt(1 - p) * ID2, math.sqrt(p) * PAULI_Z))
 
 
 def bit_phase_flip(p: float) -> KrausChannel:
     """Bit flip with phase noise {sqrt(1-p) X, sqrt(p) Y}; unital, anti-diagonal."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return _trace_preserving([math.sqrt(1 - p) * PAULI_X, math.sqrt(p) * PAULI_Y])
+    return KrausChannel((math.sqrt(1 - p) * PAULI_X, math.sqrt(p) * PAULI_Y))
 
 
 def amplitude_damping(g: float) -> KrausChannel:
@@ -83,7 +76,7 @@ def amplitude_damping(g: float) -> KrausChannel:
     k0 = np.diag([1.0, math.sqrt(1 - g)]).astype(np.complex128)
     k1 = np.zeros((2, 2), dtype=np.complex128)
     k1[0, 1] = math.sqrt(g)
-    return _trace_preserving([k0, k1])
+    return KrausChannel((k0, k1))
 
 
 def is_unital(ch: KrausChannel) -> bool:

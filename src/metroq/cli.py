@@ -45,8 +45,8 @@ def _lazy(name: str):
     return module
 
 
-# states and linalg load with cli: the flag ranges, the slope bands and QUBIT
-# read them.  The layers below load with the first command that reads them.
+# states and linalg load with cli: the flag ranges and the slope bands read
+# them.  The layers below load with the first command that reads them.
 channels, equivalence, fock, information, simulate = map(
     _lazy, ("channels", "equivalence", "fock", "information", "simulate"))
 
@@ -72,8 +72,6 @@ SLOPE_BANDS = {
     states.StrategyKind.ENTANGLED_PARALLEL: (-1.15, -0.85),
     states.StrategyKind.CLASSICAL_PARALLEL: (-0.65, -0.35),
 }
-
-QUBIT = states.Generator.qubit()
 
 # --channel's names; cmd_noise maps each to its constructor
 CHANNELS = ("amplitudedamping", "bitphaseflip", "dephasing")
@@ -235,7 +233,7 @@ def check_conversion_n2(rng, n_max: int, samples: int) -> tuple[float, float, fl
     """Two-probe conversion at random phase pairs."""
     return _conversion_residuals(
         equivalence.convert_general_n(
-            QUBIT, [rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
+            states.QUBIT, [rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
         )
         for _ in range(samples)
     )
@@ -245,7 +243,7 @@ def check_conversion_general_n(rng, n_max: int, per_n: int) -> tuple[float, floa
     """N-probe conversion at `per_n` random phase vectors for each N in 2..n_max."""
     return _conversion_residuals(
         equivalence.convert_general_n(
-            QUBIT, rng.uniform(0, 2 * math.pi, size=n), rng.uniform(0, 2 * math.pi)
+            states.QUBIT, rng.uniform(0, 2 * math.pi, size=n), rng.uniform(0, 2 * math.pi)
         )
         for n in range(2, n_max + 1)
         for _ in range(per_n)
@@ -255,11 +253,11 @@ def check_conversion_general_n(rng, n_max: int, per_n: int) -> tuple[float, floa
 def check_counterexample(rng, n_max: int, basis: str, grid: int) -> tuple[float, float]:
     """Outcome-averaged single-basis counterexample on a phase grid over [0, pi]:
     worst max-abs entry of the difference from I/2, and worst trace distance
-    from the state at phi = 0.  The grid is evaluated as one stack."""
-    ref = equivalence.counterexample(basis, 0.0)
+    from the state at phi = 0, the grid's first, which counterexample's stack
+    makes bitwise the single-phase one.  The grid is evaluated as one stack."""
     avg = equivalence.counterexample(basis, np.linspace(0.0, math.pi, grid))
     return (float(np.max(np.abs(avg - np.eye(2) / 2))),
-            float(np.max(linalg.trace_distance(avg, ref))))
+            float(np.max(linalg.trace_distance(avg, avg[0]))))
 
 
 def check_unaveraged_fisher(rng, n_max: int) -> tuple[float, float]:
@@ -297,15 +295,16 @@ def check_generalized_strategy(rng, n_max: int, per_n: int) -> tuple[float, floa
         for _ in range(per_n):
             w, v = linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng)
             residual, cert = equivalence.generalized_strategy_certificate(
-                w, v, QUBIT, rng.uniform(0.1, 1.4), n
+                w, v, states.QUBIT, rng.uniform(0.1, 1.4), n
             )
             residuals += [residual, 1.0 - cert.min_fidelity]
     # With V = sigma_x naive iteration is phase-free; only tracking W, V works.
     phi = 0.6
-    squared = np.linalg.matrix_power(states.phase_box(QUBIT, phi)[:, None] * states.PAULI_X, 2)
+    box = states.phase_box(states.QUBIT, phi)
+    squared = np.linalg.matrix_power(box[:, None] * states.PAULI_X, 2)
     frozen = float(np.max(np.abs(squared / squared[0, 0] - np.eye(2))))
     residual, tracked = equivalence.generalized_strategy_certificate(
-        np.eye(2), states.PAULI_X, QUBIT, phi, 2
+        np.eye(2), states.PAULI_X, states.QUBIT, phi, 2
     )
     return linalg.worst([*residuals, residual, 1.0 - tracked.min_fidelity]), frozen
 
@@ -427,7 +426,7 @@ def check_noise(cha, chb) -> tuple[bool, dict]:
     preservation."""
     unital = channels.is_unital(chb)
     residual = equivalence.noise_conversion_residual(cha, chb)
-    _, trace_preserving = equivalence.effective_sequential_channel(cha, chb)
+    trace_preserving = equivalence.effective_sequential_channel(cha, chb).is_trace_preserving()
     return residual < 1e-12 and trace_preserving == unital, {
         "unital": unital,
         "diag_or_antidiag": channels.is_diag_or_antidiag(chb),
@@ -520,8 +519,8 @@ def fisher_table(n_values, nu: int) -> tuple[bool, dict]:
     rows = []
     for n in n_values:
         # the whole register: a reference sharing no code with crb's support QFI
-        h_total = information.collective_generator(QUBIT, n)
-        qfi_ghz = information.qfi_pure(states.ghz_like(QUBIT, n), h_total)
+        h_total = information.collective_generator(states.QUBIT, n)
+        qfi_ghz = information.qfi_pure(states.ghz_like(states.QUBIT, n), h_total)
         product = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
         qfi_prod = information.qfi_pure(product, h_total)
         cfi = information.cfi_binary(n, information.operating_phase(n))

@@ -24,6 +24,7 @@ from .linalg import as_matrix, is_density_matrix, is_unitary, kron, normalized, 
 from .states import (
     MAX_PROBES,
     PAULI_X,
+    QUBIT,
     Generator,
     classical_corr_state,
     ghz_phase_support,
@@ -91,8 +92,7 @@ class ConversionCertificate:
 # [s, o] multiplies support entry s (0 for |min>, 1 for |max>) into outcome o
 # (0 for +, 1 for -).  They are the same for every generator, so the qubit's
 # conjugated +- pair gives them, signed zeros included.
-_QUBIT = Generator.qubit()
-_PLUS_MINUS_COLUMNS = np.array(plus_minus_states(_QUBIT)).conj().T
+_PLUS_MINUS_COLUMNS = np.array(plus_minus_states(QUBIT)).conj().T
 _PLUS_MINUS_COLUMNS.setflags(write=False)
 
 
@@ -105,8 +105,8 @@ _BRANCH_PARITY.setflags(write=False)
 # useful_entanglement_check's qubit grid, read-only, axes (phase, start, entry):
 # the diagonals of e^{i phi_g H} at its 50 phases, shape (50, 1, 2), their
 # products with the +- starts, (50, 2, 2), and their squares, (50, 1, 2).
-_GRID_BOXES = phase_box(_QUBIT, np.linspace(0.0, 2 * math.pi, 50, endpoint=False))[:, None, :]
-_GRID_BOXED_STARTS = _GRID_BOXES * np.stack(plus_minus_states(_QUBIT))
+_GRID_BOXES = phase_box(QUBIT, np.linspace(0.0, 2 * math.pi, 50, endpoint=False))[:, None, :]
+_GRID_BOXED_STARTS = _GRID_BOXES * np.stack(plus_minus_states(QUBIT))
 _GRID_BOXES_SQUARED = _GRID_BOXES * _GRID_BOXES
 _GRID_BOXES.setflags(write=False)
 _GRID_BOXED_STARTS.setflags(write=False)
@@ -196,15 +196,14 @@ def counterexample(basis: str, phis) -> np.ndarray:
     An outcome average that is not a density matrix raises ValueError; probe
     2 is then traced out and the result re-Hermitized ((M + M^dagger)/2).
     """
-    h = Generator.qubit()
     rho = classical_corr_state(basis)
     phis = np.asarray(phis, dtype=float)
     u = np.zeros(phis.shape + (2, 2), dtype=np.complex128)
-    u[..., [0, 1], [0, 1]] = phase_box(h, phis)
+    u[..., [0, 1], [0, 1]] = phase_box(QUBIT, phis)
     u2 = kron(u, u)
     evolved = u2 @ rho @ u2.conj().swapaxes(-1, -2)
     acc = np.zeros(evolved.shape, dtype=np.complex128)
-    for o in plus_minus_states(h):
+    for o in plus_minus_states(QUBIT):
         proj = kron(np.eye(2), np.outer(o, o.conj()))
         acc += proj @ evolved @ proj
     if not is_density_matrix(acc):
@@ -230,13 +229,12 @@ def unaveraged_counterexample_fisher(phi: float) -> tuple[float, int]:
     probabilities cannot do (|dp| <= sqrt(F p)), so a correct computation
     counts 0.
     """
-    h = Generator.qubit()
-    plus, minus = plus_minus_states(h)
+    plus, minus = plus_minus_states(QUBIT)
     # equally weighted pure components of the hadamard-correlated mixture
     comp_id = normalized(vec(np.eye(2)))
     comp_x = normalized(vec(PAULI_X))
-    box = phase_box(h, phi)
-    dbox = 1j * h.eigenvalues * box
+    box = phase_box(QUBIT, phi)
+    dbox = 1j * QUBIT.eigenvalues * box
     uu = kron(box, box)
     duu = kron(dbox, box) + kron(box, dbox)
     outs = [kron(o1, o2) for o2 in (plus, minus) for o1 in (plus, minus)]
@@ -281,19 +279,17 @@ def noise_conversion_residual(cha: KrausChannel, chb: KrausChannel) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def effective_sequential_channel(cha: KrausChannel, chb: KrausChannel) -> tuple[KrausChannel, bool]:
+def effective_sequential_channel(cha: KrausChannel, chb: KrausChannel) -> KrausChannel:
     """Convert two-probe noise into the single-probe family {A_k B_j^T}.
 
-    Returns the effective channel on probe 1 and whether it is trace
-    preserving, which holds exactly when the second channel is unital.  The
-    conversion identity behind it is noise_conversion_residual, which
-    `metroq noise` reports as a check.
+    Returns the effective channel on probe 1, which is trace preserving
+    exactly when the second channel is unital.  The conversion identity
+    behind it is noise_conversion_residual, which `metroq noise` reports as
+    a check.
     """
     if cha.dim != chb.dim:
         raise ValueError("channels must act on equal dimensions")
-    ops = tuple(a @ b.T for a in cha.ops for b in chb.ops)
-    effective = KrausChannel(ops)
-    return effective, effective.is_trace_preserving()
+    return KrausChannel(tuple(a @ b.T for a in cha.ops for b in chb.ops))
 
 
 def useful_entanglement_check(e) -> tuple[bool, float | None]:
@@ -324,7 +320,7 @@ def useful_entanglement_check(e) -> tuple[bool, float | None]:
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
-    targets = np.stack(plus_minus_states(_QUBIT, lam_hat))
+    targets = np.stack(plus_minus_states(QUBIT, lam_hat))
     v = _GRID_BOXES * (_GRID_BOXED_STARTS @ e.T)
     nv = np.linalg.norm(v, axis=2)
     if np.any(nv < 1e-12):

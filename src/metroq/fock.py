@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import fidelity_up_to_phase, worst
 from .states import (
     MAX_PROBES,
+    QUBIT,
     Generator,
     ghz_phase_support,
     ghz_support,
@@ -68,9 +69,8 @@ def _max_fringe_deviation(make_generator, n: int, qubit_scale: int) -> float:
         raise ValueError(f"n must lie in 1..{MAX_PROBES}")
     h = make_generator(n)
     probe, _ = plus_minus_states(h)
-    qubit = Generator.qubit()
     grid = np.linspace(0.0, math.pi, 100)
-    supports = ghz_phase_support(qubit, np.repeat(qubit_scale * grid[:, None], n, axis=1))
+    supports = ghz_phase_support(QUBIT, np.repeat(qubit_scale * grid[:, None], n, axis=1))
     initial = ghz_support()
     return worst(abs(fringe(h, probe, phi) - fidelity_up_to_phase(initial, support))
                  for phi, support in zip(grid, supports))

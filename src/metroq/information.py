@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import ATOL_PREDICATE, as_vector
-from .states import Generator, StrategyKind, StrategySpec, ghz_support
+from .states import QUBIT, Generator, StrategyKind, StrategySpec, ghz_support
 
 
 # Golden-section step: the inner points split the bracket at 1 - R and R.
@@ -87,7 +87,7 @@ def crb(strategy: StrategySpec, nu: int) -> float:
         raise ValueError("nu must be >= 1")
     n = strategy.n_probes
     if strategy.kind is StrategyKind.ENTANGLED_PARALLEL:
-        levels = Generator(n * Generator.qubit().eigenvalues)
+        levels = Generator(n * QUBIT.eigenvalues)
         fisher = qfi_pure(ghz_support(strategy.lam), levels)
     else:
         order = strategy.fringe_order

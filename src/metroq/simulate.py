@@ -34,7 +34,7 @@ from .information import crb, operating_phase
 from .linalg import fidelity_up_to_phase
 from .states import (
     MAX_PROBES,
-    Generator,
+    QUBIT,
     StrategyKind,
     StrategySpec,
     ghz_phase_support,
@@ -115,7 +115,7 @@ def strategy_success_probability(strategy: StrategySpec, phi: float) -> float:
     probability |<initial|final>|^2 that the evolved state passes the
     projection back onto the initial one.
     """
-    final = ghz_phase_support(Generator.qubit(), [phi] * strategy.fringe_order, strategy.lam)
+    final = ghz_phase_support(QUBIT, [phi] * strategy.fringe_order, strategy.lam)
     return fidelity_up_to_phase(ghz_support(strategy.lam), final)
 
 

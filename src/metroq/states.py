@@ -54,11 +54,6 @@ class Generator:
         return int(self.eigenvalues.size)
 
     @staticmethod
-    def qubit() -> "Generator":
-        """Default two-level generator diag(0, 1)."""
-        return Generator(np.array([0.0, 1.0]))
-
-    @staticmethod
     def number(n: int) -> "Generator":
         """Single-mode number operator on occupations 0..n: spread n."""
         return Generator(np.arange(n + 1))
@@ -68,6 +63,10 @@ class Generator:
         """Two-mode number difference n_a - n_b on the n-photon subspace,
         indexed by n_a: eigenvalues 2k - n, spread 2n."""
         return Generator(2 * np.arange(n + 1) - n)
+
+
+# diag(0, 1), the two-level generator every strategy, bound and check runs on
+QUBIT = Generator(np.array([0.0, 1.0]))
 
 
 def phase_box(h: Generator, phis) -> np.ndarray:
@@ -154,7 +153,7 @@ def classical_corr_state(basis: str) -> np.ndarray:
         a = kron(basis_state(2, 0), basis_state(2, 0))
         b = kron(basis_state(2, 1), basis_state(2, 1))
     elif basis == "hadamard":
-        plus, minus = plus_minus_states(Generator.qubit())
+        plus, minus = plus_minus_states(QUBIT)
         a = kron(plus, plus)
         b = kron(minus, minus)
     else:

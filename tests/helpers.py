@@ -20,7 +20,7 @@ from metroq.linalg import (
     normalized,
 )
 from metroq.states import (
-    Generator,
+    QUBIT,
     StrategyKind,
     classical_corr_state,
     ghz_like,
@@ -114,10 +114,9 @@ def qubit_fringe_grid(n, qubit_scale):
 
 def register_grade(n, support):
     """Reference for the fock certificates' qubit grade: |<GHZ|register>|^2,
-    the n-qubit GHZ state against the whole 2^n register ghz_register(qubit,
+    the n-qubit GHZ state against the whole 2^n register ghz_register(QUBIT,
     n, support)."""
-    qubit = Generator.qubit()
-    return fidelity_up_to_phase(ghz_like(qubit, n), ghz_register(qubit, n, support))
+    return fidelity_up_to_phase(ghz_like(QUBIT, n), ghz_register(QUBIT, n, support))
 
 
 def max_fringe_deviation_on_register(make_generator, n, qubit_scale):
@@ -127,7 +126,7 @@ def max_fringe_deviation_on_register(make_generator, n, qubit_scale):
     h = make_generator(n)
     probe, _ = plus_minus_states(h)
     grid = np.linspace(0.0, math.pi, 100)
-    supports = ghz_phase_support(Generator.qubit(), qubit_fringe_grid(n, qubit_scale))
+    supports = ghz_phase_support(QUBIT, qubit_fringe_grid(n, qubit_scale))
     return max(abs(fringe(h, probe, phi) - register_grade(n, support))
                for phi, support in zip(grid, supports))
 
@@ -193,25 +192,24 @@ def useful_entanglement_check_per_phase(e):
     """Reference for equivalence.useful_entanglement_check: the same decision
     taken one grid phase and one start state at a time with matrix boxes of
     the qubit generator."""
-    h = Generator.qubit()
     e = as_matrix(e)
     smax = float(np.max(np.linalg.svd(e, compute_uv=False)))
     if smax == 0.0:
         return False, None
     e = e / smax
-    c0 = e[h.min_index, h.min_index]
-    c1 = e[h.max_index, h.max_index]
+    c0 = e[QUBIT.min_index, QUBIT.min_index]
+    c1 = e[QUBIT.max_index, QUBIT.max_index]
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
-    lo = np.zeros(h.dim, dtype=np.complex128)
-    hi = np.zeros(h.dim, dtype=np.complex128)
-    lo[h.min_index] = 1.0
-    hi[h.max_index] = 1.0
+    lo = np.zeros(QUBIT.dim, dtype=np.complex128)
+    hi = np.zeros(QUBIT.dim, dtype=np.complex128)
+    lo[QUBIT.min_index] = 1.0
+    hi[QUBIT.max_index] = 1.0
     targets = [normalized(lo + sign * np.exp(1j * lam_hat) * hi) for sign in (1.0, -1.0)]
-    plus, minus = plus_minus_states(h)
+    plus, minus = plus_minus_states(QUBIT)
     for phi in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
-        u = u_phi(h, phi)
+        u = u_phi(QUBIT, phi)
         u2 = u @ u
         for start, target in zip((plus, minus), targets):
             v = u @ e @ u @ start
@@ -246,11 +244,10 @@ def check_vectorization_six_draws(rng, n_max, samples):
 def counterexample_per_phase(basis, phi):
     """Reference for equivalence.counterexample at one phase: 4x4 matrix
     products and the probe-2 trace taken on the 2-D state."""
-    h = Generator.qubit()
-    u2 = kron(u_phi(h, phi), u_phi(h, phi))
+    u2 = kron(u_phi(QUBIT, phi), u_phi(QUBIT, phi))
     evolved = u2 @ classical_corr_state(basis) @ u2.conj().T
     acc = np.zeros((4, 4), dtype=np.complex128)
-    for o in plus_minus_states(h):
+    for o in plus_minus_states(QUBIT):
         proj = kron(np.eye(2), np.outer(o, o.conj()))
         acc += proj @ evolved @ proj
     assert is_density_matrix(acc)

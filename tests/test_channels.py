@@ -15,7 +15,7 @@ from metroq.channels import (
     is_unital,
 )
 from metroq.linalg import is_antidiagonal, is_diagonal, kron
-from metroq.states import Generator
+from metroq.states import QUBIT
 
 from helpers import ghz_state, random_density_matrix
 
@@ -27,9 +27,11 @@ def kraus_sum(rho, ops):
 
 
 def test_constructors_are_trace_preserving():
-    for ch in (dephasing(0.0), dephasing(0.25), bit_phase_flip(0.4),
-               amplitude_damping(0.3)):
-        assert ch.completeness_residual() < 1e-12
+    # by formula, at the ends of [0, 1] and between them, at 1e-12: tighter
+    # than the ATOL_PREDICATE that is_trace_preserving grades
+    for ctor in (dephasing, bit_phase_flip, amplitude_damping):
+        for p in np.linspace(0.0, 1.0, 21):
+            assert ctor(p).completeness_residual() < 1e-12, (ctor, p)
 
 
 def test_dephasing_zero_is_identity_channel():
@@ -83,7 +85,7 @@ def test_each_diag_or_antidiag_is_exactly_a_two_entry_ghz_register(ch):
     # entries the conversion beyond two probes runs on
     widest = 0
     for n in range(2, 5):
-        ghz = ghz_state(Generator.qubit(), n, 0.7)
+        ghz = ghz_state(QUBIT, n, 0.7)
         for ops in itertools.product(ch.ops, repeat=n):
             widest = max(widest, np.count_nonzero(functools.reduce(kron, ops) @ ghz))
     assert each_diag_or_antidiag(ch) == (widest <= 2), widest

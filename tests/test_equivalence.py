@@ -37,6 +37,7 @@ from metroq.linalg import (
 from metroq.states import (
     MAX_PROBES,
     PAULI_X,
+    QUBIT,
     Generator,
     ghz_like,
     ghz_phase_support,
@@ -59,7 +60,7 @@ from helpers import (
 )
 from test_golden import GOLDEN, transcript
 
-H = Generator.qubit()
+H = QUBIT
 PLUS, MINUS = plus_minus_states(H)
 # the qubit, a qutrit with a middle eigenvalue, a ququart whose max index
 # comes first, and both bosonic generators
@@ -321,9 +322,8 @@ def test_branch_parity_slices_are_each_ns_parities_read_only():
 
 
 def test_phase_grid_is_a_read_only_fresh_build():
-    h = Generator.qubit()
-    boxes = phase_box(h, np.linspace(0.0, 2 * math.pi, 50, endpoint=False))[:, None, :]
-    fresh = (boxes, boxes * np.stack(plus_minus_states(h)), boxes * boxes)
+    boxes = phase_box(QUBIT, np.linspace(0.0, 2 * math.pi, 50, endpoint=False))[:, None, :]
+    fresh = (boxes, boxes * np.stack(plus_minus_states(QUBIT)), boxes * boxes)
     grid = (equivalence._GRID_BOXES, equivalence._GRID_BOXED_STARTS,
             equivalence._GRID_BOXES_SQUARED)
     for held, built in zip(grid, fresh, strict=True):
@@ -490,7 +490,7 @@ def test_verify_reports_a_singular_fisher_outcome_as_a_fail(capsys, monkeypatch)
     # derivative does not, which consistent probabilities cannot do.
     steep = Generator(np.array([0.0, 1e3]))
     with monkeypatch.context() as m:
-        m.setattr(equivalence.Generator, "qubit", staticmethod(lambda: steep))
+        m.setattr(equivalence, "QUBIT", steep)
         stuck = np.array([1.0, np.exp(1e-9j)])
         m.setattr(equivalence, "phase_box",
                   lambda h, phis: np.broadcast_to(stuck, np.shape(phis) + stuck.shape))
@@ -523,22 +523,22 @@ def test_averaged_state_carries_no_information():
 # ----------------------------------------------------------- noise conversion
 
 def test_effective_channel_identity_case():
-    eff, tp = effective_sequential_channel(IDENTITY_CHANNEL, IDENTITY_CHANNEL)
-    assert tp
+    eff = effective_sequential_channel(IDENTITY_CHANNEL, IDENTITY_CHANNEL)
+    assert eff.is_trace_preserving()
     assert len(eff.ops) == 1
     np.testing.assert_allclose(eff.ops[0], np.eye(2), atol=1e-15)
 
 
 def test_effective_channel_dephasing_pair():
-    eff, tp = effective_sequential_channel(dephasing(0.25), dephasing(0.25))
-    assert tp
+    eff = effective_sequential_channel(dephasing(0.25), dephasing(0.25))
+    assert eff.is_trace_preserving()
     assert len(eff.ops) == 4
     assert eff.completeness_residual() < 1e-12
 
 
 def test_effective_channel_nonunital_second_loses_trace():
-    eff, tp = effective_sequential_channel(dephasing(0.25), amplitude_damping(0.3))
-    assert not tp
+    eff = effective_sequential_channel(dephasing(0.25), amplitude_damping(0.3))
+    assert not eff.is_trace_preserving()
     acc = sum(k.conj().T @ k for k in eff.ops)
     np.testing.assert_allclose(acc, np.diag([1.3, 0.7]), atol=1e-12)
 
@@ -561,7 +561,7 @@ def test_trace_preservation_iff_second_unital():
     ]
     for cha in zoo:
         for chb in zoo:
-            _, tp = effective_sequential_channel(cha, chb)
+            tp = effective_sequential_channel(cha, chb).is_trace_preserving()
             assert tp == is_unital(chb), (cha, chb)
 
 

@@ -15,7 +15,14 @@ from metroq.fock import (
     noon_fringe_zeros,
 )
 from metroq.linalg import fidelity_up_to_phase
-from metroq.states import Generator, ghz_like, ghz_phase_support, phase_box, plus_minus_states
+from metroq.states import (
+    QUBIT,
+    Generator,
+    ghz_like,
+    ghz_phase_support,
+    phase_box,
+    plus_minus_states,
+)
 
 from helpers import (
     evolve_sequential,
@@ -26,7 +33,7 @@ from helpers import (
     register_grade,
 )
 
-H = Generator.qubit()
+H = QUBIT
 
 
 def test_generators_of_the_bosonic_probes():

@@ -15,7 +15,7 @@ from metroq.information import (
     qfi_pure,
 )
 from metroq.simulate import scaling_experiment
-from metroq.states import Generator, StrategyKind, StrategySpec, ghz_like
+from metroq.states import QUBIT, StrategyKind, StrategySpec, ghz_like
 
 from helpers import ghz_state
 
@@ -25,25 +25,22 @@ def product_plus_state(n):
 
 
 def test_qfi_ghz_is_n_squared():
-    h = Generator.qubit()
     for n in range(1, 13):
         for lam in (0.0, 0.9, -2.2):
-            got = qfi_pure(ghz_state(h, n, lam), collective_generator(h, n))
+            got = qfi_pure(ghz_state(QUBIT, n, lam), collective_generator(QUBIT, n))
             assert abs(got - n * n) < 1e-10
 
 
 def test_qfi_product_state_is_n():
-    h = Generator.qubit()
     for n in range(1, 13):
-        assert abs(qfi_pure(product_plus_state(n), collective_generator(h, n)) - n) < 1e-10
+        assert abs(qfi_pure(product_plus_state(n), collective_generator(QUBIT, n)) - n) < 1e-10
 
 
 def test_qfi_eigenstate_is_zero():
-    h = Generator.qubit()
     for n in (1, 3, 6):
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
-        assert abs(qfi_pure(psi, collective_generator(h, n))) < 1e-12
+        assert abs(qfi_pure(psi, collective_generator(QUBIT, n))) < 1e-12
 
 
 def test_cfi_hand_values():
@@ -75,10 +72,9 @@ def test_cfi_rejects_degenerate_points():
 
 
 def test_measurement_optimality_cfi_matches_qfi():
-    h = Generator.qubit()
     for n in (1, 2, 4, 8):
         cfi = cfi_binary(n, operating_phase(n))
-        qfi = qfi_pure(ghz_like(h, n), collective_generator(h, n))
+        qfi = qfi_pure(ghz_like(QUBIT, n), collective_generator(QUBIT, n))
         assert abs(cfi - qfi) < 1e-9
 
 
@@ -183,4 +179,4 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         optimal_frequency_bound(0, 1.0, 1)
     with pytest.raises(ValueError):
-        qfi_pure(np.array([1.0, 1.0]), Generator.qubit())  # not normalized
+        qfi_pure(np.array([1.0, 1.0]), QUBIT)  # not normalized

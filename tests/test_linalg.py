@@ -18,7 +18,7 @@ from metroq.linalg import (
     vec,
     vec_identity_residual,
 )
-from metroq.states import PAULI_Z, Generator
+from metroq.states import PAULI_Z, QUBIT
 
 from helpers import (
     project_subsystem,
@@ -124,8 +124,7 @@ def test_vec_identity_trivial():
 
 
 def test_vec_identity_phase_boxes():
-    h = Generator.qubit()
-    assert vec_identity_residual(u_phi(h, 0.7), u_phi(h, 1.3), I2) < 1e-12
+    assert vec_identity_residual(u_phi(QUBIT, 0.7), u_phi(QUBIT, 1.3), I2) < 1e-12
 
 
 def test_vec_identity_random_triples():
@@ -278,8 +277,7 @@ def test_metric_dimension_mismatch():
 
 
 def test_predicates():
-    h = Generator.qubit()
-    assert is_unitary(u_phi(h, 0.9))
+    assert is_unitary(u_phi(QUBIT, 0.9))
     assert not is_unitary(2 * I2)
     assert is_diagonal(np.diag([1.0, 2.0]))
     assert not is_diagonal(np.array([[1, 1e-8], [0, 1]]))

@@ -38,11 +38,15 @@ def test_module_import_loads_only_its_own_dependencies():
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random loads on the first draw.  A module-level SeedSequence,
     # Philox or pre-filled seed cache would load it at import, into the
-    # start-up of every command, those that draw nothing included.
-    code = "import metroq.cli, sys; print('numpy.random' in sys.modules)"
+    # start-up of every command, those that draw nothing included.  No
+    # module imports scipy at all.
+    code = ("import metroq.cli, sys; print('numpy.random' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=child_env())
-    assert proc.stdout.strip() == "False"
+    numpy_random, scipy = proc.stdout.splitlines()
+    assert numpy_random == "False"
+    assert scipy == "[]"
 
 
 # Each subcommand's argv, and the layers it runs besides cli and the states
@@ -180,62 +184,50 @@ def test_name_finder_sees_an_aliased_import_and_an_attribute_call():
         assert "ghz_register" in _referenced_names(ast.parse(code))
 
 
-def _module_names(name: str) -> set[str]:
-    return _referenced_names(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
-
-
-def test_certificates_build_no_register():
-    # conversion certificates measure the GHZ support itself, so equivalence
-    # names neither constructor of a whole d^N register
-    assert not {"ghz_register", "ghz_like"} & _module_names("equivalence")
-
-
-def test_monte_carlo_builds_no_register():
-    # the entangled strategy is evolved and graded on its GHZ support
-    assert not {"ghz_register", "ghz_like"} & _module_names("simulate")
-
-
-def test_bounds_and_bosonic_probes_build_no_register():
-    # crb takes the entangled QFI on the GHZ support, the N0/NOON probe is the
-    # + state of plus_minus_states, and the fock certificates grade the qubit
-    # side on its support
-    assert not {"ghz_register", "ghz_like"} & _module_names("information")
-    assert not {"ghz_register", "ghz_like"} & _module_names("fock")
-
-
 def _defined_names(tree: ast.Module) -> set[str]:
     return {node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
-def test_no_module_names_a_dense_phase_box():
+EVERY_MODULE = sorted(p.stem for p in PACKAGE.glob("*.py"))  # __init__ included
+REFERENCED, DEFINED = (_referenced_names,), (_defined_names,)
+
+# Names that no module of a scope may reference, define or either, by guard.
+NAME_GUARDS = {
+    # conversion certificates measure the GHZ support itself, so equivalence
+    # names neither constructor of a whole d^N register
+    "certificates_build_no_register":
+        (["equivalence"], {"ghz_register", "ghz_like"}, REFERENCED),
+    # the entangled strategy is evolved and graded on its GHZ support
+    "monte_carlo_builds_no_register": (["simulate"], {"ghz_register", "ghz_like"}, REFERENCED),
+    # crb takes the entangled QFI on the GHZ support, the N0/NOON probe is the
+    # + state of plus_minus_states, and the fock certificates grade the qubit
+    # side on its support
+    "bounds_and_bosonic_probes_build_no_register":
+        (["information", "fock"], {"ghz_register", "ghz_like"}, REFERENCED),
     # a phase box is its diagonal, states.phase_box; the dense u_phi is only
     # a reference in the tests
-    for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert "u_phi" not in _referenced_names(tree) | _defined_names(tree), path.name
-
-
-def test_no_module_defines_ghz_register():
+    "no_module_names_a_dense_phase_box": (EVERY_MODULE, {"u_phi"}, REFERENCED + DEFINED),
     # a support goes back on the register only in the tests' reference
-    for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert "ghz_register" not in _defined_names(tree), path.name
-
-
-def test_no_module_calls_object_new():
+    "no_module_defines_ghz_register": (EVERY_MODULE, {"ghz_register"}, DEFINED),
     # each frozen value type has one constructor: an instance made by
     # __new__ would skip its __post_init__ and the array rule in it
-    for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert "__new__" not in _referenced_names(tree), path.name
-
-
-def test_no_module_defines_support_columns():
+    "no_module_calls_object_new": (EVERY_MODULE, {"__new__"}, REFERENCED),
     # the +- columns are the same for every generator: one module constant,
     # no per-generator cache
-    for path in PACKAGE.glob("*.py"):
-        assert "_support_columns" not in _defined_names(ast.parse(path.read_text(encoding="utf-8")))
+    "no_module_defines_support_columns": (EVERY_MODULE, {"_support_columns"}, DEFINED),
+    # the sequential and classical probe is the one-probe GHZ support too, and
+    # every strategy's boxes are one ghz_phase_support evolution: simulate
+    # builds no box of its own
+    "simulate_builds_no_box": (["simulate"], {"plus_minus_states", "phase_box"}, REFERENCED),
+}
+
+
+@pytest.mark.parametrize("modules, names, finders", NAME_GUARDS.values(), ids=NAME_GUARDS)
+def test_name_guard(modules, names, finders):
+    for module in modules:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        assert not names & set().union(*(finder(tree) for finder in finders)), module
 
 
 def test_certificate_functions_take_no_generator():
@@ -252,10 +244,8 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_every_strategy_starts_from_the_ghz_support():
-    # the sequential and classical probe is the one-probe GHZ support too, and
-    # every strategy's boxes are one ghz_phase_support evolution: simulate
-    # builds no box of its own, and the success probability reads no kind
-    assert not {"plus_minus_states", "phase_box"} & _module_names("simulate")
+    # every strategy is one evolution (NAME_GUARDS' simulate_builds_no_box),
+    # so the success probability reads no kind
     success = _referenced_names(_function("simulate", "strategy_success_probability"))
     assert not {"StrategyKind", "kind"} & success
 

@@ -21,7 +21,7 @@ from metroq.simulate import (
 )
 from metroq.states import (
     MAX_PROBES,
-    Generator,
+    QUBIT,
     StrategyKind,
     StrategySpec,
     ghz_like,
@@ -38,7 +38,7 @@ from helpers import (
     u_phi,
 )
 
-H = Generator.qubit()
+H = QUBIT
 PLUS, MINUS = plus_minus_states(H)
 
 

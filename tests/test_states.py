@@ -12,6 +12,7 @@ from metroq.linalg import fidelity_up_to_phase, vec
 from metroq.states import (
     PAULI_X,
     PAULI_Z,
+    QUBIT,
     Generator,
     StrategyKind,
     StrategySpec,
@@ -43,13 +44,13 @@ def test_generator_derives_the_levels_its_callers_designated():
     def levels(h):
         return h.min_index, h.max_index
 
-    assert levels(Generator.qubit()) == (0, 1)
+    assert levels(QUBIT) == (0, 1)
     assert levels(QUTRIT) == (0, 2)
     assert levels(MAX_FIRST_QUQUART) == (3, 0)
     for n in (1, 2, 5, 12):
         assert levels(Generator.number(n)) == (0, n)
         assert levels(Generator.number_difference(n)) == (0, n)
-    for h in (Generator.qubit(), QUTRIT, MAX_FIRST_QUQUART):
+    for h in (QUBIT, QUTRIT, MAX_FIRST_QUQUART):
         for n in (1, 2, 3):
             designated = tuple(repeated_index(h.dim, n, j) for j in levels(h))
             assert levels(collective_generator(h, n)) == designated, (h.eigenvalues, n)
@@ -65,7 +66,7 @@ def test_generator_ties_resolve_to_the_first_level():
 
 # the qubit, a qutrit with a middle eigenvalue, and the bosonic generators
 BOX_GENERATORS = [
-    Generator.qubit(),
+    QUBIT,
     Generator(np.array([-0.3, 0.45, 1.2])),
     *[Generator.number(n) for n in (1, 5, 12)],
     *[Generator.number_difference(n) for n in (1, 5, 12)],
@@ -99,18 +100,16 @@ def test_one_probe_phase_mask_is_bitwise_the_phase_box():
 
 
 def test_phase_box_at_zero_and_pi():
-    h = Generator.qubit()
-    np.testing.assert_array_equal(phase_box(h, 0.0), np.ones(2))
-    np.testing.assert_allclose(phase_box(h, math.pi), [1.0, -1.0], atol=1e-15)
+    np.testing.assert_array_equal(phase_box(QUBIT, 0.0), np.ones(2))
+    np.testing.assert_allclose(phase_box(QUBIT, math.pi), [1.0, -1.0], atol=1e-15)
 
 
 def test_phase_box_repeated_application_accumulates_phase():
-    h = Generator.qubit()
-    plus, _ = plus_minus_states(h)
+    plus, _ = plus_minus_states(QUBIT)
     state = plus
     n, phi = 7, 0.31
     for _ in range(n):
-        state = phase_box(h, phi) * state
+        state = phase_box(QUBIT, phi) * state
     expected = np.array([1.0, np.exp(1j * n * phi)]) / math.sqrt(2)
     assert fidelity_up_to_phase(state, expected) > 1 - 1e-12
 
@@ -136,16 +135,15 @@ def test_phase_box_affine_shift_is_global_phase():
 
 
 def test_ghz_small_cases():
-    h = Generator.qubit()
-    plus, _ = plus_minus_states(h)
-    np.testing.assert_allclose(ghz_like(h, 1), plus, atol=1e-15)
+    plus, _ = plus_minus_states(QUBIT)
+    np.testing.assert_allclose(ghz_like(QUBIT, 1), plus, atol=1e-15)
     np.testing.assert_allclose(
-        ghz_like(h, 2), vec(np.eye(2)) / math.sqrt(2), atol=1e-15
+        ghz_like(QUBIT, 2), vec(np.eye(2)) / math.sqrt(2), atol=1e-15
     )
     expected = np.zeros(8, dtype=complex)
     expected[0], expected[7] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     np.testing.assert_allclose(
-        ghz_register(h, 3, ghz_phase_support(h, [0.0] * 3, math.pi)), expected, atol=1e-12
+        ghz_register(QUBIT, 3, ghz_phase_support(QUBIT, [0.0] * 3, math.pi)), expected, atol=1e-12
     )
 
 
@@ -163,7 +161,7 @@ def test_ghz_like_uses_extreme_indices():
 # middle eigenvalue, a 3-level generator whose extreme levels are not (0, 1),
 # and the one-probe bosonic generators of metroq.fock
 SUPPORT_CASES = [
-    (Generator.qubit(), range(1, 13)),
+    (QUBIT, range(1, 13)),
     (Generator(np.array([-0.3, 0.45, 1.2])), range(1, 7)),
     (Generator(np.array([0.5, -1.0, 2.0])), range(1, 7)),
     *[(Generator.number(n), [1]) for n in (1, 5, 12)],
@@ -199,9 +197,9 @@ def test_ghz_phase_support_is_bitwise_the_phase_mask_evolution():
 def test_ghz_phase_support_rejects_no_probes():
     for phis in ([], 0.3, np.zeros((4, 0))):
         with pytest.raises(ValueError):
-            ghz_phase_support(Generator.qubit(), phis)
+            ghz_phase_support(QUBIT, phis)
     with pytest.raises(ValueError):
-        ghz_like(Generator.qubit(), 0)
+        ghz_like(QUBIT, 0)
 
 
 def test_repeated_index_matches_ravel_multi_index():
