@@ -791,6 +791,13 @@ def test_verify_runs_the_acceptance_checks():
     ]
 
 
+def test_cli_import_does_not_load_scipy():
+    code = "import metroq.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env())
+    assert proc.stdout.strip() == "[]"
+
+
 def _metroq_child(modules="metroq.cli", **blas_vars):
     """Import `modules` first in a fresh process, so numpy loads after
     metroq/__init__; return the child's BLAS thread variables and its OS
