@@ -15,8 +15,9 @@ round seed for all rounds of an experiment, every row, at once
 (philox_keys), with the same SeedSequence arithmetic on numpy uint64 arrays
 masked to 32 bits, and each round re-keys one Generator(Philox) per thread
 with its key (run_trials): the whole bit-generator state is reset to the
-one a fresh Philox(round seed) starts in.  A SeedSequence, a Philox or a Generator per round cost
-more than the draw itself.  The keys are the ones Philox takes, so the
+one a fresh Philox(round seed) starts in, from one state mapping per thread
+whose key alone changes.  A SeedSequence, a Philox or a Generator per round
+cost more than the draw itself.  The keys are the ones Philox takes, so the
 streams, and STREAM_VERSION, are unchanged by computing them this way.
 """
 
@@ -65,9 +66,9 @@ _A = tuple(_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in range(27))
 # and after the fourth: _B[k] = _INIT_B * _MULT_B**k
 _B = tuple(_INIT_B * pow(_MULT_B, k, 2**32) & _MASK32 for k in range(5))
 
-# Each thread's Generator(Philox), built on its first draw (not at import,
-# which would load numpy.random into every command's start-up) and re-keyed
-# by every run_trials call.
+# Each thread's Generator(Philox) and the state mapping that re-keys it, built
+# on the thread's first draw (not at import, which would load numpy.random
+# into every command's start-up); every run_trials call replaces the key.
 _thread = threading.local()
 
 # Fixed stream index per strategy, so reordering StrategyKind keeps the streams.
@@ -139,11 +140,12 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, key) -> int:
     returns for the round seed: the draw is the one Generator(Philox(seed))
     makes.  It comes from this thread's one Generator(Philox), its bit
     generator's whole state reset to the one a fresh Philox with that key
-    starts in: counter 0, no buffered output.  A fresh stream per round cost
-    more in its SeedSequence's and the Generator's set-up than in the draw.
-    The count still depends only on the arguments: nothing of an earlier draw
-    survives the reset, and numpy's cached binomial set-up is a function of
-    (trials, p) alone.
+    starts in: counter 0, no buffered output.  The reset reads the thread's
+    one state mapping, in which only the key changes from draw to draw.  A
+    fresh stream per round cost more in its SeedSequence's and the
+    Generator's set-up than in the draw.  The count still depends only on
+    the arguments: nothing of an earlier draw survives the reset, and numpy's
+    cached binomial set-up is a function of (trials, p) alone.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -151,18 +153,21 @@ def run_trials(strategy: StrategySpec, p: float, nu: int, key) -> int:
         raise ValueError("p must lie in [0, 1]")
     trials = strategy.trials_per_repetition * nu
     try:
-        rng = _thread.rng
+        rng, state = _thread.draw
     except AttributeError:  # this thread's first draw
-        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # the buffer of 4 uint64s is used up
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return int(rng.binomial(trials, p))
+        rng = np.random.Generator(np.random.Philox(0))
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # the buffer of 4 uint64s is used up
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _thread.draw = rng, state
+    state["state"]["key"] = key
+    rng.bit_generator.state = state
+    return rng.binomial(trials, p)  # a Python int for scalar arguments
 
 
 def estimate_phase(k: int, nu: int, n: int) -> float:
@@ -173,6 +178,8 @@ def estimate_phase(k: int, nu: int, n: int) -> float:
     """
     if not 0 <= k <= nu:
         raise ValueError("k must lie in [0, nu]")
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     return (2.0 / n) * math.acos(math.sqrt(k / nu))
@@ -213,16 +220,21 @@ def philox_keys(seeds) -> np.ndarray:
     from the pool of 4 mixes as a zero word, so seeds below 2^32 agree
     too).  The pool is filled, mixed and hashed out with numpy's
     SeedSequence arithmetic on arrays, every seed at once.  Raises
-    ValueError unless seeds is a 1-d sequence of 64-bit unsigned integers.
+    ValueError unless seeds is a sequence (a list, a tuple or a 1-d numpy
+    array) of 64-bit unsigned integers, bools and floats excluded.
     """
-    if np.ndim(seeds) != 1:
-        raise ValueError("seeds must be a 1-d sequence")
-    if not all(0 <= seed < 2**64 for seed in seeds):
-        raise ValueError("seeds must be 64-bit unsigned integers")
-    seeds = np.array(seeds, dtype=np.uint64)
+    # One conversion: operator.index rejects floats, strings and nested
+    # sequences, and numpy's uint64 conversion rejects ints outside 64 bits.
+    try:
+        seed_array = np.fromiter(map(operator.index, seeds), np.uint64, len(seeds))
+    except (TypeError, OverflowError):
+        raise ValueError("seeds must be a 1-d sequence of 64-bit unsigned integers") from None
+    if bool in map(type, seeds):  # operator.index takes True as 1
+        raise ValueError("seeds must be integers, not booleans")
     # mix_entropy: the two words and two zero words fill the pool of 4, then
     # every pool word is mixed into each of the other three
-    pool = [_hashmix(seeds & _MASK32, 0), _hashmix(seeds >> 32, 1), _hashmix(0, 2), _hashmix(0, 3)]
+    pool = [_hashmix(seed_array & _MASK32, 0), _hashmix(seed_array >> 32, 1),
+            _hashmix(0, 2), _hashmix(0, 3)]
     k = 4
     for src in range(4):
         for dst in range(4):
@@ -298,14 +310,14 @@ def fit_loglog_slope(ns, rmses) -> tuple[float, float]:
     return slope, math.sqrt(s2 / sxx)
 
 
-def _probe_count(n) -> int:
-    """n as a Python int, or ValueError unless it is an integer other than a bool."""
-    if isinstance(n, bool):
-        raise ValueError("n_values must list integers, not booleans")
+def _integer(value, name: str) -> int:
+    """value as a Python int, or ValueError unless it is an integer other than a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a boolean")
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"n_values must list integers, not {n!r}") from None
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def scaling_experiment(
@@ -316,8 +328,9 @@ def scaling_experiment(
     The report is a pure function of the arguments.  Rows come in increasing
     N, each estimated at its maximum-sensitivity operating point pi/(2N).
     Raises ValueError unless nu, rounds >= 1, the seed is a 64-bit unsigned
-    integer and n_values lists at least 3 distinct positive integers (bools
-    are not sizes; rows hold each N as a Python int).
+    integer and n_values lists at least 3 distinct positive integers.  Every
+    count, size and the seed must be an integer (operator.index), and not a
+    bool; rows hold each N as a Python int.
 
     For each N the success probability p is computed once, by one
     strategy_success_probability call, and every round of the row draws
@@ -332,11 +345,12 @@ def scaling_experiment(
     are None when some N has zero RMSE.  The report also counts the streams
     opened and the trials drawn.
     """
+    nu, rounds, seed = _integer(nu, "nu"), _integer(rounds, "rounds"), _integer(seed, "seed")
     if nu < 1 or rounds < 1:
         raise ValueError("nu and rounds must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    n_values = sorted(_probe_count(n) for n in n_values)
+    n_values = sorted(_integer(n, "each of n_values") for n in n_values)
     if len(n_values) < 3 or n_values[0] < 1 or len(set(n_values)) < len(n_values):
         raise ValueError("n_values must list at least 3 distinct positive integers")
     keys = philox_keys(
@@ -349,10 +363,11 @@ def scaling_experiment(
         phi = operating_phase(n)
         p = strategy_success_probability(strat, phi)
         trials = strat.trials_per_repetition * nu
+        order = strat.fringe_order
         # converted per row, so only one row's keys are Python lists at a time
         row_keys = keys[i * rounds:(i + 1) * rounds].tolist()
         counts = [run_trials(strat, p, nu, key) for key in row_keys]
-        errors = np.array([estimate_phase(k, trials, strat.fringe_order) for k in counts]) - phi
+        errors = np.array([estimate_phase(k, trials, order) for k in counts]) - phi
         draws += rounds * trials
         rows.append(
             ScalingRow(

@@ -202,6 +202,8 @@ def test_estimate_phase_inversion():
         estimate_phase(-1, 10, 1)
     with pytest.raises(ValueError):
         estimate_phase(11, 10, 1)
+    with pytest.raises(ValueError, match="nu must be >= 1"):  # not a ZeroDivisionError
+        estimate_phase(0, 0, 1)
 
 
 def test_rmse_shrinks_with_nu():
@@ -306,6 +308,10 @@ def test_slope_fit_needs_three_distinct_sizes():
     ((1, 2, 2.5), 100, 5),  # sizes are integers, not floats
     ((1, 2, 4.0), 100, 5),
     ((2, 3, True), 100, 5),  # nor booleans, though True indexes as 1
+    ((1, 2, 4), 2.5, 5),  # the counts follow the sizes' rule
+    ((1, 2, 4), True, 5),
+    ((1, 2, 4), 100, True),
+    ((1, 2, 4), 100, 5.0),
 ])
 def test_scaling_experiment_rejects_bad_sizes_and_counts(n_values, nu, rounds):
     with pytest.raises(ValueError):
@@ -315,6 +321,10 @@ def test_scaling_experiment_rejects_bad_sizes_and_counts(n_values, nu, rounds):
 def test_seed_must_be_unsigned_64_bit():
     with pytest.raises(ValueError):
         scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 4), nu=10, rounds=2, seed=2**64)
+    # and an integer, by the sizes' rule: not a bool, a float or a string
+    for seed in (True, 1.5, "3"):
+        with pytest.raises(ValueError):
+            scaling_experiment(StrategyKind.SEQUENTIAL, (1, 2, 4), nu=10, rounds=2, seed=seed)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             derive_round_seed(seed, StrategyKind.SEQUENTIAL, 2, 0)
@@ -343,9 +353,16 @@ def test_philox_keys_are_the_keys_philox_takes():
         expected = np.random.SeedSequence([seed & 0xFFFFFFFF, seed >> 32]).generate_state(
             2, np.uint64)
         assert key.tolist() == expected.tolist(), seed
+    # numpy integer arrays give the same keys as lists of Python ints
+    assert np.array_equal(philox_keys(np.array(ORACLE_SEEDS, dtype=np.uint64)), keys)
+    assert np.array_equal(philox_keys(np.arange(2, dtype=np.int8)), keys[:2])  # seeds 0 and 1
 
 
-@pytest.mark.parametrize("seeds", [[-1], [2**64], [0, 2**64 - 1, 2**64], 5, [[1, 2]], [[0], [1]]])
+@pytest.mark.parametrize("seeds", [
+    [-1], [2**64], [0, 2**64 - 1, 2**64], 5, [[1, 2]], [[0], [1]],
+    [1.5], [True], [1, True], ["3"], [[1, 2], [3]],  # integers only, not bools or floats
+    np.array([-1]), np.array([1.0]), np.array([True]),
+])
 def test_philox_keys_rejects_seeds_outside_64_bits_and_non_1d_input(seeds):
     with pytest.raises(ValueError):
         philox_keys(seeds)
