@@ -223,30 +223,38 @@ def check_vectorization(rng, n_max: int, samples: int) -> float:
 
 
 def _conversion_residuals(certs) -> tuple[float, float, float]:
-    """Worst fidelity deficit, branch-probability error and missing-branch count."""
-    residuals = [(1.0 - cert.min_fidelity, cert.max_prob_error,
-                  abs(cert.probabilities.size - 2 ** (cert.n_probes - 1))) for cert in certs]
-    return tuple(linalg.worst(column) for column in zip(*residuals))
+    """Worst fidelity deficit, branch-probability error and missing-branch
+    count, in one pass over every certificate's branches: each probability
+    is graded against its own certificate's target 2^-(N-1).  A NaN grade
+    makes its residual NaN."""
+    certs = list(certs)
+    fids = np.concatenate([cert.fidelities for cert in certs])
+    probs = np.concatenate([cert.probabilities for cert in certs])
+    sizes = [cert.probabilities.size for cert in certs]
+    targets = np.repeat([0.5 ** (cert.n_probes - 1) for cert in certs], sizes)
+    missing = linalg.worst(abs(size - 2 ** (cert.n_probes - 1))
+                           for size, cert in zip(sizes, certs))
+    return 1.0 - float(fids.min()), float(np.max(np.abs(probs - targets))), missing
 
 
 def check_conversion_n2(rng, n_max: int, samples: int) -> tuple[float, float, float]:
-    """Two-probe conversion at random phase pairs."""
+    """Two-probe conversion at random phase pairs, drawn as one (samples, 2)
+    block: the same doubles, in the same order, as one scalar draw each."""
     return _conversion_residuals(
-        equivalence.convert_general_n(
-            states.QUBIT, [rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
-        )
-        for _ in range(samples)
+        equivalence.convert_general_n(states.QUBIT, phis)
+        for phis in rng.uniform(0, 2 * math.pi, size=(samples, 2)).tolist()
     )
 
 
 def check_conversion_general_n(rng, n_max: int, per_n: int) -> tuple[float, float, float]:
-    """N-probe conversion at `per_n` random phase vectors for each N in 2..n_max."""
+    """N-probe conversion at `per_n` random phase vectors for each N in
+    2..n_max.  Each N draws one (per_n, N + 1) block, a row holding the N
+    phases and then lambda, the order of one draw of N phases and one of
+    lambda."""
     return _conversion_residuals(
-        equivalence.convert_general_n(
-            states.QUBIT, rng.uniform(0, 2 * math.pi, size=n), rng.uniform(0, 2 * math.pi)
-        )
+        equivalence.convert_general_n(states.QUBIT, row[:n], row[n])
         for n in range(2, n_max + 1)
-        for _ in range(per_n)
+        for row in rng.uniform(0, 2 * math.pi, size=(per_n, n + 1)).tolist()
     )
 
 

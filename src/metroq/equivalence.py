@@ -74,10 +74,6 @@ class ConversionCertificate:
         return float(self.fidelities.min())
 
     @property
-    def max_prob_error(self) -> float:
-        return float(np.max(np.abs(self.probabilities - 0.5 ** (self.n_probes - 1))))
-
-    @property
     def records(self) -> tuple[BranchRecord, ...]:
         """One BranchRecord per branch, built on request (perfbench counts
         branches through it)."""
@@ -94,6 +90,13 @@ class ConversionCertificate:
 # conjugated +- pair gives them, signed zeros included.
 _PLUS_MINUS_COLUMNS = np.array(plus_minus_states(QUBIT)).conj().T
 _PLUS_MINUS_COLUMNS.setflags(write=False)
+# The same entries by outcome, a read-only view of shape (2, 2, 1): [o, s, 0]
+# multiplies support entry s into outcome o.
+_OUTCOME_COLUMNS = _PLUS_MINUS_COLUMNS.T[:, :, None]
+
+# convert_general_n's sign pair for the - reference, read-only
+_PLUS_MINUS_SIGNS = np.array([1, -1])
+_PLUS_MINUS_SIGNS.setflags(write=False)
 
 
 # Parity of the - outcomes of each of the 2^(MAX_PROBES-1) branches, the set bits
@@ -122,16 +125,18 @@ def _support_branch_amplitudes(support, n: int) -> np.ndarray:
     are the outcomes of probes 2..n (0 for +, 1 for -).  A probe measured on
     |min...min> or |max...max> multiplies that amplitude by the projector's
     entry at the same level, one broadcast product per probe appending its
-    outcome as the new least significant bit.  Every probe meets the same two
-    columns, so a column depends only on how many - outcomes its branch
-    holds: the bit order is a labelling convention.  The factors go in in the
-    order a probe-by-probe contraction of the whole register applies them,
-    whose other entries add only exact zeros there, so the matrix is bitwise
-    that contraction's rows min_index and max_index.
+    outcome as the new least significant bit.  The product runs with the
+    outcome axis outermost, so its inner loop runs along the branches, and
+    one transposed copy then interleaves the two outcomes.  Every probe meets
+    the same two columns, so a column depends only on how many - outcomes
+    its branch holds: the bit order is a labelling convention.  The factors
+    go in in the order a probe-by-probe contraction of the whole register
+    applies them, whose other entries add only exact zeros there, so the
+    matrix is bitwise that contraction's rows min_index and max_index.
     """
     branches = np.asarray(support)[:, None]
     for _ in range(n - 1):
-        branches = (branches[:, :, None] * _PLUS_MINUS_COLUMNS[:, None, :]).reshape(2, -1)
+        branches = (branches * _OUTCOME_COLUMNS).transpose(1, 2, 0).reshape(2, -1)
     return branches
 
 
@@ -141,17 +146,28 @@ def _certificate(support: np.ndarray, n: int,
     support at once against the sign-matched sequential reference, a probe-1
     support like it: ref_minus when the branch has an odd number of -
     outcomes, ref_plus otherwise.  Raises ValueError past MAX_PROBES probes,
-    where the 2^(N-1) branches leave desk scale."""
+    where the 2^(N-1) branches leave desk scale.
+
+    The references are laid out like the amplitudes, (2, 2^(N-1)), so each
+    overlap is one contiguous einsum along the branches.  A probability is
+    re*re + im*im summed over the two levels, the same float the einsum of
+    the amplitudes' conjugates with them gives."""
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
     amps = _support_branch_amplitudes(support, n)
-    probs = np.einsum("ib,ib->b", amps.conj(), amps).real
-    refs = np.array([ref_plus, ref_minus])[_BRANCH_PARITY[: 2 ** (n - 1)]]
+    squares = amps.real * amps.real
+    squares += amps.imag * amps.imag
+    probs = squares[0] + squares[1]
+    refs = np.where(_BRANCH_PARITY[: probs.size], ref_minus[:, None], ref_plus[:, None])
     # a dead branch (probability below 1e-15) is divided by 1 and graded 0
     live = probs >= 1e-15
-    cond = amps / np.sqrt(np.where(live, probs, 1.0))
-    overlaps = np.einsum("ib,bi->b", cond.conj(), refs)
-    fids = np.where(live, np.minimum(np.abs(overlaps) ** 2, 1.0), 0.0)
+    every_live = live.all()
+    cond = amps / np.sqrt(probs if every_live else np.where(live, probs, 1.0))
+    fids = np.abs(np.einsum("ib,ib->b", cond.conj(), refs))
+    np.square(fids, out=fids)
+    np.minimum(fids, 1.0, out=fids)
+    if not every_live:
+        fids[~live] = 0.0
     return ConversionCertificate(n, probs, fids)
 
 
@@ -172,7 +188,7 @@ def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertifi
         raise ValueError("need at least 2 probes for a conversion certificate")
     box = phase_box(h, sum(phis))[[h.min_index, h.max_index]]
     plus = ghz_support(lam)
-    minus = plus * [1, -1]  # negating the entry instead would flip a signed zero
+    minus = plus * _PLUS_MINUS_SIGNS  # negating the entry instead would flip a signed zero
     # box first: ghz_phase_support(h, [sum(phis)], lam) puts the amplitude
     # first in the product, which rounds differently in the last bit
     return _certificate(ghz_phase_support(h, phis, lam), n, box * plus, box * minus)
@@ -305,8 +321,11 @@ def useful_entanglement_check(e) -> tuple[bool, float | None]:
     within about 1e-6 of that family pass too.
 
     The whole grid is evaluated at once from the phase-box diagonals built at
-    import (_GRID_BOXES).  A grid point rejects when an evolved vector's norm
-    is below 1e-12 or its fidelity to the target is below 1 - 1e-12.
+    import (_GRID_BOXES); E is applied to every boxed start by one einsum,
+    which runs the 100 two-entry products several times faster than a
+    stacked matmul of 2x2 matrices.  A grid point rejects when an evolved
+    vector's norm is below 1e-12 or its fidelity to the target is below
+    1 - 1e-12.
     """
     e = as_matrix(e)
     if e.shape != (2, 2):
@@ -321,7 +340,7 @@ def useful_entanglement_check(e) -> tuple[bool, float | None]:
         return False, None
     lam_hat = float(np.angle(c1 / c0))
     targets = np.stack(plus_minus_states(QUBIT, lam_hat))
-    v = _GRID_BOXES * (_GRID_BOXED_STARTS @ e.T)
+    v = _GRID_BOXES * np.einsum("psj,kj->psk", _GRID_BOXED_STARTS, e)
     nv = np.linalg.norm(v, axis=2)
     if np.any(nv < 1e-12):
         return False, None

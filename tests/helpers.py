@@ -241,6 +241,13 @@ def check_vectorization_six_draws(rng, n_max, samples):
     return worst
 
 
+def max_prob_error(cert):
+    """Largest distance of a certificate's branch probabilities from the
+    uniform 2^-(N-1): one certificate's share of cli._conversion_residuals'
+    probability column."""
+    return float(np.max(np.abs(cert.probabilities - 0.5 ** (cert.n_probes - 1))))
+
+
 def counterexample_per_phase(basis, phi):
     """Reference for equivalence.counterexample at one phase: 4x4 matrix
     products and the probe-2 trace taken on the 2-D state."""

@@ -586,6 +586,12 @@ def _nan_fidelity(cert):
     )
 
 
+def _nan_probability(cert):
+    return equivalence.ConversionCertificate(
+        cert.n_probes, _first_nan(cert.probabilities), cert.fidelities
+    )
+
+
 # (verdict, argv, value key, module, function, which call, what that call
 # returns instead).  Each NaN comes after the first value of the reduction
 # it reaches, where Python's max would keep the number before it.
@@ -617,7 +623,22 @@ NAN_CASES = [
      information, "crb", 3, lambda bound: math.nan),  # N = 2
     ("scaling-sequential", ["scaling", "--strategies", "sequential"], "rows[2].crb",
      simulate, "crb", 3, lambda bound: math.nan),  # N = 4
+    # the conversion checks grade probabilities in their own column
+    ("conversion-n2", ["verify"], "residual",
+     equivalence, "convert_general_n", 3, _nan_probability),
+    ("conversion-general-n", ["verify"], "residual",
+     equivalence, "convert_general_n", 3, _nan_probability),
 ]
+
+
+def _nan_case_ids(cases):
+    """verdict-function for each case, and the poison's name after an id
+    already taken, so a case appended later leaves every earlier id as it was."""
+    ids = []
+    for verdict, _, _, _, function, _, poison in cases:
+        case_id = f"{verdict}-{function}"
+        ids.append(case_id if case_id not in ids else f"{case_id}-{poison.__name__.strip('_')}")
+    return ids
 
 
 def _value_at(rec, path):
@@ -628,7 +649,7 @@ def _value_at(rec, path):
 
 
 @pytest.mark.parametrize("verdict, argv, key, module, function, call, poison", NAN_CASES,
-                         ids=[f"{case[0]}-{case[4]}" for case in NAN_CASES])
+                         ids=_nan_case_ids(NAN_CASES))
 def test_a_nan_residual_is_a_fail_with_a_null_value(
     capsys, monkeypatch, tmp_path, verdict, argv, key, module, function, call, poison
 ):

@@ -52,6 +52,7 @@ from helpers import (
     counterexample_per_phase,
     ghz_register,
     ghz_state,
+    max_prob_error,
     phase_mask,
     project_subsystem,
     random_cptp_channel,
@@ -85,7 +86,7 @@ def test_convert_n2_trivial_phases():
 def test_convert_n2_accumulates_both_phases():
     cert = convert_general_n(H, [0.7, 1.3])
     # conditional probe-1 states are proportional to |0> +- e^{2.0 i} |1>
-    assert cert.max_prob_error < 1e-12
+    assert max_prob_error(cert) < 1e-12
     assert cert.min_fidelity > 1 - 1e-12
     branch_plus = normalized(np.array([1.0, np.exp(2.0j)]))
     u2 = u_phi(H, 2.0)
@@ -98,7 +99,7 @@ def test_convert_n2_random_pairs():
     for _ in range(100):
         cert = convert_general_n(H, [rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)])
         worst = min(worst, cert.min_fidelity)
-        assert cert.max_prob_error < 1e-12
+        assert max_prob_error(cert) < 1e-12
     assert worst > 1 - 1e-12
 
 
@@ -151,7 +152,7 @@ def test_convert_general_random_phase_vectors():
                 H, rng.uniform(0, 2 * math.pi, size=n), rng.uniform(0, 2 * math.pi)
             )
             assert cert.min_fidelity > 1 - 1e-12
-            assert cert.max_prob_error < 1e-10
+            assert max_prob_error(cert) < 1e-10
             assert abs(cert.probabilities.sum() - 1.0) < 1e-10
 
 
@@ -230,7 +231,17 @@ def test_grading_fails_on_a_dropped_phase_or_swapped_references():
     swapped = equivalence._certificate(support, n, ref_minus, ref_plus)
     assert swapped.min_fidelity < 1e-12
     # probabilities do not see the references; only the fidelities fail
-    assert swapped.max_prob_error < 1e-12
+    assert max_prob_error(swapped) < 1e-12
+
+
+def test_dead_branches_are_graded_zero():
+    # every branch of a vanishing support has probability below 1e-15: each
+    # is divided by 1 and graded 0, not divided by zero
+    refs = _conversion_inputs([0.4, 1.3, 0.9], 0.7)[1]
+    for support in (np.zeros(2, dtype=complex), np.array([1e-9, 0.0], dtype=complex)):
+        cert = equivalence._certificate(support, 3, *refs)
+        assert np.all(cert.probabilities < 1e-15)
+        assert cert.fidelities.tobytes() == np.zeros(4).tobytes()
 
 
 # sha256 of the probabilities and fidelities of a fixed seeded set of
@@ -377,7 +388,7 @@ def test_convert_with_qutrit_generator():
     h3 = Generator(np.array([0.0, 0.4, 1.0]))
     cert = convert_general_n(h3, [0.3, 0.8], 0.0)
     assert cert.min_fidelity > 1 - 1e-12
-    assert cert.max_prob_error < 1e-12
+    assert max_prob_error(cert) < 1e-12
 
 
 def test_two_box_block_structure():
@@ -641,7 +652,7 @@ def test_generalized_sigma_x_case():
     residual, cert = generalized_strategy_certificate(np.eye(2), PAULI_X, H, phi, 2)
     assert residual < 1e-12
     assert cert.min_fidelity > 1 - 1e-12
-    assert cert.max_prob_error < 1e-12
+    assert max_prob_error(cert) < 1e-12
 
 
 def test_generalized_random_unitaries():
@@ -652,7 +663,7 @@ def test_generalized_random_unitaries():
             residual, cert = generalized_strategy_certificate(w, v, H, rng.uniform(0.1, 1.4), n)
             assert residual < 1e-12
             assert cert.min_fidelity > 1 - 1e-12
-            assert cert.max_prob_error < 1e-10
+            assert max_prob_error(cert) < 1e-10
             assert cert.probabilities.size == 2 ** (n - 1)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -532,3 +533,33 @@ def test_one_philox_per_thread(monkeypatch):
     assert not thread.is_alive()
     assert counts == expected
     assert len(built) == 1
+
+
+# Raw numpy draws (numpy 2.4.6) that metroq's streams lean on: (Philox key,
+# trials, p, count).  0.8 and 0.5000000000000001 take numpy's mirror for
+# p > 1/2 (it samples 1 - p and returns trials - k).
+PINNED_BINOMIALS = [
+    ((0, 0), 100_000, 0.5, 49922),
+    ((0x9E3779B97F4A7C15, 1), 4_000, 0.3, 1189),
+    ((12345, 67890), 48_000, 0.8, 38476),
+    ((2**64 - 1, 2**63), 100_000, 0.4999999999999998, 49921),
+    ((7, 11), 100_000, 0.5000000000000001, 49912),
+    ((1, 2), 1, 0.9, 1),
+]
+
+
+def test_numpy_draws_that_streams_lean_on():
+    # A numpy release that fails this changed its streams, not metroq: it
+    # needs a STREAM_VERSION bump and regenerated goldens.  verify's
+    # conversion checks draw their phases as one (k, m) uniform block, which
+    # must be the k * m scalar draws in order, the next draw unmoved
+    for seed, (k, m) in itertools.product((0, 7, 2**64 - 1), ((100, 2), (5, 3), (5, 13))):
+        block = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        drawn = block.uniform(0, 2 * math.pi, size=(k, m))
+        one_by_one = [scalar.uniform(0, 2 * math.pi) for _ in range(k * m)]
+        assert drawn.ravel().tolist() == one_by_one
+        assert block.uniform(0, 2 * math.pi) == scalar.uniform(0, 2 * math.pi)
+    for key, trials, p, count in PINNED_BINOMIALS:
+        philox = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        assert np.random.Generator(philox).binomial(trials, p) == count, (key, trials, p)
