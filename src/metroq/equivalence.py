@@ -54,7 +54,9 @@ class ConversionCertificate:
     of b, counted from the most significant of its N-1 bits, is probe k+2's
     outcome (0 for +, 1 for -).  A fidelity is that of the normalized
     conditional probe-1 state to its sign-matched sequential reference, 0.0
-    for a branch of probability below 1e-15.  Both arrays are held as
+    for a branch of probability below 1e-15.  Branches with the same parity
+    of - outcomes hold equal grades: _certificate grades the two parity
+    classes and gives each branch its class's.  Both arrays are held as
     float64, converted (so copied) only from another dtype, and frozen in
     place: the arrays _certificate builds are held as they are.
     """
@@ -90,9 +92,6 @@ class ConversionCertificate:
 # conjugated +- pair gives them, signed zeros included.
 _PLUS_MINUS_COLUMNS = np.array(plus_minus_states(QUBIT)).conj().T
 _PLUS_MINUS_COLUMNS.setflags(write=False)
-# The same entries by outcome, a read-only view of shape (2, 2, 1): [o, s, 0]
-# multiplies support entry s into outcome o.
-_OUTCOME_COLUMNS = _PLUS_MINUS_COLUMNS.T[:, :, None]
 
 # convert_general_n's sign pair for the - reference, read-only
 _PLUS_MINUS_SIGNS = np.array([1, -1])
@@ -116,59 +115,40 @@ _GRID_BOXED_STARTS.setflags(write=False)
 _GRID_BOXES_SQUARED.setflags(write=False)
 
 
-def _support_branch_amplitudes(support, n: int) -> np.ndarray:
-    """Measure probes 2..n of the GHZ-type register with this support in the +- basis.
-
-    Returns the amplitude matrix, shape (2, 2^(n-1)): column b holds branch
-    b's unnormalized conditional probe-1 amplitudes on |min> and |max>, its
-    other levels being exactly zero; the bits of b, most significant first,
-    are the outcomes of probes 2..n (0 for +, 1 for -).  A probe measured on
-    |min...min> or |max...max> multiplies that amplitude by the projector's
-    entry at the same level, one broadcast product per probe appending its
-    outcome as the new least significant bit.  The product runs with the
-    outcome axis outermost, so its inner loop runs along the branches, and
-    one transposed copy then interleaves the two outcomes.  Every probe meets
-    the same two columns, so a column depends only on how many - outcomes
-    its branch holds: the bit order is a labelling convention.  The factors
-    go in in the order a probe-by-probe contraction of the whole register
-    applies them, whose other entries add only exact zeros there, so the
-    matrix is bitwise that contraction's rows min_index and max_index.
-    """
-    branches = np.asarray(support)[:, None]
-    for _ in range(n - 1):
-        branches = (branches * _OUTCOME_COLUMNS).transpose(1, 2, 0).reshape(2, -1)
-    return branches
-
-
 def _certificate(support: np.ndarray, n: int,
                  ref_plus: np.ndarray, ref_minus: np.ndarray) -> ConversionCertificate:
     """Grade every +- branch of probes 2..n of the GHZ-type register with this
-    support at once against the sign-matched sequential reference, a probe-1
-    support like it: ref_minus when the branch has an odd number of -
-    outcomes, ref_plus otherwise.  Raises ValueError past MAX_PROBES probes,
-    where the 2^(N-1) branches leave desk scale.
+    support against the sign-matched sequential reference, a probe-1 support
+    like it: ref_minus when the branch has an odd number of - outcomes,
+    ref_plus otherwise.  Raises ValueError past MAX_PROBES probes, where the
+    2^(N-1) branches leave desk scale.
 
-    The references are laid out like the amplitudes, (2, 2^(N-1)), so each
-    overlap is one contiguous einsum along the branches.  A probability is
-    re*re + im*im summed over the two levels, the same float the einsum of
-    the amplitudes' conjugates with them gives."""
+    Each probe multiplies each support entry by the projector's entry at the
+    same level, so a branch's probe-1 amplitudes depend only on the parity of
+    its - outcomes, up to the sign of a zero.  Only branch 0 (every probe +)
+    and, from two probes on, branch 1 (only probe n -) are built, from the
+    factors in the order a probe-by-probe contraction of the whole register
+    applies them: bitwise that contraction's columns 0 and 1.  Class 0 is
+    graded against ref_plus and class 1 against ref_minus.  A probability is
+    re*re + im*im summed over the two levels; a class below 1e-15 is divided
+    by 1 and graded 0; each branch reads its class's grades."""
     if n > MAX_PROBES:
         raise ValueError(f"branch enumeration capped at {MAX_PROBES} probes")
-    amps = _support_branch_amplitudes(support, n)
+    amps = np.asarray(support)[:, None]
+    for _ in range(n - 1):
+        amps = amps[:, :1] * _PLUS_MINUS_COLUMNS
     squares = amps.real * amps.real
     squares += amps.imag * amps.imag
     probs = squares[0] + squares[1]
-    refs = np.where(_BRANCH_PARITY[: probs.size], ref_minus[:, None], ref_plus[:, None])
-    # a dead branch (probability below 1e-15) is divided by 1 and graded 0
     live = probs >= 1e-15
-    every_live = live.all()
-    cond = amps / np.sqrt(probs if every_live else np.where(live, probs, 1.0))
-    fids = np.abs(np.einsum("ib,ib->b", cond.conj(), refs))
+    cond = amps / np.sqrt(np.where(live, probs, 1.0))
+    refs = np.array((ref_plus, ref_minus))[: probs.size]
+    fids = np.abs(np.einsum("ib,bi->b", cond.conj(), refs))
     np.square(fids, out=fids)
     np.minimum(fids, 1.0, out=fids)
-    if not every_live:
-        fids[~live] = 0.0
-    return ConversionCertificate(n, probs, fids)
+    fids[~live] = 0.0
+    parity = _BRANCH_PARITY[: 2 ** (n - 1)]
+    return ConversionCertificate(n, probs.take(parity), fids.take(parity))
 
 
 def convert_general_n(h: Generator, phis, lam: float = 0.0) -> ConversionCertificate:

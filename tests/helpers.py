@@ -2,8 +2,11 @@
 loop-form reference implementations of vectorised and stacked kernels, and the
 environment of a fresh metroq child process."""
 
+import functools
+import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -175,11 +178,12 @@ def project_subsystem(state, dims, k, onto):
 
 
 def branch_amplitudes_tensordot(state, h, n):
-    """Reference for equivalence._support_branch_amplitudes, given the whole
-    register ghz_register(h, n, support): probes 2..n contracted with the +-
-    projector one np.tensordot at a time, the outcome axis moved back into the
-    contracted probe's place; probe 1's d levels on the rows, of which the
-    support form keeps min_index and max_index."""
+    """Reference for equivalence._certificate's two parity-class columns,
+    given the whole register ghz_register(h, n, support): probes 2..n
+    contracted with the +- projector one np.tensordot at a time, the outcome
+    axis moved back into the contracted probe's place; probe 1's d levels on
+    the rows, of which the support form keeps min_index and max_index, and
+    one column per branch, of which _certificate builds 0 and 1."""
     plus, minus = plus_minus_states(h)
     proj = np.stack([plus.conj(), minus.conj()])
     t = state.reshape((h.dim,) * n)
@@ -309,3 +313,25 @@ def child_env(**blas_vars):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(blas_vars, PYTHONPATH=os.pathsep.join(sys.path))
     return env
+
+
+@functools.cache
+def metroq_child(modules="metroq.cli", **blas_vars):
+    """Facts of a fresh child that imports `modules` first, so numpy loads
+    after metroq/__init__, under child_env(**blas_vars): the scipy and
+    metroq.* modules then loaded, whether numpy.random is among them, the
+    BLAS thread variables and the OS thread count (None without
+    /proc/self/task).  One child per argument set serves every test."""
+    code = (f"import {modules}\n"
+            "import sys\n"
+            "loaded = sorted(sys.modules)\n"
+            "import json, os\n"
+            "print(json.dumps({'scipy': [m for m in loaded if m.split('.')[0] == 'scipy'],\n"
+            "                  'metroq': [m for m in loaded if m.startswith('metroq.')],\n"
+            "                  'numpy_random': 'numpy.random' in loaded,\n"
+            f"                  'blas': {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}},\n"
+            "                  'tasks': len(os.listdir('/proc/self/task'))\n"
+            "                           if os.path.isdir('/proc/self/task') else None}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env(**blas_vars))
+    return json.loads(proc.stdout)

@@ -22,6 +22,7 @@ from helpers import (
     check_counterexample_per_phase,
     check_vectorization_six_draws,
     child_env,
+    metroq_child,
 )
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text())
@@ -813,47 +814,31 @@ def test_verify_runs_the_acceptance_checks():
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import metroq.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=child_env())
-    assert proc.stdout.strip() == "[]"
+    assert metroq_child()["scipy"] == []
 
 
-def _metroq_child(modules="metroq.cli", **blas_vars):
-    """Import `modules` first in a fresh process, so numpy loads after
-    metroq/__init__; return the child's BLAS thread variables and its OS
-    thread count (None without /proc/self/task)."""
-    code = ("import %s; import json, os; print(json.dumps([{v: os.environ.get(v) for v in %r}, "
-            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))"
-            % (modules, BLAS_THREAD_VARS))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=child_env(**blas_vars))
-    return json.loads(proc.stdout)
-
-
-def _assert_one_blas_thread(modules):
-    seen, tasks = _metroq_child(modules)
-    assert seen == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
-                    "OMP_NUM_THREADS": None}
+def _assert_one_blas_thread(facts):
+    assert facts["blas"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                             "OMP_NUM_THREADS": None}
     # with one usable CPU the pool has no worker thread either way
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if tasks is None or usable < 2:
+    if facts["tasks"] is None or usable < 2:
         pytest.skip("thread count needs /proc/self/task and at least 2 usable CPUs")
-    assert tasks == 1
+    assert facts["tasks"] == 1
 
 
 def test_metroq_defaults_to_one_blas_thread():
-    _assert_one_blas_thread("metroq.cli")
+    _assert_one_blas_thread(metroq_child())
 
 
 def test_metroq_before_numpy_defaults_to_one_blas_thread():
     # library order: the bare package, then numpy by itself
-    _assert_one_blas_thread("metroq, numpy")
+    _assert_one_blas_thread(metroq_child("metroq, numpy"))
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_metroq_keeps_the_callers_blas_threads(var):
-    seen, _ = _metroq_child(**{var: "2"})
+    seen = metroq_child(**{var: "2"})["blas"]
     assert seen == {v: "2" if v == var else None for v in BLAS_THREAD_VARS}
 
 

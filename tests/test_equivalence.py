@@ -181,10 +181,12 @@ def test_phase_mask_matches_per_factor_boxes_and_record_order():
         assert [r.fidelity for r in cert.records] == list(cert.fidelities)
 
 
-def test_branch_cascade_is_bitwise_the_tensordot_cascade():
-    # the support's per-probe products against the whole register contracted
-    # probe by probe, byte for byte; the contraction's other rows are exactly
-    # zero, which is why a certificate is graded on the support alone
+def test_parity_classes_are_the_tensordot_cascade():
+    # _certificate's two class columns against the whole register contracted
+    # probe by probe: byte for byte that contraction's columns 0 and 1, and
+    # every branch's column equal in value to its parity class's (a zero may
+    # differ in sign); the contraction's other rows are exactly zero, which
+    # is why a certificate is graded on the support's two classes alone
     rng = np.random.default_rng(32)
     qutrit = Generator(np.array([-0.3, 0.45, 1.2]))
     ququart = Generator(np.array([1.5, -0.2, 0.7, -0.9]))
@@ -192,12 +194,19 @@ def test_branch_cascade_is_bitwise_the_tensordot_cascade():
         others = [i for i in range(h.dim) if i not in (h.min_index, h.max_index)]
         for n in range(1, n_max + 1):
             support = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            amps = equivalence._support_branch_amplitudes(support, n)
+            classes = support[:, None]  # the recurrence _certificate runs
+            for _ in range(n - 1):
+                classes = classes[:, :1] * equivalence._PLUS_MINUS_COLUMNS
             oracle = branch_amplitudes_tensordot(ghz_register(h, n, support), h, n)
-            assert amps.shape == (2, 2 ** (n - 1))
             rows = oracle[[h.min_index, h.max_index]]
-            assert amps.tobytes() == np.ascontiguousarray(rows).tobytes()
+            assert classes.tobytes() == np.ascontiguousarray(rows[:, :2]).tobytes()
+            parity = np.bitwise_count(np.arange(2 ** (n - 1))) & 1
+            assert np.array_equal(rows, classes[:, parity])
             assert not np.any(oracle[others])
+            # and the certificate's branch probabilities are the dense columns'
+            squares = rows.real * rows.real + rows.imag * rows.imag
+            cert = equivalence._certificate(support, n, support, support)
+            assert cert.probabilities.tobytes() == (squares[0] + squares[1]).tobytes()
 
 
 def test_plus_minus_columns_are_every_generators_extreme_columns():
@@ -246,7 +255,7 @@ def test_dead_branches_are_graded_zero():
 
 # sha256 of the probabilities and fidelities of a fixed seeded set of
 # certificates (numpy 2.4.6).  The verify goldens print only each check's
-# worst residual, so this is the pin that sees a last-bit change in any branch
+# worst residual, so this is the pin that sees a last-bit change in the grades
 # of any certificate.  Qudit cases include a generator whose max index comes
 # first.
 CERTIFICATE_DIGEST = "fbd88434a01ae8c3de446737e1ba57fb3f97c0849e5049ec8205309d874a775b"

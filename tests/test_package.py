@@ -14,7 +14,7 @@ import pytest
 import metroq
 from metroq import equivalence
 
-from helpers import child_env
+from helpers import child_env, metroq_child
 
 PACKAGE = Path(metroq.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -39,10 +39,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random loads on the first draw.  A module-level SeedSequence,
     # Philox or pre-filled seed cache would load it at import, into the
     # start-up of every command, those that draw nothing included.
-    code = "import metroq.cli, sys; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=child_env())
-    assert proc.stdout.strip() == "False"
+    assert metroq_child()["numpy_random"] is False
 
 
 # Each subcommand's argv, and the layers it runs besides cli and the states
@@ -228,9 +225,8 @@ def test_name_guard(modules, names, finders):
 
 def test_certificate_functions_take_no_generator():
     # a certificate grades two-entry supports against two-entry references
-    for fn in (equivalence._certificate, equivalence._support_branch_amplitudes):
-        params = inspect.signature(fn).parameters.values()
-        assert not [p for p in params if p.name == "h" or "Generator" in str(p.annotation)]
+    params = inspect.signature(equivalence._certificate).parameters.values()
+    assert not [p for p in params if p.name == "h" or "Generator" in str(p.annotation)]
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:

@@ -12,7 +12,6 @@ import contextlib
 import importlib.util
 import io
 import json
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,7 +20,7 @@ import pytest
 
 from metroq import cli
 
-from helpers import child_env
+from helpers import metroq_child
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,11 +43,7 @@ BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text
 def test_cli_import_registers_every_traced_layer():
     # the recorder reads each layer from sys.modules; cli puts the layers it
     # loads lazily there at import, before any command has run them
-    code = ("import sys, metroq.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('metroq.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=child_env())
-    assert proc.stdout.strip() == str(sorted(f"metroq.{layer}" for layer in spans.LAYERS))
+    assert metroq_child()["metroq"] == sorted(f"metroq.{layer}" for layer in spans.LAYERS)
 
 
 @pytest.mark.parametrize("name", BENCHMARKED)
